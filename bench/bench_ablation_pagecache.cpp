@@ -28,12 +28,11 @@ int main(int argc, char** argv) {
 
   std::vector<RunSpec> specs;
   for (const auto& app : opt.apps)
-    specs.push_back(paper_spec(SystemKind::kPerfectCcNuma, app, opt.scale));
+    specs.push_back(opt.spec(SystemKind::kPerfectCcNuma, app));
   for (const auto& [label, bytes] : sizes) {
     for (const auto& app : opt.apps) {
-      RunSpec s = paper_spec(
-          bytes == 0 ? SystemKind::kRNumaInf : SystemKind::kRNuma, app,
-          opt.scale);
+      RunSpec s = opt.spec(
+          bytes == 0 ? SystemKind::kRNumaInf : SystemKind::kRNuma, app);
       if (bytes != 0) s.system.page_cache_bytes = bytes;
       specs.push_back(s);
     }

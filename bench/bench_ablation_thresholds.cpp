@@ -22,10 +22,10 @@ int main(int argc, char** argv) {
     const std::vector<std::uint32_t> thresholds = {4, 8, 16, 32, 64, 128, 256};
     std::vector<RunSpec> specs;
     for (const auto& app : apps)
-      specs.push_back(paper_spec(SystemKind::kPerfectCcNuma, app, opt.scale));
+      specs.push_back(opt.spec(SystemKind::kPerfectCcNuma, app));
     for (auto th : thresholds) {
       for (const auto& app : apps) {
-        RunSpec s = paper_spec(SystemKind::kRNuma, app, opt.scale);
+        RunSpec s = opt.spec(SystemKind::kRNuma, app);
         s.system.timing.rnuma_threshold = th;
         specs.push_back(s);
       }
@@ -55,10 +55,10 @@ int main(int argc, char** argv) {
                                                    3200};
     std::vector<RunSpec> specs;
     for (const auto& app : apps)
-      specs.push_back(paper_spec(SystemKind::kPerfectCcNuma, app, opt.scale));
+      specs.push_back(opt.spec(SystemKind::kPerfectCcNuma, app));
     for (auto th : thresholds) {
       for (const auto& app : apps) {
-        RunSpec s = paper_spec(SystemKind::kCcNumaMigRep, app, opt.scale);
+        RunSpec s = opt.spec(SystemKind::kCcNumaMigRep, app);
         s.system.timing.migrep_threshold = th;
         s.system.timing.migrep_reset_interval = std::uint64_t(th) * 40;
         specs.push_back(s);
@@ -95,9 +95,9 @@ int main(int argc, char** argv) {
     const std::vector<std::uint32_t> entries = {4, 16, 64, 256, 0};
     std::vector<RunSpec> specs;
     const std::string app = apps[0];
-    specs.push_back(paper_spec(SystemKind::kPerfectCcNuma, app, opt.scale));
+    specs.push_back(opt.spec(SystemKind::kPerfectCcNuma, app));
     for (auto e : entries) {
-      RunSpec s = paper_spec(SystemKind::kCcNumaMigRep, app, opt.scale);
+      RunSpec s = opt.spec(SystemKind::kCcNumaMigRep, app);
       s.system.migrep_counter_cache_pages = e;
       specs.push_back(s);
     }

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -122,6 +123,13 @@ struct Options {
     if (nodes != 0) sc.nodes = nodes;
     if (cpus_per_node != 0) sc.cpus_per_node = cpus_per_node;
     sc.dir_scheme = dir_scheme;
+  }
+  // The paper's spec for (kind, app) at the selected scale, with every
+  // system flag applied.
+  RunSpec spec(SystemKind kind, const std::string& app) const {
+    RunSpec s = paper_spec(kind, app, scale);
+    apply(s.system);
+    return s;
   }
   bool routed_fabric() const { return fabric != FabricKind::kNiConstant; }
 };
@@ -356,16 +364,33 @@ class SystemFlagParser {
   Options* o_;
 };
 
-inline Options parse(int argc, char** argv) {
+// A flag that one binary reads itself; parse() accepts and skips it.
+struct OwnFlag {
+  const char* name;
+  bool takes_value;
+};
+
+// Parse the shared harness flags plus every SystemFlagParser flag. An
+// unknown flag, or a known one missing its value, exits 2 with a
+// message: no flag is silently ignored.
+inline Options parse(int argc, char** argv,
+                     std::initializer_list<OwnFlag> own = {}) {
   Options o;
   SystemFlagParser sys(o);
   for (int i = 1; i < argc; ++i) {
     if (sys.consume(argc, argv, i)) continue;
-    if (std::strcmp(argv[i], "--paper") == 0) o.scale = Scale::kPaper;
-    if (std::strcmp(argv[i], "--tiny") == 0) o.scale = Scale::kTiny;
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
+    const char* flag = argv[i];
+    const bool has_value = i + 1 < argc;
+    const OwnFlag* own_flag = nullptr;
+    for (const OwnFlag& f : own)
+      if (std::strcmp(flag, f.name) == 0) own_flag = &f;
+    if (std::strcmp(flag, "--paper") == 0) {
+      o.scale = Scale::kPaper;
+    } else if (std::strcmp(flag, "--tiny") == 0) {
+      o.scale = Scale::kTiny;
+    } else if (std::strcmp(flag, "--json") == 0 && has_value) {
       o.json_path = argv[++i];
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--jobs") == 0 && has_value) {
       const char* arg = argv[++i];
       char* end = nullptr;
       const unsigned long v = std::strtoul(arg, &end, 10);
@@ -377,8 +402,7 @@ inline Options parse(int argc, char** argv) {
         std::exit(2);
       }
       o.jobs = unsigned(v);
-    }
-    if (std::strcmp(argv[i], "--apps") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--apps") == 0 && has_value) {
       o.apps.clear();
       std::string list = argv[++i];
       std::size_t pos = 0;
@@ -388,6 +412,12 @@ inline Options parse(int argc, char** argv) {
         o.apps.push_back(list.substr(pos, comma - pos));
         pos = comma + 1;
       }
+    } else if (own_flag != nullptr && (!own_flag->takes_value || has_value)) {
+      if (own_flag->takes_value) ++i;
+    } else {
+      std::fprintf(stderr, "%s: unknown flag or missing value: '%s'\n",
+                   argv[0], flag);
+      std::exit(2);
     }
   }
   return o;
@@ -401,9 +431,10 @@ inline const char* scale_name(Scale s) {
   }
 }
 
-// Run `systems` x `apps`, normalize each app's row against a perfect
+// Run `systems` x `opt.apps`, normalize each app's row against a perfect
 // CC-NUMA run of the same app, and return series keyed like the paper's
-// figures (values = normalized execution time).
+// figures (values = normalized execution time). Every system flag in
+// `opt` applies to the baselines and to each system.
 struct NormalizedGrid {
   std::vector<std::string> apps;
   std::vector<Series> series;        // one per system
@@ -413,21 +444,21 @@ struct NormalizedGrid {
 
 inline NormalizedGrid run_normalized(
     const std::vector<std::pair<std::string, RunSpec>>& systems,
-    const std::vector<std::string>& apps, Scale scale, unsigned jobs = 0) {
+    const Options& opt) {
+  const std::vector<std::string>& apps = opt.apps;
   std::vector<RunSpec> specs;
-  for (const auto& app : apps) {
-    RunSpec base = paper_spec(SystemKind::kPerfectCcNuma, app, scale);
-    specs.push_back(base);
-  }
+  for (const auto& app : apps)
+    specs.push_back(opt.spec(SystemKind::kPerfectCcNuma, app));
   for (const auto& [name, proto] : systems) {
     for (const auto& app : apps) {
       RunSpec s = proto;
       s.workload = app;
-      s.scale = scale;
+      s.scale = opt.scale;
+      opt.apply(s.system);
       specs.push_back(s);
     }
   }
-  auto results = run_matrix(specs, jobs);
+  auto results = run_matrix(specs, opt.jobs);
 
   NormalizedGrid grid;
   grid.apps = apps;

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
       {"R-NUMA-Inf", paper_spec(SystemKind::kRNumaInf, "")},
   };
   SweepTimer timer;
-  NormalizedGrid grid = run_normalized(systems, opt.apps, opt.scale, opt.jobs);
+  NormalizedGrid grid = run_normalized(systems, opt);
   std::printf("%s\n", render_series(grid.apps, grid.series).c_str());
   print_geomean_row(grid);
   print_throughput_summary(grid.results, timer.seconds(), opt.jobs);

@@ -9,7 +9,7 @@
 // Every benchmark reports items_per_second (= simulated events per
 // second), so
 //
-//   bench_micro_sim --benchmark_out=BENCH_sim_throughput.json \
+//   bench_micro_sim --benchmark_out=BENCH_sim_throughput.json
 //                   --benchmark_out_format=json
 //
 // emits the machine-readable throughput trajectory CI archives (the

@@ -64,7 +64,7 @@ std::vector<std::uint32_t> parse_ks(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
+  Options opt = parse(argc, argv, {{"--ks", true}});
   const std::vector<std::uint32_t> ks = parse_ks(argc, argv);
 
   std::printf(

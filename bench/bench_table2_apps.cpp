@@ -15,7 +15,7 @@ using namespace dsm;
 using namespace dsm::bench;
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
+  Options opt = parse(argc, argv, {{"--table-only", false}});
   bool table_only = false;
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--table-only") == 0) table_only = true;

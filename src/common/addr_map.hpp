@@ -321,100 +321,4 @@ class AddrMap {
   V* memo_val_ = nullptr;
 };
 
-// Inline-value companion to AddrMap for tiny trivially-copyable values
-// (a miss class, a counter): the value lives inside the index entry, so
-// a hit costs exactly one probe of one contiguous array — no chunk
-// indirection. In exchange there is no erase and no reference
-// stability: pointers returned by find() are invalidated by the next
-// insert. Use only where values are read/overwritten in place and never
-// held across mutation (the L1 per-block miss-class history).
-template <typename V>
-class AddrTable {
- public:
-  static constexpr Addr kEmptyKey = ~Addr(0);
-
-  std::size_t size() const { return size_; }
-
-  V* find(Addr key) {
-    DSM_DEBUG_ASSERT(key != kEmptyKey, "sentinel key probed in AddrTable");
-    if (index_.empty()) return nullptr;
-    std::size_t pos = home_of(key);
-    for (;;) {
-      Ent& e = index_[pos];
-      if (e.key == key) return &e.value;
-      if (e.key == kEmptyKey) return nullptr;
-      pos = (pos + 1) & mask_;
-    }
-  }
-  const V* find(Addr key) const {
-    return const_cast<AddrTable*>(this)->find(key);
-  }
-
-  // Insert-or-overwrite.
-  void put(Addr key, const V& value) {
-    V* v = nullptr;
-    put_if_absent(key, value, &v);
-    *v = value;
-  }
-
-  // Find-or-insert `absent` in a single probe; reports whether the key
-  // was newly added (the L1 classifier's "first touch" test — this runs
-  // on every L1 miss, so the probe run is walked exactly once).
-  bool put_if_absent(Addr key, const V& absent, V** out) {
-    DSM_DEBUG_ASSERT(key != kEmptyKey);
-    if (index_.empty()) grow(kMinCapacity);
-    std::size_t pos = home_of(key);
-    for (;;) {
-      Ent& e = index_[pos];
-      if (e.key == key) {
-        *out = &e.value;
-        return false;
-      }
-      if (e.key == kEmptyKey) break;
-      pos = (pos + 1) & mask_;
-    }
-    if ((size_ + 1) * 2 > index_.size()) {
-      grow(index_.size() * 2);
-      pos = home_of(key);
-      while (index_[pos].key != kEmptyKey) pos = (pos + 1) & mask_;
-    }
-    index_[pos].key = key;
-    index_[pos].value = absent;
-    size_++;
-    *out = &index_[pos].value;
-    return true;
-  }
-
- private:
-  struct Ent {
-    Addr key = kEmptyKey;
-    V value{};
-  };
-
-  static constexpr std::size_t kMinCapacity = 64;
-
-  std::size_t home_of(Addr key) const {
-    return std::size_t((key * 0x9e3779b97f4a7c15ull) >> shift_);
-  }
-
-  void grow(std::size_t new_capacity) {
-    std::vector<Ent> old = std::move(index_);
-    index_.assign(new_capacity, Ent{});
-    mask_ = new_capacity - 1;
-    shift_ = 64;
-    for (std::size_t c = new_capacity; c > 1; c >>= 1) shift_--;
-    for (const Ent& e : old) {
-      if (e.key == kEmptyKey) continue;
-      std::size_t pos = home_of(e.key);
-      while (index_[pos].key != kEmptyKey) pos = (pos + 1) & mask_;
-      index_[pos] = e;
-    }
-  }
-
-  std::vector<Ent> index_;
-  std::size_t size_ = 0;
-  std::size_t mask_ = 0;
-  unsigned shift_ = 64;
-};
-
 }  // namespace dsm

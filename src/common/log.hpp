@@ -31,9 +31,12 @@ inline std::string assert_msg(const char* m) { return m; }
     }                                                                  \
   } while (0)
 
+// The NDEBUG form names `expr` in an unevaluated operand, so variables
+// that exist only for the check stay "used" without generating code.
 #ifdef NDEBUG
 #define DSM_DEBUG_ASSERT(expr, ...) \
   do {                              \
+    (void)sizeof(!(expr));          \
   } while (0)
 #else
 #define DSM_DEBUG_ASSERT(expr, ...) DSM_ASSERT(expr, __VA_ARGS__)

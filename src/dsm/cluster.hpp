@@ -29,6 +29,7 @@
 // calibrated to the paper's Table 3 (local 104 / remote clean 418).
 #pragma once
 
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -59,40 +60,49 @@ struct PolicyEvent;
 // stays bounded over arbitrarily long runs. A conflict evicts the old
 // block's history; its next miss then classifies as cold — the same
 // information loss a finite hardware table exhibits.
+//
+// Layout: one 8-byte word per entry, the full block number shifted left
+// by two over the entry's MissClass plus one. Block numbers are below
+// 2^58 (64-bit addresses over 64-byte blocks), so the tag never loses a
+// bit, and a valid entry is never zero: all-zero means empty. The table
+// therefore comes from calloc, and the OS commits only the pages a run
+// writes.
 class NodeHistory {
  public:
   explicit NodeHistory(std::uint32_t entries = 1u << 16) {
-    std::uint32_t cap = 1;
-    while (cap < entries && cap < (1u << 30)) cap <<= 1;
-    table_.resize(cap);
+    while (cap_ < entries && cap_ < (1u << 30)) cap_ <<= 1;
+    table_.reset(static_cast<std::uint64_t*>(
+        std::calloc(cap_, sizeof(std::uint64_t))));
+    DSM_ASSERT(table_ != nullptr, "node history allocation failed");
   }
 
   MissClass classify(Addr blk) {
-    Entry& e = table_[index(blk)];
-    if (!e.valid || e.tag != blk) {
-      e = Entry{blk, MissClass::kCapacity, true};
+    std::uint64_t& e = table_[index(blk)];
+    if (e == 0 || (e >> 2) != blk) {
+      e = pack(blk, MissClass::kCapacity);
       return MissClass::kCold;
     }
-    return e.cls;
+    return MissClass((e & 3) - 1);
   }
-  void mark(Addr blk, MissClass c) {
-    table_[index(blk)] = Entry{blk, c, true};
-  }
+  void mark(Addr blk, MissClass c) { table_[index(blk)] = pack(blk, c); }
 
-  std::size_t capacity() const { return table_.size(); }
+  std::size_t capacity() const { return cap_; }
 
  private:
-  struct Entry {
-    Addr tag = 0;
-    MissClass cls = MissClass::kCapacity;
-    bool valid = false;
+  struct Free {
+    void operator()(std::uint64_t* p) const { std::free(p); }
   };
+  static std::uint64_t pack(Addr blk, MissClass c) {
+    DSM_DEBUG_ASSERT(blk < (Addr(1) << 62), "block number beyond the tag");
+    return (blk << 2) | (std::uint64_t(c) + 1);
+  }
   std::size_t index(Addr blk) const {
     // Mix the upper bits so same-set blocks of distant pages spread out.
     const Addr h = blk ^ (blk >> 17) ^ (blk >> 31);
-    return std::size_t(h) & (table_.size() - 1);
+    return std::size_t(h) & (cap_ - 1);
   }
-  std::vector<Entry> table_;
+  std::size_t cap_ = 1;
+  std::unique_ptr<std::uint64_t[], Free> table_;
 };
 
 class DsmSystem : public MemorySystem {

@@ -19,10 +19,18 @@
 // sim/memory_if.hpp) there are no transient states: every lookup sees a
 // stable entry, and the "pending" behaviour of a real directory shows up
 // as occupancy on the home device resource instead.
+//
+// Storage layout. Entries are grouped by page: a page-keyed AddrMap
+// holds one record per page that has any live entry, with the page's 64
+// entries in block order and a 64-bit live mask. The index therefore has
+// one key per page rather than one per block, and the blocks of one
+// page, which a transaction and a page operation touch together, share
+// a record. A page record costs about 2 KB however few of its blocks are
+// live.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <utility>
 
 #include "common/addr_map.hpp"
 #include "common/log.hpp"
@@ -56,29 +64,63 @@ class Directory {
   explicit Directory(
       const NodeSetLayout& layout,
       std::pmr::memory_resource* mem = std::pmr::get_default_resource())
-      : layout_(layout), entries_(mem) {}
+      : layout_(layout), pages_(mem) {}
 
   const NodeSetLayout& layout() const { return layout_; }
 
-  // Flat-table find-or-insert. References stay valid across later
-  // inserts and across erases of *other* blocks (chunk-stable values).
-  DirEntry& entry(Addr blk) { return entries_[blk]; }
+  // Find-or-insert; a new entry starts kUncached. References stay valid
+  // across later inserts and across erases of *other* blocks: page
+  // records are chunk-stable in the AddrMap, and a record is only
+  // dropped once none of its blocks has a live entry.
+  DirEntry& entry(Addr blk) {
+    PageDir& pd = pages_[blk >> kPageShift];
+    const std::uint64_t bit = bit_of(blk);
+    DirEntry& e = pd.entries[slot_of(blk)];
+    if (!(pd.live & bit)) {
+      pd.live |= bit;
+      e = DirEntry{};
+      size_++;
+    }
+    return e;
+  }
 
-  DirEntry* find(Addr blk) { return entries_.find(blk); }
-  const DirEntry* find(Addr blk) const { return entries_.find(blk); }
+  DirEntry* find(Addr blk) {
+    PageDir* pd = pages_.find(blk >> kPageShift);
+    if (pd == nullptr || !(pd->live & bit_of(blk))) return nullptr;
+    return &pd->entries[slot_of(blk)];
+  }
+  const DirEntry* find(Addr blk) const {
+    const PageDir* pd = pages_.find(blk >> kPageShift);
+    if (pd == nullptr || !(pd->live & bit_of(blk))) return nullptr;
+    return &pd->entries[slot_of(blk)];
+  }
 
   // Drop the entry (page migration moves directory state to the new
   // home after flushing everything; the fresh home starts kUncached).
-  // Backward-shift deletion: migration-heavy runs leave no tombstones.
-  void erase(Addr blk) { entries_.erase(blk); }
+  // The page record goes with its last live entry.
+  void erase(Addr blk) {
+    const Addr page = blk >> kPageShift;
+    PageDir* pd = pages_.find(page);
+    if (pd == nullptr || !(pd->live & bit_of(blk))) return;
+    pd->live &= ~bit_of(blk);
+    size_--;
+    if (pd->live == 0) pages_.erase(page);
+  }
 
-  std::size_t size() const { return entries_.size(); }
+  // Live entries.
+  std::size_t size() const { return size_; }
 
   // Sorted-by-block iteration — the coherence checker's walk order is
-  // identical on every standard library.
+  // identical on every standard library. fn(Addr blk, DirEntry&) may
+  // mutate entries but must not insert or erase.
   template <typename Fn>
   void for_each(Fn&& fn) {
-    entries_.for_each(std::forward<Fn>(fn));
+    pages_.for_each([&](Addr page, PageDir& pd) {
+      for (std::uint64_t m = pd.live; m != 0; m &= m - 1) {
+        const unsigned i = unsigned(__builtin_ctzll(m));
+        fn((page << kPageShift) | i, pd.entries[i]);
+      }
+    });
   }
 
   // Directory-memory census over the live entries: how many bits of
@@ -89,7 +131,7 @@ class Directory {
   DirUsage usage() {
     DirUsage u;
     u.nodes = layout_.nodes;
-    entries_.for_each([&](Addr, DirEntry& e) {
+    for_each([&](Addr, DirEntry& e) {
       u.entries++;
       if (e.state == DirState::kShared) u.shared_entries++;
       if (e.sharers.rep() == NodeSet::Rep::kCoarse) u.coarse_entries++;
@@ -101,8 +143,25 @@ class Directory {
   }
 
  private:
+  static constexpr unsigned kPageShift = kPageBits - kBlockBits;
+  static_assert(kBlocksPerPage == 64, "live mask is one 64-bit word");
+
+  // One page's entries; bit i of `live` says entries[i] exists.
+  struct PageDir {
+    std::uint64_t live = 0;
+    std::array<DirEntry, kBlocksPerPage> entries;
+  };
+
+  static unsigned slot_of(Addr blk) {
+    return unsigned(blk & (kBlocksPerPage - 1));
+  }
+  static std::uint64_t bit_of(Addr blk) {
+    return std::uint64_t(1) << slot_of(blk);
+  }
+
   NodeSetLayout layout_;
-  AddrMap<DirEntry> entries_;
+  AddrMap<PageDir> pages_;
+  std::size_t size_ = 0;
 };
 
 }  // namespace dsm

@@ -4,6 +4,13 @@
 
 namespace dsm {
 
+namespace {
+// Position of `blk`'s 2-bit history code within its 64-bit word.
+unsigned history_shift(Addr blk) { return unsigned(blk & 31) * 2; }
+// The code stored for a block whose next miss is `c` (0 = never seen).
+std::uint64_t history_code(MissClass c) { return std::uint64_t(c) + 1; }
+}  // namespace
+
 const char* to_string(L1State s) {
   switch (s) {
     case L1State::kI: return "I";
@@ -40,7 +47,7 @@ L1Cache::Victim L1Cache::install(Addr blk, L1State state) {
     v.valid = true;
     v.blk = ln.blk;
     v.state = ln.state;
-    next_miss_class_.put(ln.blk, MissClass::kCapacity);
+    record(ln.blk, MissClass::kCapacity);
   }
   ln.blk = blk;
   ln.state = state;
@@ -51,7 +58,7 @@ void L1Cache::invalidate(Addr blk, MissClass reason) {
   Line* ln = probe(blk);
   if (!ln) return;
   ln->state = L1State::kI;
-  next_miss_class_.put(blk, reason);
+  record(blk, reason);
 }
 
 void L1Cache::downgrade_to_shared(Addr blk) {
@@ -67,10 +74,29 @@ void L1Cache::set_state(Addr blk, L1State s) {
 }
 
 MissClass L1Cache::classify_miss(Addr blk) {
-  MissClass* cls = nullptr;
-  if (next_miss_class_.put_if_absent(blk, MissClass::kCapacity, &cls))
-    return MissClass::kCold;
-  return *cls;
+  const unsigned sh = history_shift(blk);
+  std::uint64_t& w = history_word(blk);
+  const unsigned code = unsigned(w >> sh) & 3u;
+  if (code != 0) return MissClass(code - 1);
+  w |= history_code(MissClass::kCapacity) << sh;
+  return MissClass::kCold;
+}
+
+void L1Cache::record(Addr blk, MissClass next) {
+  const unsigned sh = history_shift(blk);
+  std::uint64_t& w = history_word(blk);
+  w = (w & ~(std::uint64_t(3) << sh)) | (history_code(next) << sh);
+}
+
+std::uint64_t& L1Cache::history_word(Addr blk) {
+  const Addr page = blk >> kHistoryPageBits;
+  if (page != memo_page_) {
+    std::unique_ptr<HistoryPage>& bits = history_[page];
+    if (!bits) bits = std::make_unique<HistoryPage>();  // zeroed: unseen
+    memo_page_ = page;
+    memo_bits_ = bits.get();
+  }
+  return (*memo_bits_)[(blk & (kHistoryBlocks - 1)) >> 5];
 }
 
 }  // namespace dsm

@@ -6,9 +6,23 @@
 // tags and coherence state. Addresses are block-aligned globally; the
 // tag is the full block number, so aliasing is impossible by
 // construction and the set index is blk % n_sets.
+//
+// Miss history layout. Every L1 miss, eviction and invalidation reads
+// or writes the history of one block, so the history is kept small
+// enough to stay in the host's caches: 2 bits per block (0 = never
+// seen, else the MissClass of the block's next miss, plus one), in
+// history pages of kHistoryBlocks consecutive blocks. A page is
+// allocated zeroed on the first write to any of its blocks and found
+// through a page-keyed AddrMap, with a one-entry memo of the last page
+// used in front of it. A page spans 4 MB of simulated memory, enough for
+// the whole shared footprint of raytrace at paper scale, so the memo
+// rarely misses. (With 256 KB pages it missed on half of raytrace's
+// lookups: a miss and the eviction it causes alternate between pages.)
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/addr_map.hpp"
@@ -43,6 +57,9 @@ class L1Cache {
   };
 
   static constexpr Addr kNoBlock = ~Addr(0);
+  // Blocks per miss-history page (64K blocks: 16 KB of history).
+  static constexpr unsigned kHistoryPageBits = 16;
+  static constexpr unsigned kHistoryBlocks = 1u << kHistoryPageBits;
 
   explicit L1Cache(std::uint64_t bytes);
 
@@ -62,8 +79,9 @@ class L1Cache {
                                          // the node-level container
   void set_state(Addr blk, L1State s);
 
-  // Classify (and consume) the miss reason for `blk`: kCold on first
-  // touch, else whatever the block's last departure recorded.
+  // Classify the miss on `blk`: kCold on first touch (which records the
+  // block as seen, so an uneventful re-miss reads capacity), else
+  // whatever the block's last departure recorded.
   MissClass classify_miss(Addr blk);
 
   std::uint32_t n_sets() const { return n_sets_; }
@@ -82,17 +100,24 @@ class L1Cache {
   }
 
  private:
+  using HistoryPage = std::array<std::uint64_t, kHistoryBlocks * 2 / 64>;
+
   std::uint32_t set_of(Addr blk) const {
     return std::uint32_t(blk & (n_sets_ - 1));
   }
 
+  // The 64-bit history word holding `blk`'s 2-bit code, allocating the
+  // block's history page if needed.
+  std::uint64_t& history_word(Addr blk);
+  // Set `blk`'s history to `next`.
+  void record(Addr blk, MissClass next);
+
   std::uint32_t n_sets_;
   std::vector<Line> lines_;
-  // Block -> classification of its *next* miss. Absent = never seen.
-  // Touched on every L1 miss, eviction and invalidation — the single
-  // hottest address-keyed table in the simulator, so it uses the
-  // inline-value flat table.
-  AddrTable<MissClass> next_miss_class_;
+  AddrMap<std::unique_ptr<HistoryPage>> history_;  // history page -> bits
+  // Last history page used (~0 = none: page numbers stay below 2^48).
+  Addr memo_page_ = ~Addr(0);
+  HistoryPage* memo_bits_ = nullptr;
 };
 
 }  // namespace dsm

@@ -1,4 +1,4 @@
-// AddrMap / AddrTable unit + differential tests.
+// AddrMap unit + differential tests.
 //
 // The open-addressing rewrite of the simulator's per-address state
 // tables must behave exactly like the node-based maps it replaced, so
@@ -136,7 +136,9 @@ TEST(AddrMap, DifferentialVsUnorderedMap) {
       bool first = true;
       std::size_t seen = 0;
       m.for_each([&](Addr key, std::uint64_t& val) {
-        if (!first) EXPECT_LT(prev, key);
+        if (!first) {
+          EXPECT_LT(prev, key);
+        }
         prev = key;
         first = false;
         seen++;
@@ -148,50 +150,6 @@ TEST(AddrMap, DifferentialVsUnorderedMap) {
     }
   }
   EXPECT_EQ(m.size(), ref.size());
-}
-
-TEST(AddrTable, PutFindOverwrite) {
-  AddrTable<int> t;
-  EXPECT_EQ(t.find(5), nullptr);
-  t.put(5, 50);
-  ASSERT_NE(t.find(5), nullptr);
-  EXPECT_EQ(*t.find(5), 50);
-  t.put(5, 51);
-  EXPECT_EQ(*t.find(5), 51);
-  EXPECT_EQ(t.size(), 1u);
-}
-
-TEST(AddrTable, PutIfAbsent) {
-  AddrTable<int> t;
-  int* v = nullptr;
-  EXPECT_TRUE(t.put_if_absent(9, 1, &v));
-  EXPECT_EQ(*v, 1);
-  *v = 3;
-  EXPECT_FALSE(t.put_if_absent(9, 1, &v));
-  EXPECT_EQ(*v, 3);
-}
-
-TEST(AddrTable, DifferentialVsUnorderedMap) {
-  AddrTable<std::uint32_t> t;
-  std::unordered_map<Addr, std::uint32_t> ref;
-  Rng rng(0xAB1Eu);
-  for (int i = 0; i < 200'000; ++i) {
-    const Addr k = rng.next_below(1 << 14);
-    if (rng.next_below(2) == 0) {
-      t.put(k, std::uint32_t(i));
-      ref[k] = std::uint32_t(i);
-    } else {
-      const std::uint32_t* v = t.find(k);
-      auto it = ref.find(k);
-      if (it == ref.end()) {
-        EXPECT_EQ(v, nullptr) << "op " << i;
-      } else {
-        ASSERT_NE(v, nullptr) << "op " << i;
-        EXPECT_EQ(*v, it->second) << "op " << i;
-      }
-    }
-  }
-  EXPECT_EQ(t.size(), ref.size());
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
-// Unit tests: block cache, S-COMA page cache, directory, page table.
+// Unit tests: block cache, S-COMA page cache, directory, node history,
+// page table.
 // (Interconnect fabric timing and accounting live in fabric_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/rng.hpp"
 #include "dsm/block_cache.hpp"
+#include "dsm/cluster.hpp"
 #include "dsm/directory.hpp"
 #include "dsm/page_cache.hpp"
 #include "dsm/page_table.hpp"
@@ -260,6 +264,140 @@ TEST(Directory, ForEachIsSortedByBlock) {
   std::vector<Addr> order;
   d.for_each([&](Addr b, DirEntry&) { order.push_back(b); });
   EXPECT_EQ(order, (std::vector<Addr>{2, 33, 900}));
+}
+
+bool same_entry(const DirEntry& a, const DirEntry& b, const NodeSetLayout& l) {
+  if (a.state != b.state || a.owner != b.owner ||
+      a.sharers.rep() != b.sharers.rep() ||
+      a.sharers.count(l) != b.sharers.count(l))
+    return false;
+  for (NodeId n = 0; n < l.nodes; ++n)
+    if (a.sharers.contains(n, l) != b.sharers.contains(n, l)) return false;
+  return true;
+}
+
+// Seeded differential test of the page-grained directory against a
+// block-keyed std::map: entry (with mutation), find, erase and re-entry
+// over blocks on both sides of page boundaries and past 2^40. size(),
+// the for_each sequence and the usage() census must match throughout,
+// and a held reference must survive other blocks' inserts and erases.
+TEST(Directory, DifferentialVsBlockMap) {
+  const NodeSetLayout l = NodeSetLayout::make(64, DirScheme::kLimitedPtr);
+  Directory d(l);
+  std::map<Addr, DirEntry> ref;
+  std::vector<Addr> pool;
+  for (Addr page : {Addr(0), Addr(1), Addr(2), Addr(77), Addr(1) << 34})
+    for (unsigned i : {0u, 1u, 2u, 31u, 32u, 61u, 62u, 63u})
+      pool.push_back(page * kBlocksPerPage + i);
+  Rng rng(0xD1EC7u);
+
+  const Addr pinned = pool[3];
+  DirEntry* pinned_ref = &d.entry(pinned);
+  ref[pinned];
+
+  auto check_all = [&](int op) {
+    ASSERT_EQ(d.size(), ref.size()) << "op " << op;
+    auto it = ref.begin();
+    d.for_each([&](Addr blk, DirEntry& e) {
+      ASSERT_NE(it, ref.end()) << "op " << op;
+      EXPECT_EQ(blk, it->first) << "op " << op;
+      EXPECT_TRUE(same_entry(e, it->second, l)) << "op " << op;
+      ++it;
+    });
+    EXPECT_EQ(it, ref.end()) << "op " << op;
+    DirUsage want;
+    want.nodes = l.nodes;
+    for (const auto& [blk, e] : ref) {
+      want.entries++;
+      if (e.state == DirState::kShared) want.shared_entries++;
+      if (e.sharers.rep() == NodeSet::Rep::kCoarse) want.coarse_entries++;
+      want.sharers_measured += e.sharers.count(l);
+      want.sharer_bits_used += e.sharers.storage_bits(l);
+      want.sharer_bits_full_map += l.nodes;
+    }
+    const DirUsage got = d.usage();
+    EXPECT_EQ(got.entries, want.entries) << "op " << op;
+    EXPECT_EQ(got.shared_entries, want.shared_entries) << "op " << op;
+    EXPECT_EQ(got.coarse_entries, want.coarse_entries) << "op " << op;
+    EXPECT_EQ(got.sharers_measured, want.sharers_measured) << "op " << op;
+    EXPECT_EQ(got.sharer_bits_used, want.sharer_bits_used) << "op " << op;
+    EXPECT_EQ(got.sharer_bits_full_map, want.sharer_bits_full_map)
+        << "op " << op;
+  };
+
+  for (int i = 0; i < 100'000; ++i) {
+    const Addr blk = pool[rng.next_below(pool.size())];
+    switch (rng.next_below(4)) {
+      case 0: {  // find-or-insert, then mutate both sides alike
+        DirEntry& e = d.entry(blk);
+        DirEntry& r = ref[blk];
+        ASSERT_TRUE(same_entry(e, r, l)) << "op " << i;
+        const NodeId n = NodeId(rng.next_below(l.nodes));
+        if (rng.next_below(3) == 0) {
+          e.state = r.state = DirState::kExclusive;
+          e.owner = r.owner = n;
+          e.sharers.clear();
+          r.sharers.clear();
+        } else {
+          e.state = r.state = DirState::kShared;
+          e.owner = r.owner = kNoNode;
+          e.add_sharer(n, l);
+          r.add_sharer(n, l);
+        }
+        break;
+      }
+      case 1:  // erase (the pinned block stays live)
+        if (blk == pinned) break;
+        d.erase(blk);
+        ref.erase(blk);
+        break;
+      default: {  // probe
+        const DirEntry* e = d.find(blk);
+        auto it = ref.find(blk);
+        ASSERT_EQ(e != nullptr, it != ref.end()) << "op " << i;
+        if (e != nullptr) {
+          ASSERT_TRUE(same_entry(*e, it->second, l)) << "op " << i;
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(d.find(pinned), pinned_ref) << "op " << i;
+    if (i % 10'000 == 0) check_all(i);
+  }
+  check_all(-1);
+  // Erasing every entry empties the directory; re-entry starts fresh.
+  for (Addr blk : pool) d.erase(blk);
+  EXPECT_EQ(d.size(), 0u);
+  EXPECT_EQ(d.entry(pool[0]).state, DirState::kUncached);
+  EXPECT_TRUE(d.entry(pool[0]).sharers.empty());
+}
+
+// Node history: a direct-mapped table with full block tags. Blocks 1 and
+// 1 + 2^16 share an index in the default 2^16-entry table and evict each
+// other; blocks that differ only at bit 57 share an index too, and must
+// not alias (the packed tag keeps every bit of a 58-bit block number).
+TEST(NodeHistory, ConflictsEvictAndHighTagsDoNotAlias) {
+  NodeHistory h;
+  ASSERT_EQ(h.capacity(), std::size_t(1) << 16);
+  EXPECT_EQ(h.classify(0), MissClass::kCold);  // block 0 is not "empty"
+  EXPECT_EQ(h.classify(0), MissClass::kCapacity);
+
+  const Addr a = 1, b = 1 + (Addr(1) << 16);
+  EXPECT_EQ(h.classify(a), MissClass::kCold);
+  h.mark(a, MissClass::kCoherence);
+  EXPECT_EQ(h.classify(a), MissClass::kCoherence);
+  EXPECT_EQ(h.classify(b), MissClass::kCold);  // evicts a
+  EXPECT_EQ(h.classify(a), MissClass::kCold);  // evicts b
+  EXPECT_EQ(h.classify(b), MissClass::kCold);
+
+  const Addr lo = 5, hi = (Addr(1) << 57) + 5, top = (Addr(1) << 58) - 1;
+  h.mark(hi, MissClass::kCoherence);
+  EXPECT_EQ(h.classify(hi), MissClass::kCoherence);
+  EXPECT_EQ(h.classify(lo), MissClass::kCold);
+  EXPECT_EQ(h.classify(hi), MissClass::kCold);
+  h.mark(top, MissClass::kCapacity);
+  EXPECT_EQ(h.classify(top), MissClass::kCapacity);
+  EXPECT_EQ(h.classify(top >> 1), MissClass::kCold);
 }
 
 TEST(PageCache, ForEachFrameIsSortedByPage) {

@@ -1,6 +1,10 @@
 // Unit tests: L1 cache (MOESI states, miss classification), resources.
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "mem/l1_cache.hpp"
 #include "mem/resource.hpp"
 
@@ -159,6 +163,93 @@ TEST_P(L1SweepTest, SweepLeavesResidueAndCapacityHistory) {
 
 INSTANTIATE_TEST_SUITE_P(Sweeps, L1SweepTest,
                          ::testing::Values(1, 17, 255, 256, 257, 1024, 5000));
+
+// Reference model of the miss history as an unbounded per-block map: a
+// block is absent until its first classification, eviction or
+// invalidation; classification inserts capacity on first touch and
+// otherwise returns the stored class without consuming it.
+class L1Model {
+ public:
+  explicit L1Model(std::uint32_t sets) : lines_(sets) {}
+
+  MissClass classify(Addr blk) {
+    auto [it, fresh] = next_.try_emplace(blk, MissClass::kCapacity);
+    return fresh ? MissClass::kCold : it->second;
+  }
+  L1Cache::Victim install(Addr blk, L1State st) {
+    L1Cache::Line& ln = lines_[blk % lines_.size()];
+    L1Cache::Victim v;
+    if (ln.state != L1State::kI && ln.blk != blk) {
+      v = {true, ln.blk, ln.state};
+      next_[ln.blk] = MissClass::kCapacity;
+    }
+    ln = {blk, st};
+    return v;
+  }
+  void invalidate(Addr blk, MissClass reason) {
+    L1Cache::Line& ln = lines_[blk % lines_.size()];
+    if (ln.state == L1State::kI || ln.blk != blk) return;
+    ln.state = L1State::kI;
+    next_[blk] = reason;
+  }
+
+ private:
+  std::vector<L1Cache::Line> lines_;
+  std::unordered_map<Addr, MissClass> next_;
+};
+
+// Seeded differential test of the 2-bit paged history against the
+// model. The block pool straddles history-page boundaries (the last and
+// first blocks of adjacent pages), covers the start, middle and random
+// offsets of several pages, reaches past 2^40, and is dense enough in a
+// 16-set cache that evictions and invalidations are common.
+TEST(L1Cache, MissHistoryMatchesUnboundedMapModel) {
+  constexpr std::uint64_t kBytes = 16 * kBlockBytes;  // 16 sets
+  L1Cache c(kBytes);
+  L1Model m(16);
+  const Addr page = L1Cache::kHistoryBlocks;
+  Rng rng(0x11CAC4Eu);
+  std::vector<Addr> pool;
+  for (Addr base : {Addr(0), page, 7 * page, Addr(1) << 40,
+                    (Addr(1) << 40) + page, (Addr(1) << 52) + 3 * page}) {
+    for (Addr d = 0; d < 24; ++d) {
+      pool.push_back(base + d);
+      pool.push_back(base + page / 2 + d);
+      if (base >= 24) pool.push_back(base - 1 - d);
+    }
+    for (int k = 0; k < 16; ++k) pool.push_back(base + rng.next_below(page));
+  }
+  const L1State states[] = {L1State::kS, L1State::kE, L1State::kO,
+                            L1State::kM};
+  for (int i = 0; i < 200'000; ++i) {
+    const Addr blk = pool[rng.next_below(pool.size())];
+    switch (rng.next_below(4)) {
+      case 0:
+        ASSERT_EQ(c.classify_miss(blk), m.classify(blk)) << "op " << i;
+        break;
+      case 1: {
+        const L1State st = states[rng.next_below(4)];
+        const L1Cache::Victim got = c.install(blk, st);
+        const L1Cache::Victim want = m.install(blk, st);
+        ASSERT_EQ(got.valid, want.valid) << "op " << i;
+        if (want.valid) {
+          ASSERT_EQ(got.blk, want.blk) << "op " << i;
+        }
+        break;
+      }
+      default: {
+        const MissClass why = rng.next_below(2) ? MissClass::kCoherence
+                                                : MissClass::kCapacity;
+        c.invalidate(blk, why);
+        m.invalidate(blk, why);
+        break;
+      }
+    }
+  }
+  for (Addr blk : pool) {
+    ASSERT_EQ(c.classify_miss(blk), m.classify(blk)) << blk;
+  }
+}
 
 }  // namespace
 }  // namespace dsm

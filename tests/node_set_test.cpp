@@ -35,7 +35,9 @@ TEST(NodeSetLayout, CoarseRegionsStayWithinWord) {
     const NodeSetLayout l = NodeSetLayout::make(nodes, DirScheme::kCoarse);
     EXPECT_LE(l.regions(), NodeSetLayout::kMaxCoarseRegions) << nodes;
     EXPECT_EQ(l.region_of(nodes - 1), l.regions() - 1) << nodes;
-    if (nodes <= 32) EXPECT_EQ(l.region_shift, 0u) << nodes;
+    if (nodes <= 32) {
+      EXPECT_EQ(l.region_shift, 0u) << nodes;
+    }
   }
   EXPECT_EQ(NodeSetLayout::make(64, DirScheme::kCoarse).region_shift, 1u);
   EXPECT_EQ(NodeSetLayout::make(1024, DirScheme::kCoarse).region_shift, 5u);
@@ -178,7 +180,9 @@ void differential(std::uint32_t nodes, DirScheme scheme, std::uint64_t seed) {
     for (NodeId m : ref) ASSERT_TRUE(s.contains(m, l)) << m;
     ASSERT_GE(s.count(l), std::uint32_t(ref.size()));
     ASSERT_LE(s.count(l), nodes);
-    if (!ref.empty()) ASSERT_FALSE(s.empty());
+    if (!ref.empty()) {
+      ASSERT_FALSE(s.empty());
+    }
 
     // Iteration: strictly ascending node ids, consistent with
     // contains(), covering every true member, count() entries total.

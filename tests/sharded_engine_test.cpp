@@ -238,7 +238,9 @@ TEST_P(ShardedStress, InlineDeliveryOrderMatchesSerial) {
     for (std::size_t i = 0; i < serial.log.size(); ++i)
       ASSERT_EQ(sh.log[i], serial.log[i])
           << "first divergence at access " << i << ", shards=" << shards;
-    if (shards > 1) EXPECT_GT(sh.cross_wakes, 0u) << "stress too tame";
+    if (shards > 1) {
+      EXPECT_GT(sh.cross_wakes, 0u) << "stress too tame";
+    }
   }
 }
 
