@@ -43,14 +43,6 @@ struct Options {
   // Sweep-harness worker count (--jobs N; 0 = hardware concurrency,
   // 1 = serial).
   unsigned jobs = 0;
-  // Home-sharded engine (--shards N; 0 = serial engine, the default),
-  // its drive mode (--shard-threads inline|threads|auto), and the
-  // conservative-lookahead overlapping-window schedule
-  // (--shard-overlap). Results are bit-identical at every shard count,
-  // drive mode, and overlap setting.
-  std::uint32_t shards = 0;
-  SystemConfig::ShardThreads shard_threads = SystemConfig::ShardThreads::kAuto;
-  bool shard_overlap = false;
   // Fault injection (--fault-seed N enables; --fault-drop-pct P,
   // --fault-dup-pct P, --fault-delay-pct P, --fault-delay-cycles C,
   // --fault-link-downs K, --fault-retry-base C, --fault-retry-max A
@@ -98,9 +90,6 @@ struct Options {
       sc.timing.mesh_link_bytes_per_cycle = link_bw;
     sc.policy = policy;
     if (adaptive_k != 0) sc.timing.adaptive_k = adaptive_k;
-    sc.shards = shards;
-    sc.shard_threads = shard_threads;
-    sc.shard_overlap = shard_overlap;
     if (fault_seed_set) {
       sc.faults.seed = fault_seed;
       sc.faults.drop_pct = fault_drop_pct;
@@ -135,11 +124,10 @@ struct Options {
 };
 
 // Every flag that shapes a run's SystemConfig (machine size, fabric,
-// directory scheme, policy engine, shards, fault plan) is owned by this
-// one parser, shared by all bench binaries through parse(). Adding a
-// system knob here makes it available to every sweep at once; the
-// binaries keep only their harness flags (--paper/--tiny/--apps/
-// --jobs/--json).
+// directory scheme, policy engine, fault plan) is owned by this one
+// parser, shared by all bench binaries through parse(). Adding a system
+// knob here makes it available to every sweep at once; the binaries
+// keep only their harness flags (--paper/--tiny/--apps/--jobs/--json).
 class SystemFlagParser {
  public:
   explicit SystemFlagParser(Options& o) : o_(&o) {}
@@ -150,11 +138,6 @@ class SystemFlagParser {
   // whose value operand is missing is left unconsumed, matching the
   // historic parser.
   bool consume(int argc, char** argv, int& i) {
-    // Boolean flags (no value operand).
-    if (std::strcmp(argv[i], "--shard-overlap") == 0) {
-      o_->shard_overlap = true;
-      return true;
-    }
     if (i + 1 >= argc) return false;
     const char* flag = argv[i];
     const char* arg = argv[i + 1];
@@ -211,19 +194,6 @@ class SystemFlagParser {
     } else if (std::strcmp(flag, "--adaptive-k") == 0) {
       o_->adaptive_k = std::uint32_t(parse_uint(
           flag, arg, 1, 1u << 20, "a positive competitive constant"));
-    } else if (std::strcmp(flag, "--shards") == 0) {
-      o_->shards = std::uint32_t(parse_uint(
-          flag, arg, 0, 1u << 10, "a home-shard count; 0 = serial engine"));
-    } else if (std::strcmp(flag, "--shard-threads") == 0) {
-      if (std::strcmp(arg, "inline") == 0) {
-        o_->shard_threads = SystemConfig::ShardThreads::kInline;
-      } else if (std::strcmp(arg, "threads") == 0) {
-        o_->shard_threads = SystemConfig::ShardThreads::kThreaded;
-      } else if (std::strcmp(arg, "auto") == 0) {
-        o_->shard_threads = SystemConfig::ShardThreads::kAuto;
-      } else {
-        die(flag, arg, "inline|threads|auto");
-      }
     } else if (std::strcmp(flag, "--fault-seed") == 0) {
       o_->fault_seed = parse_uint(flag, arg, 0, ~std::uint64_t(0), "a seed");
       o_->fault_seed_set = true;

@@ -289,48 +289,6 @@ BENCHMARK_CAPTURE(BM_DefaultWorkloadRun, raytrace_rnuma,
                   SystemKind::kRNuma, "raytrace")
     ->Unit(benchmark::kMillisecond);
 
-// Sharded-engine host throughput: the same default-scale run driven by
-// the 4-shard engine with real worker threads, baton ring vs the
-// conservative-lookahead overlapping-window schedule. Reported (and
-// recorded in the trajectory artifact) but not gated — threaded
-// scheduling noise on shared CI runners is too wide for the 10% gate.
-// The overlap/baton ratio is the PR 9 comparison: overlap elides
-// provably idle turns and hands the go word directly to the next
-// active shard (notify_one, zero futex on solo windows) instead of
-// notify_all turn broadcasts.
-void BM_ShardedWorkloadRun(benchmark::State& state, SystemKind kind,
-                           const char* app, bool overlap) {
-  std::uint64_t refs = 0;
-  for (auto _ : state) {
-    RunSpec spec = paper_spec(kind, app, Scale::kDefault);
-    spec.system.shards = 4;
-    spec.system.shard_threads = SystemConfig::ShardThreads::kThreaded;
-    spec.system.shard_overlap = overlap;
-    auto r = run_one(spec);
-    benchmark::DoNotOptimize(r.cycles);
-    refs += r.sim_refs();
-  }
-  state.SetItemsProcessed(std::int64_t(refs));
-}
-// UseRealTime: the workers are real threads, so per-thread CPU time
-// (the default clock) misses them; wall time is the honest rate.
-BENCHMARK_CAPTURE(BM_ShardedWorkloadRun, radix_ccnuma_baton4,
-                  SystemKind::kCcNuma, "radix", false)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_ShardedWorkloadRun, radix_ccnuma_overlap4,
-                  SystemKind::kCcNuma, "radix", true)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_ShardedWorkloadRun, raytrace_migrep_baton4,
-                  SystemKind::kCcNumaMigRep, "raytrace", false)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_ShardedWorkloadRun, raytrace_migrep_overlap4,
-                  SystemKind::kCcNumaMigRep, "raytrace", true)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 }  // namespace
 }  // namespace dsm
 

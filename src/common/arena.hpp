@@ -9,14 +9,13 @@
 // documented trade for an allocation-free steady state), and the
 // destructor releases every chunk at once.
 //
-// Exposed as a std::pmr::memory_resource so the AddrMap/SpscQueue
-// containers take it through the standard allocator machinery; a table
+// Exposed as a std::pmr::memory_resource so the AddrMap containers
+// take it through the standard allocator machinery; a table
 // constructed without an arena transparently uses the default heap
 // resource.
 //
-// Not thread-safe: one Arena belongs to one run (the sweep harness runs
-// each simulation on one worker; the sharded engine serializes shard
-// turns, so protocol-side allocation stays single-threaded too).
+// Not thread-safe: one Arena belongs to one run, and the sweep harness
+// runs each simulation on one worker.
 #pragma once
 
 #include <cstddef>

@@ -197,9 +197,10 @@ struct TimingConfig {
 
 // Deterministic fault-injection schedule (net/fault.hpp). All rates are
 // percentages of messages on the injectable channel; decisions are drawn
-// from per-source-node Rng streams so the schedule is identical across
-// serial and sharded engines. Default-constructed = no faults, and the
-// fault layer is never built (zero-cost-when-off).
+// from per-source-node Rng streams, so a fixed seed replays the same
+// schedule and one node's draws never shift another's. Default-
+// constructed = no faults, and the fault layer is never built
+// (zero-cost-when-off).
 struct FaultConfig {
   std::uint64_t seed = 0;     // fault-plan RNG seed (independent of cfg.seed)
   double drop_pct = 0.0;      // % of messages silently dropped in flight
@@ -318,26 +319,6 @@ struct SystemConfig {
   // Scheduling quantum for the execution-driven engine; bounded by the
   // network latency as in the Wisconsin Wind Tunnel.
   Cycle quantum = 80;
-
-  // Home-sharded engine (sim/sharded_engine.hpp): number of shards the
-  // node set is partitioned into. 0 = the serial engine (default);
-  // N >= 1 selects the sharded engine, clamped to the node count.
-  // Results are bit-identical at every shard count.
-  std::uint32_t shards = 0;
-  // How sharded shard turns are driven: kAuto picks threads when the
-  // host has more than one hardware thread, kInline steps every shard
-  // turn on the calling thread (same protocol, no thread handoff —
-  // what single-core hosts and the parity sweep want), kThreaded pins
-  // one worker thread per shard (what the TSan job exercises).
-  enum class ShardThreads : std::uint8_t { kAuto = 0, kInline, kThreaded };
-  ShardThreads shard_threads = ShardThreads::kAuto;
-  // Conservative-lookahead overlapping shard windows (--shard-overlap):
-  // a shard whose whole next window is provably inside the safe horizon
-  // (min over the other shards' published clocks plus the per-pair wire
-  // lookahead, counting in-flight wake envelopes) runs it without
-  // waiting for the baton. Bit-identical to the baton ring and to the
-  // serial engine; off by default (the baton ring is the reference).
-  bool shard_overlap = false;
 
   std::uint64_t seed = 0x5eed5eedULL;
 

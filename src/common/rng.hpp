@@ -19,8 +19,8 @@ class Rng {
   // splitmix64 round folds the stream id into the seed before state
   // expansion, so streams are decorrelated and the sequence depends
   // only on (seed, stream_id) — not on who draws it or in what order
-  // streams are created (the sharded engine keys streams by home node
-  // so every shard count replays identical per-home sequences).
+  // streams are created (the fault plan keys one stream per source
+  // node, so one node's draws never shift another's).
   static Rng for_stream(std::uint64_t seed, std::uint64_t stream_id) {
     std::uint64_t z = seed + stream_id * 0x9e3779b97f4a7c15ULL;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;

@@ -160,6 +160,8 @@ struct FaultStats {
   std::uint64_t dir_rebuilds = 0;  // directory entries reconstructed from
                                    // survivor responses during a re-home
   std::uint64_t data_losses = 0;   // dirty owner crashed: no valid copy left
+
+  bool operator==(const FaultStats&) const = default;
 };
 
 // Directory-memory census (dsm/directory.hpp::usage), snapshotted at

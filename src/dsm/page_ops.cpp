@@ -266,8 +266,8 @@ Cycle DsmSystem::collapse_replicas(Addr page, NodeId writer_node, Cycle now) {
 // protocol is the paper's migration teardown re-purposed as recovery:
 //
 //   1. Successor election — the next live node after the dead home in
-//      node order. Deterministic, so every requester (and every engine
-//      shard count) elects the same successor without coordination.
+//      node order. Deterministic, so every requester elects the same
+//      successor without coordination.
 //   2. Directory reconstruction — the successor queries every live node
 //      for its copies of the page (kRebuild census, recovery-class
 //      traffic riding the sequence-numbered transaction machinery);

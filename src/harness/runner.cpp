@@ -1,56 +1,13 @@
 #include "harness/runner.hpp"
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
 
 #include "harness/parallel.hpp"
 #include "protocols/system_factory.hpp"
 #include "sim/engine.hpp"
-#include "sim/sharded_engine.hpp"
 #include "workloads/workload.hpp"
 
 namespace dsm {
-
-namespace {
-
-// Environment overrides for the sharded engine, read once. They apply
-// only when a spec leaves shards at the default 0, so CI can run an
-// entire test binary sharded (DSM_SHARDS=4 ctest ...) without
-// disturbing tests that pin an explicit engine configuration.
-struct ShardEnv {
-  std::uint32_t shards = 0;
-  bool have_threads = false;
-  SystemConfig::ShardThreads threads = SystemConfig::ShardThreads::kAuto;
-  bool have_overlap = false;
-  bool overlap = false;
-};
-
-const ShardEnv& shard_env() {
-  static const ShardEnv env = [] {
-    ShardEnv e;
-    if (const char* s = std::getenv("DSM_SHARDS"))
-      e.shards = std::uint32_t(std::strtoul(s, nullptr, 10));
-    if (const char* s = std::getenv("DSM_SHARD_THREADS")) {
-      e.have_threads = true;
-      if (!std::strcmp(s, "inline"))
-        e.threads = SystemConfig::ShardThreads::kInline;
-      else if (!std::strcmp(s, "threads"))
-        e.threads = SystemConfig::ShardThreads::kThreaded;
-      else
-        e.threads = SystemConfig::ShardThreads::kAuto;
-    }
-    if (const char* s = std::getenv("DSM_SHARD_OVERLAP")) {
-      e.have_overlap = true;
-      e.overlap = std::strcmp(s, "0") != 0;
-    }
-    return e;
-  }();
-  return env;
-}
-
-}  // namespace
 
 RunResult run_one(const RunSpec& spec) {
   const auto wall_start = std::chrono::steady_clock::now();
@@ -58,25 +15,8 @@ RunResult run_one(const RunSpec& spec) {
   result.spec = spec;
   result.stats = Stats(spec.system.nodes);
 
-  SystemConfig ecfg = spec.system;
-  if (ecfg.shards == 0) {
-    const ShardEnv& env = shard_env();
-    ecfg.shards = env.shards;
-    if (env.have_threads) ecfg.shard_threads = env.threads;
-    if (env.have_overlap) ecfg.shard_overlap = env.overlap;
-  }
-
-  auto system = make_system(ecfg, &result.stats);
-  std::unique_ptr<Engine> engine_ptr;
-  if (ecfg.shards > 0) {
-    engine_ptr = std::make_unique<ShardedEngine>(
-        ecfg, system.get(), &result.stats, ecfg.shards,
-        system->fabric().min_wire_latency(), &system->arena(),
-        &system->fabric());
-  } else {
-    engine_ptr = std::make_unique<Engine>(ecfg, system.get(), &result.stats);
-  }
-  Engine& engine = *engine_ptr;
+  auto system = make_system(spec.system, &result.stats);
+  Engine engine(spec.system, system.get(), &result.stats);
 
   SharedSpace space;
   auto workload = make_workload(spec.workload, spec.scale);

@@ -250,75 +250,6 @@ Cycle MeshFabric::traverse(const Message& m, Cycle depart) {
   return t;
 }
 
-namespace {
-
-// One axis-aligned grid rectangle, closed coordinate intervals.
-struct GridRect {
-  std::uint32_t r0, r1, c0, c1;
-};
-
-// Decompose the contiguous row-major id range [b, e) into at most three
-// rectangles: partial first row, full middle block, partial last row.
-int decompose_range(std::uint32_t b, std::uint32_t e, std::uint32_t width,
-                    GridRect out[3]) {
-  const std::uint32_t r0 = b / width, c0 = b % width;
-  const std::uint32_t r1 = (e - 1) / width, c1 = (e - 1) % width;
-  if (r0 == r1) {
-    out[0] = {r0, r0, c0, c1};
-    return 1;
-  }
-  int n = 0;
-  out[n++] = {r0, r0, c0, width - 1};
-  if (r1 > r0 + 1) out[n++] = {r0 + 1, r1 - 1, 0, width - 1};
-  out[n++] = {r1, r1, 0, c1};
-  return n;
-}
-
-// Minimum hops along one dimension between the closed intervals
-// [a0, a1] and [b0, b1] on an axis of `size` positions (circular on the
-// torus).
-unsigned interval_gap(std::uint32_t a0, std::uint32_t a1, std::uint32_t b0,
-                      std::uint32_t b1, std::uint32_t size, bool wrap) {
-  if (a1 >= b0 && b1 >= a0) return 0;  // intervals overlap
-  unsigned g = b0 > a1 ? b0 - a1 : a0 - b1;
-  if (wrap) {
-    const unsigned other = b0 > a1 ? size - b1 + a0 : size - a1 + b0;
-    g = std::min(g, other);
-  }
-  return g;
-}
-
-}  // namespace
-
-unsigned MeshFabric::min_range_hops(NodeId from_begin, NodeId from_end,
-                                    NodeId to_begin, NodeId to_end) const {
-  GridRect fr[3], tr[3];
-  const int nf = decompose_range(from_begin, from_end, width_, fr);
-  const int nt = decompose_range(to_begin, to_end, width_, tr);
-  unsigned best = ~0u;
-  for (int i = 0; i < nf; ++i)
-    for (int j = 0; j < nt; ++j) {
-      const unsigned d =
-          interval_gap(fr[i].r0, fr[i].r1, tr[j].r0, tr[j].r1, height_,
-                       wrap_) +
-          interval_gap(fr[i].c0, fr[i].c1, tr[j].c0, tr[j].c1, width_, wrap_);
-      best = std::min(best, d);
-    }
-  return best;
-}
-
-Cycle MeshFabric::min_wire_latency(NodeId from_begin, NodeId from_end,
-                                   NodeId to_begin, NodeId to_end) const {
-  DSM_ASSERT(from_begin < from_end && to_begin < to_end,
-             "min_wire_latency: empty node range");
-  // Disjoint ranges never share a grid cell, so the gap is >= 1 hop and
-  // the closed form matches the brute force over distinct node pairs.
-  DSM_ASSERT(from_end <= to_begin || to_end <= from_begin,
-             "min_wire_latency: overlapping node ranges");
-  return Cycle(min_range_hops(from_begin, from_end, to_begin, to_end)) *
-         timing().mesh_hop_latency;
-}
-
 std::uint64_t MeshFabric::link_bytes_total() const {
   std::uint64_t sum = 0;
   for (const MeshLink& l : links_) sum += l.bytes;

@@ -113,41 +113,6 @@ class Fabric {
   // occupancies and any link queueing.
   virtual Cycle latency(NodeId from, NodeId to) const = 0;
 
-  // Minimum unloaded wire latency over all distinct node pairs: the
-  // conservative lookahead bound the sharded engine records (no
-  // fabric-borne cross-node effect can land sooner than this after its
-  // cause).
-  Cycle min_wire_latency() const {
-    const std::uint32_t n = nodes();
-    if (n < 2) return timing().net_latency;
-    Cycle m = kNeverCycle;
-    for (NodeId i = 0; i < n; ++i)
-      for (NodeId j = 0; j < n; ++j)
-        if (i != j) m = std::min(m, latency(i, j));
-    return m;
-  }
-
-  // Per-shard-pair lookahead: minimum unloaded wire latency from any
-  // node in [from_begin, from_end) to any node in [to_begin, to_end).
-  // The overlapping-window engine calls this once per ordered shard
-  // pair, so distant shard pairs on a mesh/torus get a wider safe
-  // horizon than the single global minimum. Ranges must be non-empty
-  // and disjoint (shard node ranges always are). The base
-  // implementation brute-forces latency(); NiFabric answers its
-  // constant directly and the mesh backends shortcut via closed-form
-  // hop distance between the ranges (pinned against this brute force
-  // in fabric_test).
-  virtual Cycle min_wire_latency(NodeId from_begin, NodeId from_end,
-                                 NodeId to_begin, NodeId to_end) const {
-    DSM_ASSERT(from_begin < from_end && to_begin < to_end,
-               "min_wire_latency: empty node range");
-    Cycle m = kNeverCycle;
-    for (NodeId i = from_begin; i < from_end; ++i)
-      for (NodeId j = to_begin; j < to_end; ++j)
-        if (i != j) m = std::min(m, latency(i, j));
-    return m;
-  }
-
   // --- introspection (virtual so fault decorators can delegate to the
   // wrapped backend, whose counters are the real ones) ---------------------
   std::uint32_t nodes() const { return std::uint32_t(send_.size()); }
@@ -191,13 +156,8 @@ class Fabric {
 class NiFabric final : public Fabric {
  public:
   using Fabric::Fabric;
-  using Fabric::min_wire_latency;
   const char* name() const override { return "ni-constant"; }
   Cycle latency(NodeId, NodeId) const override {
-    return timing().net_latency;
-  }
-  // Constant model: every pair costs the same, no need to iterate.
-  Cycle min_wire_latency(NodeId, NodeId, NodeId, NodeId) const override {
     return timing().net_latency;
   }
 };
@@ -231,25 +191,10 @@ class MeshFabric : public Fabric {
   MeshFabric(std::uint32_t nodes, const TimingConfig& t, Stats* stats,
              std::uint32_t width = 0);
 
-  using Fabric::min_wire_latency;
-
   const char* name() const override { return "mesh-2d"; }
   Cycle latency(NodeId from, NodeId to) const override {
     return Cycle(hops(from, to)) * timing().mesh_hop_latency;
   }
-
-  // Closed form: a contiguous row-major node range decomposes into at
-  // most three grid rectangles (partial first row, full middle block,
-  // partial last row); the minimum hop distance between two ranges is
-  // the minimum wrap-aware row-gap + column-gap over the <= 9 rectangle
-  // pairs. O(1) per shard pair instead of O(range^2) node pairs.
-  Cycle min_wire_latency(NodeId from_begin, NodeId from_end,
-                         NodeId to_begin, NodeId to_end) const override;
-
-  // Minimum Manhattan (wrap-aware for the torus) hop distance between
-  // the two contiguous node-id ranges. Exposed for the lookahead test.
-  unsigned min_range_hops(NodeId from_begin, NodeId from_end,
-                          NodeId to_begin, NodeId to_end) const;
 
   unsigned hops(NodeId from, NodeId to) const {
     return dim_hops(from % width_, to % width_, width_) +

@@ -5,12 +5,12 @@
 //   - Per-message perturbations (drop / duplicate / extra delay) are
 //     decided by ONE 53-bit draw per injectable message from a
 //     per-source-node Rng stream (Rng::for_stream(seed, 0x10000 + src)).
-//     Because the sharded engine serializes shard turns on a baton
-//     ring, every node's send order is engine-invariant, so the fault
-//     decisions — and therefore every downstream retry and byte — are
-//     bit-identical at every shard count. The three outcome ranges are
-//     disjoint slices of [0, 2^53), so changing one rate never shifts
-//     another rate's decisions.
+//     The engine is deterministic, so every node's send order — and
+//     with it the fault decisions, every downstream retry and byte — is
+//     identical run after run at a fixed seed, and one node's draws
+//     never shift another's. The three outcome ranges are disjoint
+//     slices of [0, 2^53), so changing one rate never shifts another
+//     rate's decisions.
 //
 //   - Directed-link outages (router, direction, [down, up) cycle
 //     interval) for the mesh/torus fabrics, from an explicit list plus

@@ -77,16 +77,12 @@ class Cpu {
 class Engine {
  public:
   Engine(const SystemConfig& cfg, MemorySystem* mem, Stats* stats);
-  virtual ~Engine() = default;
 
   // Attach the thread body for `cpu`. Must be called before run().
   void spawn(CpuId cpu, SimCall<> body);
 
   // Run until every spawned body completes. Asserts on deadlock.
-  // Virtual so the home-sharded engine (sim/sharded_engine.hpp) can
-  // substitute its baton-ordered window loop; the two are bit-identical
-  // by construction.
-  virtual void run();
+  void run();
 
   Cpu& cpu(CpuId id) { return cpus_[id]; }
   const SystemConfig& config() const { return cfg_; }
@@ -94,19 +90,14 @@ class Engine {
   Stats* stats() { return stats_; }
 
   // Wake a blocked CPU at absolute time `at` (used by sync objects).
-  // Virtual: the sharded engine routes wakes that cross a shard
-  // boundary through its per-shard-pair queues.
-  virtual void wake(CpuId id, Cycle at);
+  void wake(CpuId id, Cycle at);
 
   // Completion time of the whole run (max CPU clock seen).
   Cycle finish_time() const { return finish_time_; }
 
   std::uint32_t total_cpus() const { return std::uint32_t(cpus_.size()); }
 
- protected:
-  // The sharded engine replays the same per-CPU stepping over shard
-  // subranges; it needs the raw contexts, the root coroutines, and the
-  // finish-time fold.
+ private:
   SystemConfig cfg_;
   MemorySystem* mem_;
   Stats* stats_;

@@ -173,6 +173,17 @@ TEST(Rng, RoughlyUniform) {
   for (int b : buckets) EXPECT_NEAR(double(b), n / 10.0, n / 10.0 * 0.15);
 }
 
+TEST(RngForStream, StreamsAreDeterministicAndDecorrelated) {
+  Rng a = Rng::for_stream(7, 0);
+  Rng b = Rng::for_stream(7, 0);
+  EXPECT_EQ(a.next_u64(), b.next_u64());  // same (seed, stream) replays
+  Rng c = Rng::for_stream(7, 1);
+  Rng d = Rng::for_stream(8, 0);
+  const std::uint64_t va = a.next_u64();
+  EXPECT_NE(va, c.next_u64());  // neighboring stream differs
+  EXPECT_NE(va, d.next_u64());  // neighboring seed differs
+}
+
 TEST(Table, RendersAlignedColumns) {
   Table t({"app", "value"});
   t.add_row().cell(std::string("lu")).cell(1.25, 2);

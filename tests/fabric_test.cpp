@@ -4,8 +4,6 @@
 // and end-to-end through DsmSystem transactions.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "common/config.hpp"
 #include "dsm/cluster.hpp"
 #include "net/fabric.hpp"
@@ -235,75 +233,6 @@ TEST(TorusFabric, WraparoundPicksTheShorterDirection) {
   EXPECT_EQ(torus.out_link(0, LinkDir::kWest).msgs, 1u);
   // A mesh edge has no wrap neighbor.
   EXPECT_EQ(mesh.neighbor(0, LinkDir::kWest), MeshFabric::kNoRouter);
-}
-
-// --------------------------------------------------------------------------
-// Per-range minimum wire latency (the sharded engine's lookahead table)
-// --------------------------------------------------------------------------
-
-// Brute force over latency() for every distinct node pair — the
-// definition the closed-form rectangle decomposition must reproduce.
-Cycle brute_min_latency(const Fabric& f, NodeId fb, NodeId fe, NodeId tb,
-                        NodeId te) {
-  Cycle m = kNeverCycle;
-  for (NodeId i = fb; i < fe; ++i)
-    for (NodeId j = tb; j < te; ++j)
-      if (i != j) m = std::min(m, f.latency(i, j));
-  return m;
-}
-
-TEST(RangeLookahead, NiFabricReportsTheFlatConstant) {
-  TimingConfig t;
-  NiFabric ni(8, t, nullptr);
-  EXPECT_EQ(ni.min_wire_latency(0, 4, 4, 8), t.net_latency);
-  EXPECT_EQ(ni.min_wire_latency(0, 4, 4, 8),
-            brute_min_latency(ni, 0, 4, 4, 8));
-}
-
-TEST(RangeLookahead, MeshAndTorusMatchBruteForceOverAllPartitions) {
-  TimingConfig t;
-  // Geometries that exercise every rectangle-decomposition shape:
-  // square, wide, chain (height 1), and a non-power-of-two grid.
-  struct Geo {
-    std::uint32_t nodes, width;
-  };
-  for (const Geo geo : {Geo{16, 0}, Geo{8, 0}, Geo{8, 8}, Geo{12, 6},
-                        Geo{24, 6}}) {
-    MeshFabric mesh(geo.nodes, t, nullptr, geo.width);
-    TorusFabric torus(geo.nodes, t, nullptr, geo.width);
-    // Every contiguous-range partition boundary pair: ranges [a,b) and
-    // [b,c) for all 0 <= a < b < c <= nodes, both directions — exactly
-    // the shard layouts the engine can produce, exhaustively.
-    for (NodeId a = 0; a < geo.nodes; ++a)
-      for (NodeId b = a + 1; b < geo.nodes; ++b)
-        for (NodeId c = b + 1; c <= geo.nodes; ++c) {
-          for (const MeshFabric* f :
-               {static_cast<const MeshFabric*>(&mesh),
-                static_cast<const MeshFabric*>(&torus)}) {
-            ASSERT_EQ(f->min_wire_latency(a, b, b, c),
-                      brute_min_latency(*f, a, b, b, c))
-                << f->name() << " nodes=" << geo.nodes << " w=" << f->width()
-                << " [" << a << "," << b << ")x[" << b << "," << c << ")";
-            ASSERT_EQ(f->min_wire_latency(b, c, a, b),
-                      brute_min_latency(*f, b, c, a, b))
-                << f->name() << " reverse nodes=" << geo.nodes
-                << " w=" << f->width() << " [" << b << "," << c << ")x["
-                << a << "," << b << ")";
-          }
-        }
-  }
-}
-
-TEST(RangeLookahead, AdjacentRangesSeeOneHop) {
-  TimingConfig t;
-  MeshFabric mesh(16, t, nullptr);  // 4x4
-  // Halves of the grid touch along a row boundary: one hop.
-  EXPECT_EQ(mesh.min_wire_latency(0, 8, 8, 16), t.mesh_hop_latency);
-  // Opposite single rows on the mesh are 3 rows apart...
-  EXPECT_EQ(mesh.min_wire_latency(0, 4, 12, 16), 3 * t.mesh_hop_latency);
-  // ...but wrap to distance 1 on the torus.
-  TorusFabric torus(16, t, nullptr);
-  EXPECT_EQ(torus.min_wire_latency(0, 4, 12, 16), t.mesh_hop_latency);
 }
 
 // --------------------------------------------------------------------------

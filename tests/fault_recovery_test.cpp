@@ -6,17 +6,15 @@
 //      mesh link outages with adaptive rerouting, and the recovery
 //      paths (retry, NACK on duplicate, hard-error escalation, clean
 //      page-op abort).
-//   2. Rng stream independence (the property the whole shard-invariant
-//      fault scheme rests on).
+//   2. Rng stream independence (the property the reproducible fault
+//      schedule rests on).
 //   3. A randomized chaos soak: full workload runs under escalating
-//      fault rates, on the serial and the sharded engine, asserting
-//      workload verification, the global coherence invariant, serial/
-//      sharded bit-identity of results and fault counters, and
-//      run-to-run determinism at a fixed seed.
+//      fault rates, crashes and link outages, asserting workload
+//      verification, the global coherence invariant, run-to-run
+//      bit-identity of results and fault counters at a fixed seed, and
+//      identical results from run_matrix at one and at four jobs.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -29,7 +27,6 @@
 #include "net/fault.hpp"
 #include "protocols/system_factory.hpp"
 #include "sim/engine.hpp"
-#include "sim/sharded_engine.hpp"
 #include "workloads/workload.hpp"
 
 namespace dsm {
@@ -112,9 +109,8 @@ TEST(FaultPlan, RatesAreDisjointSlicesOfTheDraw) {
 
 TEST(FaultPlan, PerSourceStreamsAreIndependent) {
   // Draws for source 0 are unaffected by how many draws source 1 makes
-  // in between — the property that makes fault schedules shard-count
-  // invariant (per-node send order is engine-invariant; cross-node
-  // interleaving is not).
+  // in between: a node's fault decisions depend only on its own send
+  // order, never on how the nodes' sends interleave.
   FaultPlan lone(plan_cfg(30, 10, 5), 2, 2);
   FaultPlan mixed(plan_cfg(30, 10, 5), 2, 2);
   for (int i = 0; i < 5000; ++i) {
@@ -541,23 +537,8 @@ struct ChaosResult {
   Cycle cycles = 0;
   std::uint64_t bytes = 0;
   FaultStats faults;
+  bool operator==(const ChaosResult&) const = default;
 };
-
-bool operator==(const ChaosResult& a, const ChaosResult& b) {
-  return a.cycles == b.cycles && a.bytes == b.bytes &&
-         a.faults.drops_injected == b.faults.drops_injected &&
-         a.faults.dups_injected == b.faults.dups_injected &&
-         a.faults.delays_injected == b.faults.delays_injected &&
-         a.faults.retries == b.faults.retries &&
-         a.faults.nacks == b.faults.nacks &&
-         a.faults.reroutes == b.faults.reroutes &&
-         a.faults.aborted_page_ops == b.faults.aborted_page_ops &&
-         a.faults.hard_errors == b.faults.hard_errors &&
-         a.faults.crash_drops == b.faults.crash_drops &&
-         a.faults.rehomes == b.faults.rehomes &&
-         a.faults.dir_rebuilds == b.faults.dir_rebuilds &&
-         a.faults.data_losses == b.faults.data_losses;
-}
 
 // run_one() with the two extra assertions the harness cannot make:
 // workload verification runs inside (spec.verify), and the global
@@ -565,16 +546,7 @@ bool operator==(const ChaosResult& a, const ChaosResult& b) {
 ChaosResult run_chaos(const RunSpec& spec) {
   Stats stats(spec.system.nodes);
   auto system = make_system(spec.system, &stats);
-  std::unique_ptr<Engine> engine_ptr;
-  if (spec.system.shards > 0) {
-    engine_ptr = std::make_unique<ShardedEngine>(
-        spec.system, system.get(), &stats, spec.system.shards,
-        system->fabric().min_wire_latency(), &system->arena(),
-        &system->fabric());
-  } else {
-    engine_ptr = std::make_unique<Engine>(spec.system, system.get(), &stats);
-  }
-  Engine& engine = *engine_ptr;
+  Engine engine(spec.system, system.get(), &stats);
 
   SharedSpace space;
   auto workload = make_workload(spec.workload, spec.scale);
@@ -602,129 +574,134 @@ ChaosResult run_chaos(const RunSpec& spec) {
   return r;
 }
 
-RunSpec chaos_spec(double drop_pct, std::uint32_t shards) {
+RunSpec chaos_spec(double drop_pct) {
   RunSpec spec = paper_spec(SystemKind::kCcNumaMigRep, "raytrace",
                             Scale::kTiny);
   spec.system.faults.seed = 0xC0FFEEULL;
   spec.system.faults.drop_pct = drop_pct;
   spec.system.faults.dup_pct = drop_pct / 2;
   spec.system.faults.delay_pct = drop_pct;
-  spec.system.shards = shards;
-  // Inline by default for speed; the TSan CI leg exports
-  // DSM_SHARD_THREADS=threads so the soak's sharded runs cross real
-  // baton handoffs under the race detector.
-  spec.system.shard_threads = SystemConfig::ShardThreads::kInline;
-  if (const char* s = std::getenv("DSM_SHARD_THREADS"))
-    if (shards > 0 && std::strcmp(s, "threads") == 0)
-      spec.system.shard_threads = SystemConfig::ShardThreads::kThreaded;
   return spec;
 }
 
-TEST(ChaosSoak, SurvivesEscalatingRatesSerialAndSharded) {
-  std::uint64_t last_drops = 0;
-  for (const double rate : {0.5, 2.0, 10.0, 30.0}) {
-    const ChaosResult serial = run_chaos(chaos_spec(rate, 0));
-    const ChaosResult sharded = run_chaos(chaos_spec(rate, 4));
-    // The fault schedule keys off per-source streams, so the sharded
-    // engine replays the exact same faults — and must land on the exact
-    // same recovered state and costs.
-    EXPECT_TRUE(serial == sharded) << "rate " << rate;
-    EXPECT_GE(serial.faults.drops_injected, last_drops);
-    last_drops = serial.faults.drops_injected;
-  }
-  EXPECT_GT(last_drops, 0u);
+// Seeded perturbations plus random link outages on the mesh.
+RunSpec link_outage_spec() {
+  RunSpec spec = chaos_spec(2.0);
+  spec.system.fabric = FabricKind::kMesh2d;
+  spec.system.faults.rand_link_downs = 6;
+  spec.system.faults.rand_link_down_len = 100000;
+  spec.system.faults.rand_link_down_horizon = 2'000'000;
+  return spec;
 }
 
-TEST(ChaosSoak, OverlapWindowsReplayTheExactFaultLedger) {
-  // The overlapping-window schedule elides turns and hands the baton
-  // directly between shards, but every fault draw keys off per-source
-  // streams whose order is engine-invariant — so serial, baton-sharded
-  // and overlap-sharded runs must land on the same recovered state and
-  // the same fault counters. Threaded drive crosses real go-word
-  // handoffs (and, under the TSan CI leg, the race detector).
-  for (const double rate : {2.0, 10.0}) {
-    const ChaosResult serial = run_chaos(chaos_spec(rate, 0));
-    RunSpec overlap = chaos_spec(rate, 4);
-    overlap.system.shard_overlap = true;
-    overlap.system.shard_threads = SystemConfig::ShardThreads::kThreaded;
-    const ChaosResult sharded = run_chaos(overlap);
-    EXPECT_TRUE(serial == sharded) << "rate " << rate;
-    EXPECT_GT(serial.faults.drops_injected, 0u);
+// 64 nodes crosses the historic 32-bit sharer-mask width, and the
+// coarse scheme routes every invalidation through the conservative
+// region multicast; the 8x8 mesh with link outages lets reroutes fire.
+RunSpec coarse_mesh_spec() {
+  RunSpec spec = chaos_spec(10.0);
+  spec.system.nodes = 64;
+  spec.system.cpus_per_node = 1;
+  spec.system.dir_scheme = DirScheme::kCoarse;
+  spec.system.fabric = FabricKind::kMesh2d;
+  spec.system.faults.rand_link_downs = 4;
+  spec.system.faults.rand_link_down_len = 100000;
+  spec.system.faults.rand_link_down_horizon = 2'000'000;
+  return spec;
+}
+
+// A 64-node mesh soak with two crash windows layered on the seeded
+// perturbations.
+RunSpec crash_spec() {
+  RunSpec spec = chaos_spec(2.0);
+  spec.system.nodes = 64;
+  spec.system.cpus_per_node = 1;
+  spec.system.fabric = FabricKind::kMesh2d;
+  spec.system.faults.node_downs.push_back({0, 100000, 300000});
+  spec.system.faults.node_downs.push_back({1, 150000, 350000});
+  return spec;
+}
+
+TEST(ChaosSoak, SurvivesEscalatingRatesReproducibly) {
+  std::uint64_t last_drops = 0;
+  for (const double rate : {0.5, 2.0, 10.0, 30.0}) {
+    const ChaosResult a = run_chaos(chaos_spec(rate));
+    const ChaosResult b = run_chaos(chaos_spec(rate));
+    // The fault schedule keys off per-source streams, so a rerun
+    // replays the exact same faults — and must land on the exact same
+    // recovered state and costs.
+    EXPECT_TRUE(a == b) << "rate " << rate;
+    EXPECT_GT(a.faults.drops_injected, 0u) << "rate " << rate;
+    EXPECT_GE(a.faults.drops_injected, last_drops);
+    last_drops = a.faults.drops_injected;
   }
 }
 
 TEST(ChaosSoak, FixedSeedIsBitReproducible) {
-  const ChaosResult a = run_chaos(chaos_spec(10.0, 0));
-  const ChaosResult b = run_chaos(chaos_spec(10.0, 0));
+  const ChaosResult a = run_chaos(chaos_spec(10.0));
+  const ChaosResult b = run_chaos(chaos_spec(10.0));
   EXPECT_TRUE(a == b);
   EXPECT_GT(a.faults.retries, 0u);
 }
 
 TEST(ChaosSoak, LinkOutagesRerouteUnderLoad) {
-  RunSpec spec = chaos_spec(2.0, 0);
-  spec.system.fabric = FabricKind::kMesh2d;
-  spec.system.faults.rand_link_downs = 6;
-  spec.system.faults.rand_link_down_len = 100000;
-  spec.system.faults.rand_link_down_horizon = 2'000'000;
-  const ChaosResult a = run_chaos(spec);
-  const ChaosResult b = run_chaos(spec);
+  const ChaosResult a = run_chaos(link_outage_spec());
+  const ChaosResult b = run_chaos(link_outage_spec());
   EXPECT_TRUE(a == b);  // outage schedule is part of the seed
 }
 
 TEST(ChaosSoak, CoarseVectorSoakBeyondThe32NodeBoundary) {
-  // 64 nodes crosses the historic 32-bit sharer-mask width and the
-  // coarse scheme routes every invalidation through the conservative
-  // region multicast. The recovery ledger (retries, NACKs, reroutes)
-  // must stay engine-invariant out here too: the sharded engine replays
-  // the exact faults the serial engine saw.
-  auto wide = [](std::uint32_t shards) {
-    RunSpec spec = chaos_spec(10.0, shards);
-    spec.system.nodes = 64;
-    spec.system.cpus_per_node = 1;
-    spec.system.dir_scheme = DirScheme::kCoarse;
-    spec.system.fabric = FabricKind::kMesh2d;  // 8x8: reroutes can fire
-    spec.system.faults.rand_link_downs = 4;
-    spec.system.faults.rand_link_down_len = 100000;
-    spec.system.faults.rand_link_down_horizon = 2'000'000;
-    return spec;
-  };
-  const ChaosResult serial = run_chaos(wide(0));
-  const ChaosResult sharded = run_chaos(wide(4));
-  EXPECT_TRUE(serial == sharded);
-  EXPECT_GT(serial.faults.drops_injected, 0u);
-  EXPECT_GT(serial.faults.retries, 0u);
+  // The recovery ledger (retries, NACKs, reroutes) must stay
+  // reproducible out here too.
+  const ChaosResult a = run_chaos(coarse_mesh_spec());
+  const ChaosResult b = run_chaos(coarse_mesh_spec());
+  EXPECT_TRUE(a == b);
+  EXPECT_GT(a.faults.drops_injected, 0u);
+  EXPECT_GT(a.faults.retries, 0u);
 }
 
-TEST(ChaosSoak, CrashSchedulesAreEngineInvariant) {
-  // A 64-node mesh soak with two crash windows layered on the seeded
-  // perturbations. Crash detection, timeout escalation, successor
-  // election, and the survivor census all key off engine-invariant
-  // state, so the full fault/recovery ledger — including the four crash
-  // counters — must be identical across the serial engine and every
-  // shard count and drive mode, with workload verification and the
+TEST(ChaosSoak, CrashSchedulesAreReproducible) {
+  // Crash detection, timeout escalation, successor election, and the
+  // survivor census all key off deterministic state, so the full
+  // fault/recovery ledger — including the four crash counters — must
+  // be identical run after run, with workload verification and the
   // coherence invariant green inside run_chaos() each time.
-  auto crashy = [](std::uint32_t shards, bool overlap, bool threads) {
-    RunSpec spec = chaos_spec(2.0, shards);
-    spec.system.nodes = 64;
-    spec.system.cpus_per_node = 1;
-    spec.system.fabric = FabricKind::kMesh2d;
-    spec.system.faults.node_downs.push_back({0, 100000, 300000});
-    spec.system.faults.node_downs.push_back({1, 150000, 350000});
-    spec.system.shard_overlap = overlap;
-    if (threads)
-      spec.system.shard_threads = SystemConfig::ShardThreads::kThreaded;
-    return spec;
-  };
-  const ChaosResult serial = run_chaos(crashy(0, false, false));
-  EXPECT_GT(serial.faults.crash_drops + serial.faults.rehomes, 0u)
+  const ChaosResult a = run_chaos(crash_spec());
+  EXPECT_GT(a.faults.crash_drops + a.faults.rehomes, 0u)
       << "crash windows missed the run entirely";
-  for (const std::uint32_t shards : {1u, 2u, 4u}) {
-    const ChaosResult inline_drive = run_chaos(crashy(shards, false, false));
-    const ChaosResult threaded = run_chaos(crashy(shards, false, true));
-    const ChaosResult overlap = run_chaos(crashy(shards, true, true));
-    EXPECT_TRUE(serial == inline_drive) << "shards " << shards << " inline";
-    EXPECT_TRUE(serial == threaded) << "shards " << shards << " threaded";
-    EXPECT_TRUE(serial == overlap) << "shards " << shards << " overlap";
+  const ChaosResult b = run_chaos(crash_spec());
+  EXPECT_TRUE(a == b);
+}
+
+TEST(ChaosSoak, RunMatrixIsJobCountInvariant) {
+  // Each run owns its simulator, so the sweep's worker count may change
+  // only wall-clock. Under TSan this is also the race check on the
+  // thread pool and on four concurrent simulators.
+  const std::vector<RunSpec> specs = {
+      crash_spec(), coarse_mesh_spec(), link_outage_spec(),
+      paper_spec(SystemKind::kRNuma, "radix", Scale::kTiny)};
+  const std::vector<RunResult> serial = run_matrix(specs, 1);
+  const std::vector<RunResult> pooled = run_matrix(specs, 4);
+  ASSERT_EQ(serial.size(), specs.size());
+  ASSERT_EQ(pooled.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const RunResult& a = serial[i];
+    const RunResult& b = pooled[i];
+    EXPECT_EQ(a.cycles, b.cycles) << "spec " << i;
+    const TrafficBreakdown ta = a.stats.traffic_total();
+    const TrafficBreakdown tb = b.stats.traffic_total();
+    for (std::size_t c = 0; c < std::size_t(TrafficClass::kCount); ++c)
+      EXPECT_EQ(ta.bytes[c], tb.bytes[c])
+          << "spec " << i << ", " << to_string(TrafficClass(c));
+    EXPECT_EQ(a.stats.page_migrations_total(),
+              b.stats.page_migrations_total())
+        << "spec " << i;
+    EXPECT_EQ(a.stats.page_replications_total(),
+              b.stats.page_replications_total())
+        << "spec " << i;
+    EXPECT_EQ(a.stats.page_relocations_total(),
+              b.stats.page_relocations_total())
+        << "spec " << i;
+    EXPECT_TRUE(a.stats.faults == b.stats.faults) << "spec " << i;
   }
 }
 

@@ -12,8 +12,8 @@
 // them with a before/after pair of runs and say so in the commit.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <cstring>
+#include <cctype>
+#include <string>
 
 #include "harness/runner.hpp"
 
@@ -98,70 +98,6 @@ std::string param_name(const ::testing::TestParamInfo<Golden>& info) {
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, PolicyParity, ::testing::ValuesIn(kGolden),
                          param_name);
-
-// ---------------------------------------------------------------------------
-// Sharded-engine bit-identity sweep: the same goldens must hold, byte-
-// and cycle-exact, when the run is driven by the home-sharded engine at
-// every shard count, with and without the overlapping-window schedule —
-// the engine's claim is that sharding changes only host-side execution,
-// never the simulation. Inline drive mode keeps the sweep fast on
-// single-core CI runners; the TSan job re-runs it threaded by exporting
-// DSM_SHARD_THREADS=threads (honored below).
-// ---------------------------------------------------------------------------
-
-struct ShardedGolden {
-  Golden g;
-  std::uint32_t shards;
-  // Conservative-lookahead overlapping windows: the relaxed schedule
-  // must reproduce the same goldens bit-for-bit. Overlap rows run
-  // inline here and threaded under the TSan leg (DSM_SHARD_THREADS).
-  bool overlap;
-};
-
-class ShardedParity : public ::testing::TestWithParam<ShardedGolden> {};
-
-TEST_P(ShardedParity, MatchesSerialEngineExactly) {
-  const Golden& g = GetParam().g;
-  RunSpec spec = paper_spec(g.kind, g.app, Scale::kDefault);
-  spec.system.shards = GetParam().shards;
-  spec.system.shard_overlap = GetParam().overlap;
-  spec.system.shard_threads = SystemConfig::ShardThreads::kInline;
-  if (const char* s = std::getenv("DSM_SHARD_THREADS"))
-    if (std::strcmp(s, "threads") == 0)
-      spec.system.shard_threads = SystemConfig::ShardThreads::kThreaded;
-  const RunResult r = run_one(spec);
-  const TrafficBreakdown t = r.stats.traffic_total();
-  EXPECT_EQ(t.bytes_of(TrafficClass::kData), g.data_bytes);
-  EXPECT_EQ(t.bytes_of(TrafficClass::kControl), g.control_bytes);
-  EXPECT_EQ(t.bytes_of(TrafficClass::kPageOp), g.pageop_bytes);
-  EXPECT_EQ(r.stats.page_migrations_total(), g.migrations);
-  EXPECT_EQ(r.stats.page_replications_total(), g.replications);
-  EXPECT_EQ(r.stats.page_relocations_total(), g.relocations);
-  EXPECT_EQ(r.cycles, g.cycles);
-}
-
-std::vector<ShardedGolden> sharded_goldens() {
-  std::vector<ShardedGolden> v;
-  for (const Golden& g : kGolden)
-    for (std::uint32_t s : {1u, 2u, 4u})
-      for (bool overlap : {false, true}) v.push_back({g, s, overlap});
-  return v;
-}
-
-std::string sharded_param_name(
-    const ::testing::TestParamInfo<ShardedGolden>& info) {
-  std::string s = std::string(to_string(info.param.g.kind)) + "_" +
-                  info.param.g.app + "_s" +
-                  std::to_string(info.param.shards) +
-                  (info.param.overlap ? "_overlap" : "");
-  for (char& c : s)
-    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-  return s;
-}
-
-INSTANTIATE_TEST_SUITE_P(ShardSweep, ShardedParity,
-                         ::testing::ValuesIn(sharded_goldens()),
-                         sharded_param_name);
 
 }  // namespace
 }  // namespace dsm
