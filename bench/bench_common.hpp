@@ -44,13 +44,15 @@ struct Options {
   // 1 = serial).
   unsigned jobs = 0;
   // Fault injection (--fault-seed N enables; --fault-drop-pct P,
-  // --fault-dup-pct P, --fault-delay-pct P, --fault-delay-cycles C,
-  // --fault-link-downs K, --fault-retry-base C, --fault-retry-max A
-  // shape the plan; --fault-link-down a:b@cycle+N schedules an explicit
-  // node-pair outage and works without a seed). Whole-node crashes:
+  // --fault-dup-pct P, --fault-delay-pct P, --fault-delay-cycles C and
+  // --fault-link-downs K shape the seeded draws and need --fault-seed;
+  // --fault-retry-base C, --fault-retry-max A tune recovery;
+  // --fault-link-down a:b@cycle+N schedules an explicit node-pair
+  // outage and works without a seed). Whole-node crashes:
   // --fault-node-down n@cycle[+N] schedules node n to crash at `cycle`
   // for N cycles (omitting +N makes the crash permanent) and works
-  // without a seed; --fault-node-downs K draws K seeded crash windows.
+  // without a seed; --fault-node-downs K draws K seeded crash windows
+  // and needs --fault-seed.
   // --fault-kinds data,ack,... restricts seeded perturbations to the
   // listed message kinds (draws are still consumed for every kind, so
   // narrowing the mask never shifts the surviving kinds' outcomes).
@@ -199,23 +201,29 @@ class SystemFlagParser {
       o_->fault_seed_set = true;
     } else if (std::strcmp(flag, "--fault-drop-pct") == 0) {
       o_->fault_drop_pct = parse_pct(flag, arg);
+      seeded_flag_ = flag;
     } else if (std::strcmp(flag, "--fault-dup-pct") == 0) {
       o_->fault_dup_pct = parse_pct(flag, arg);
+      seeded_flag_ = flag;
     } else if (std::strcmp(flag, "--fault-delay-pct") == 0) {
       o_->fault_delay_pct = parse_pct(flag, arg);
+      seeded_flag_ = flag;
     } else if (std::strcmp(flag, "--fault-delay-cycles") == 0) {
       o_->fault_delay_cycles = Cycle(
           parse_uint(flag, arg, 1, ~std::uint64_t(0), "extra cycles > 0"));
+      seeded_flag_ = flag;
     } else if (std::strcmp(flag, "--fault-link-down") == 0) {
       o_->fault_node_link_downs.push_back(parse_link_down(flag, arg));
     } else if (std::strcmp(flag, "--fault-link-downs") == 0) {
       o_->fault_link_downs = std::uint32_t(
           parse_uint(flag, arg, 0, 1u << 16, "an outage count"));
+      seeded_flag_ = flag;
     } else if (std::strcmp(flag, "--fault-node-down") == 0) {
       o_->fault_node_downs.push_back(parse_node_down(flag, arg));
     } else if (std::strcmp(flag, "--fault-node-downs") == 0) {
       o_->fault_rand_node_downs = std::uint32_t(
           parse_uint(flag, arg, 0, 1u << 16, "a crash count"));
+      seeded_flag_ = flag;
     } else if (std::strcmp(flag, "--fault-kinds") == 0) {
       o_->fault_kinds = parse_kinds(flag, arg);
     } else if (std::strcmp(flag, "--fault-retry-base") == 0) {
@@ -230,6 +238,11 @@ class SystemFlagParser {
     ++i;  // the value operand was consumed
     return true;
   }
+
+  // The last flag consumed that only shapes the seeded fault draws, or
+  // null. Options::apply reads those flags only under --fault-seed, so
+  // parse() rejects them without one.
+  const char* seeded_flag() const { return seeded_flag_; }
 
  private:
   [[noreturn]] static void die(const char* flag, const char* arg,
@@ -332,6 +345,7 @@ class SystemFlagParser {
   }
 
   Options* o_;
+  const char* seeded_flag_ = nullptr;
 };
 
 // A flag that one binary reads itself; parse() accepts and skips it.
@@ -341,8 +355,9 @@ struct OwnFlag {
 };
 
 // Parse the shared harness flags plus every SystemFlagParser flag. An
-// unknown flag, or a known one missing its value, exits 2 with a
-// message: no flag is silently ignored.
+// unknown flag, a known one missing its value, or a seeded-fault flag
+// without --fault-seed exits 2 with a message: no flag is silently
+// ignored.
 inline Options parse(int argc, char** argv,
                      std::initializer_list<OwnFlag> own = {}) {
   Options o;
@@ -389,6 +404,13 @@ inline Options parse(int argc, char** argv,
                    argv[0], flag);
       std::exit(2);
     }
+  }
+  if (sys.seeded_flag() != nullptr && !o.fault_seed_set) {
+    std::fprintf(stderr,
+                 "%s: %s shapes the seeded fault plan and needs "
+                 "--fault-seed N\n",
+                 argv[0], sys.seeded_flag());
+    std::exit(2);
   }
   return o;
 }

@@ -113,24 +113,65 @@ MeshFabric::MeshFabric(std::uint32_t nodes, const TimingConfig& t,
 }
 
 std::uint32_t MeshFabric::neighbor(std::uint32_t router, LinkDir d) const {
-  std::uint32_t x = router % width_;
-  std::uint32_t y = router / width_;
+  GridPos p = grid_pos(router);
+  if (d == LinkDir::kCount || !has_link(p, d)) return kNoRouter;
+  advance(p, d);
+  return p.router;
+}
+
+bool MeshFabric::has_link(const GridPos& p, LinkDir d) const {
+  if (wrap_) return true;
   switch (d) {
-    case LinkDir::kEast:
-      if (x + 1 < width_) return router + 1;
-      return wrap_ ? router + 1 - width_ : kNoRouter;
-    case LinkDir::kWest:
-      if (x > 0) return router - 1;
-      return wrap_ ? router + width_ - 1 : kNoRouter;
-    case LinkDir::kSouth:
-      if (y + 1 < height_) return router + width_;
-      return wrap_ ? x : kNoRouter;
-    case LinkDir::kNorth:
-      if (y > 0) return router - width_;
-      return wrap_ ? (height_ - 1) * width_ + x : kNoRouter;
+    case LinkDir::kEast: return p.x + 1 < width_;
+    case LinkDir::kWest: return p.x > 0;
+    case LinkDir::kSouth: return p.y + 1 < height_;
+    case LinkDir::kNorth: return p.y > 0;
     case LinkDir::kCount: break;
   }
-  return kNoRouter;
+  return false;
+}
+
+void MeshFabric::advance(GridPos& p, LinkDir d) const {
+  DSM_DEBUG_ASSERT(has_link(p, d), "route fell off the mesh");
+  switch (d) {
+    case LinkDir::kEast:
+      if (p.x + 1 < width_) {
+        ++p.x;
+        ++p.router;
+      } else {  // torus wrap to the row's first column
+        p.x = 0;
+        p.router = p.router + 1 - width_;
+      }
+      break;
+    case LinkDir::kWest:
+      if (p.x > 0) {
+        --p.x;
+        --p.router;
+      } else {
+        p.x = width_ - 1;
+        p.router = p.router + width_ - 1;
+      }
+      break;
+    case LinkDir::kSouth:
+      if (p.y + 1 < height_) {
+        ++p.y;
+        p.router += width_;
+      } else {
+        p.y = 0;
+        p.router = p.x;
+      }
+      break;
+    case LinkDir::kNorth:
+      if (p.y > 0) {
+        --p.y;
+        p.router -= width_;
+      } else {
+        p.y = height_ - 1;
+        p.router = p.y * width_ + p.x;
+      }
+      break;
+    case LinkDir::kCount: break;
+  }
 }
 
 LinkDir MeshFabric::step_dir(std::uint32_t cur, std::uint32_t dst,
@@ -139,7 +180,7 @@ LinkDir MeshFabric::step_dir(std::uint32_t cur, std::uint32_t dst,
   if (!wrap_) {
     forward = dst > cur;
   } else {
-    const std::uint32_t fwd = (dst + size - cur) % size;
+    const std::uint32_t fwd = dst >= cur ? dst - cur : dst + size - cur;
     forward = fwd <= size - fwd;  // ties go east/south
   }
   if (x_dim) return forward ? LinkDir::kEast : LinkDir::kWest;
@@ -155,11 +196,24 @@ Cycle MeshFabric::cross(std::uint32_t router, LinkDir d, const Message& m,
                         Cycle occ, Cycle t) {
   MeshLink& l = links_[router * std::uint32_t(LinkDir::kCount) +
                        std::uint32_t(d)];
-  while (!l.inflight.empty() && l.inflight.front() <= t) l.inflight.pop_front();
+  std::uint32_t depth = 1;  // this message
+  if (t < l.res.busy_until()) {
+    // Queued: retire the older finish times already past, then the
+    // previous newest (busy_until) becomes the youngest older one.
+    while (l.head < l.older.size() && l.older[l.head] <= t) ++l.head;
+    if (l.head > 0 && 2 * l.head >= l.older.size()) {
+      l.older.erase(l.older.begin(), l.older.begin() + l.head);
+      l.head = 0;
+    }
+    l.older.push_back(l.res.busy_until());
+    depth += std::uint32_t(l.older.size() - l.head);
+  } else {
+    // Idle: everything in flight finished by t.
+    l.older.clear();
+    l.head = 0;
+  }
   const Cycle start = l.res.reserve(t, occ);
-  l.inflight.push_back(start + occ);
-  l.max_queue_depth =
-      std::max(l.max_queue_depth, std::uint32_t(l.inflight.size()));
+  l.max_queue_depth = std::max(l.max_queue_depth, depth);
   l.msgs++;
   l.bytes += m.total_bytes();
   if (stats() && router < stats()->node.size()) {
@@ -185,13 +239,16 @@ LinkDir reverse_dir(LinkDir d) {
 }
 }  // namespace
 
-LinkDir MeshFabric::pick_step(std::uint32_t cur, std::uint32_t dst,
+LinkDir MeshFabric::pick_step(const GridPos& p, const GridPos& dst,
                               LinkDir back, Cycle t) {
-  const std::uint32_t x = cur % width_, y = cur / width_;
-  const std::uint32_t xd = dst % width_, yd = dst / width_;
-  const LinkDir preferred = (x != xd)
-                                ? step_dir(x, xd, width_, /*x_dim=*/true)
-                                : step_dir(y, yd, height_, /*x_dim=*/false);
+  const LinkDir preferred =
+      (p.x != dst.x) ? step_dir(p.x, dst.x, width_, /*x_dim=*/true)
+                     : step_dir(p.y, dst.y, height_, /*x_dim=*/false);
+  // The dimension-order step always has a link (it heads toward dst).
+  // When it is live and does not backtrack, it is what pass 0 below
+  // would return first.
+  if (preferred != back && !fault_plan_->link_down(p.router, preferred, t))
+    return preferred;
   // Candidate order: dimension-order step, the other productive
   // dimension, then any detour direction.
   LinkDir order[4];
@@ -202,7 +259,8 @@ LinkDir MeshFabric::pick_step(std::uint32_t cur, std::uint32_t dst,
     order[n++] = d;
   };
   push(preferred);
-  if (x != xd && y != yd) push(step_dir(y, yd, height_, /*x_dim=*/false));
+  if (p.x != dst.x && p.y != dst.y)
+    push(step_dir(p.y, dst.y, height_, /*x_dim=*/false));
   push(LinkDir::kEast);
   push(LinkDir::kWest);
   push(LinkDir::kSouth);
@@ -214,8 +272,8 @@ LinkDir MeshFabric::pick_step(std::uint32_t cur, std::uint32_t dst,
       const LinkDir d = order[i];
       if (pass == 0 && d == back) continue;
       if (pass == 1 && d != back) continue;
-      if (neighbor(cur, d) == kNoRouter) continue;
-      if (fault_plan_ && fault_plan_->link_down(cur, d, t)) continue;
+      if (!has_link(p, d)) continue;
+      if (fault_plan_->link_down(p.router, d, t)) continue;
       if (d != preferred && stats()) stats()->faults.reroutes++;
       return d;
     }
@@ -223,31 +281,54 @@ LinkDir MeshFabric::pick_step(std::uint32_t cur, std::uint32_t dst,
   return LinkDir::kCount;  // walled in: the message dies here
 }
 
-Cycle MeshFabric::traverse(const Message& m, Cycle depart) {
-  const bool gated = fault_plan_ != nullptr && fault_plan_->has_link_faults();
-  if (!link_contention_enabled() && !gated)
-    return depart + latency(m.src, m.dst);
-  const Cycle occ = link_contention_enabled() ? link_occupancy(m) : 0;
-  std::uint32_t cur = m.src;
-  Cycle t = depart;
+Cycle MeshFabric::walk_straight(const Message& m, Cycle t) {
+  const Cycle occ = link_occupancy(m);
+  GridPos p = grid_pos(m.src);
+  const GridPos dst = grid_pos(m.dst);
+  const LinkDir dx = step_dir(p.x, dst.x, width_, /*x_dim=*/true);
+  while (p.x != dst.x) {
+    t = cross(p.router, dx, m, occ, t);
+    advance(p, dx);
+  }
+  const LinkDir dy = step_dir(p.y, dst.y, height_, /*x_dim=*/false);
+  while (p.y != dst.y) {
+    t = cross(p.router, dy, m, occ, t);
+    advance(p, dy);
+  }
+  return t;
+}
+
+Cycle MeshFabric::walk_gated(const Message& m, Cycle t) {
+  const bool contention = link_contention_enabled();
+  const Cycle occ = contention ? link_occupancy(m) : 0;
+  GridPos p = grid_pos(m.src);
+  const GridPos dst = grid_pos(m.dst);
   // Detours cannot exceed a perimeter walk of the grid; past this the
   // route is livelocked around moving outages — treat it as lost.
   const unsigned budget = 4 * (width_ + height_) + 8;
   unsigned taken = 0;
   LinkDir back = LinkDir::kCount;
-  while (cur != m.dst) {
+  while (p.router != dst.router) {
     if (++taken > budget) return kNeverCycle;
-    const LinkDir d = pick_step(cur, m.dst, back, t);
+    const LinkDir d = pick_step(p, dst, back, t);
     if (d == LinkDir::kCount) return kNeverCycle;
-    if (link_contention_enabled())
-      t = cross(cur, d, m, occ, t);
+    if (contention)
+      t = cross(p.router, d, m, occ, t);
     else
       t += timing().mesh_hop_latency;
     back = reverse_dir(d);
-    cur = neighbor(cur, d);
-    DSM_DEBUG_ASSERT(cur != kNoRouter, "route fell off the mesh");
+    advance(p, d);
   }
   return t;
+}
+
+Cycle MeshFabric::traverse(const Message& m, Cycle depart) {
+  // Time only grows along a walk, so an outage can fire on it only
+  // when one can be in force at departure.
+  if (fault_plan_ != nullptr && !fault_plan_->links_up_from(depart))
+    return walk_gated(m, depart);
+  if (!link_contention_enabled()) return depart + latency(m.src, m.dst);
+  return walk_straight(m, depart);
 }
 
 std::uint64_t MeshFabric::link_bytes_total() const {

@@ -35,11 +35,37 @@
 // a message crossing h links adds h x total_bytes of link occupancy —
 // whereas the per-class TrafficBreakdown charges each message exactly
 // once at its sender. Contention changes latency, never bytes.
+//
+// A route walk resolves both endpoints' grid coordinates once and
+// steps them hop by hop, so no hop divides. It takes one of two forms:
+//
+//   straight  no plan with link outages, the plan suspended (the
+//             reliable send/post channel), or departure at or after the
+//             plan's horizon, the latest end of any outage. No outage
+//             can fire: time only grows along a walk, and an outage is
+//             in force only before its end. The walk crosses the X run,
+//             then the Y run, which is exactly the route the gated walk
+//             takes when every link is up. With link contention off it
+//             is depart + latency().
+//   gated     any other departure. Each hop takes the dimension-order
+//             step when it does not undo the previous hop and its link
+//             is up: that step is the first candidate pick_step would
+//             try, and it always has a link because it heads toward the
+//             destination. Only a blocked step builds the full
+//             candidate list.
+//
+// A link remembers the finish times of the messages in flight on it to
+// report max_queue_depth. The newest is always res.busy_until(), since
+// every reservation ends there, so only the older ones are stored. An
+// arrival at t >= busy_until finds every earlier message gone: depth
+// 1, nothing stored. An arrival before it retires the stored times at
+// or before t (busy_until itself is later), then stores busy_until as
+// the youngest older time; the depth it reports is the stored count
+// plus one, the same count a queue of every finish time would hold.
 #pragma once
 
 #include <algorithm>
 #include <cstdlib>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -171,10 +197,14 @@ const char* to_string(LinkDir d);
 // occupancy statistics the contention study reports.
 struct MeshLink {
   Resource res;
-  std::deque<Cycle> inflight;  // finish times of messages holding/awaiting
+  // Finish times of the messages holding or awaiting the link, minus
+  // the newest, which is always res.busy_until(); oldest first from
+  // `head`. Empty whenever the last arrival found the link idle.
+  std::vector<Cycle> older;
+  std::uint32_t head = 0;
   std::uint64_t msgs = 0;
   std::uint64_t bytes = 0;          // sum of total_bytes per traversal
-  std::uint32_t max_queue_depth = 0;  // peak inflight count, self included
+  std::uint32_t max_queue_depth = 0;  // peak in-flight count, self included
 };
 
 // 2D mesh with X-Y (dimension-order) routing. Wire latency is the
@@ -224,12 +254,13 @@ class MeshFabric : public Fabric {
   // (the congestion the hot-home sweep measures).
   std::uint32_t max_queue_depth_into(std::uint32_t router) const;
 
-  // Fault-aware routing: when a plan with link outages is installed,
-  // traverse() walks hop by hop and detours around dead links (minimal
-  // adaptive routing: the dimension-order step is preferred, the other
-  // productive dimension next, then any live detour; immediate
-  // backtracking only as a last resort). With no plan — or while the
-  // plan is suspended — the walk reproduces the X-Y route bit-exactly.
+  // Fault-aware routing: while an outage of the installed plan can
+  // still be in force, traverse() walks hop by hop and detours around
+  // dead links (minimal adaptive routing: the dimension-order step is
+  // preferred, the other productive dimension next, then any live
+  // detour; immediate backtracking only as a last resort). With no
+  // plan, while the plan is suspended, or past its outage horizon, the
+  // walk is the X-Y route.
   void set_fault_plan(const FaultPlan* plan) { fault_plan_ = plan; }
 
  protected:
@@ -239,12 +270,32 @@ class MeshFabric : public Fabric {
   Cycle traverse(const Message& m, Cycle depart) override;
 
  private:
+  // A router and its grid coordinates. A route walk resolves both
+  // endpoints once and steps the coordinates, so no hop divides.
+  struct GridPos {
+    std::uint32_t router;
+    std::uint32_t x;
+    std::uint32_t y;
+  };
+  GridPos grid_pos(std::uint32_t router) const {
+    return GridPos{router, router % width_, router / width_};
+  }
+  // Whether `p` has an outgoing link toward `d` (always, on a torus).
+  bool has_link(const GridPos& p, LinkDir d) const;
+  // Move `p` across its link toward `d`, which must exist.
+  void advance(GridPos& p, LinkDir d) const;
+
   // Serialization occupancy of one link for this message.
   Cycle link_occupancy(const Message& m) const;
   // Reserve the outgoing link of `router` toward `d` no earlier than
   // `t`; returns the time the message head reaches the next router.
   Cycle cross(std::uint32_t router, LinkDir d, const Message& m, Cycle occ,
               Cycle t);
+  // The X-Y route with link contention, when no outage can fire: the X
+  // run, then the Y run.
+  Cycle walk_straight(const Message& m, Cycle t);
+  // The fault-gated walk: one pick_step per hop.
+  Cycle walk_gated(const Message& m, Cycle t);
   unsigned dim_hops(std::uint32_t a, std::uint32_t b,
                     std::uint32_t size) const {
     const unsigned d = unsigned(a > b ? a - b : b - a);
@@ -253,13 +304,13 @@ class MeshFabric : public Fabric {
   // Next-step direction along dimension-order routing (X fully first).
   LinkDir step_dir(std::uint32_t cur, std::uint32_t dst,
                    std::uint32_t size, bool x_dim) const;
-  // Choose the next hop out of `cur` toward `dst`, avoiding links the
+  // Choose the next hop out of `p` toward `dst`, avoiding links the
   // fault plan has down at time `t`. `back` is the direction that would
   // undo the previous hop (kCount on the first hop); it is only taken
   // when every other live candidate is exhausted. Returns kCount when
   // the router is fully walled in. Bumps the reroute counter when the
   // choice deviates from the dimension-order step.
-  LinkDir pick_step(std::uint32_t cur, std::uint32_t dst, LinkDir back,
+  LinkDir pick_step(const GridPos& p, const GridPos& dst, LinkDir back,
                     Cycle t);
 
   std::uint32_t width_;

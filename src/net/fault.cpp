@@ -66,19 +66,16 @@ FaultPlan::FaultPlan(const FaultConfig& cfg, std::uint32_t nodes,
   link_outages_.resize(nlinks);
   for (const FaultConfig::LinkDown& ld : cfg_.link_downs) {
     DSM_ASSERT(ld.router < routers && ld.dir < 4, "link-down out of range");
-    link_outages_[std::size_t(ld.router) * 4 + ld.dir].push_back(
-        Outage{ld.down, ld.up});
+    add_link_outage(ld.router, LinkDir(ld.dir), ld.down, ld.up);
   }
   Rng gen = Rng::for_stream(cfg_.seed, kLinkStream);
   for (std::uint32_t i = 0; i < cfg_.rand_link_downs; ++i) {
     const std::uint32_t router = std::uint32_t(gen.next_below(routers));
     const std::uint32_t dir = std::uint32_t(gen.next_below(4));
     const Cycle down = gen.next_below(cfg_.rand_link_down_horizon);
-    link_outages_[std::size_t(router) * 4 + dir].push_back(
-        Outage{down, down + cfg_.rand_link_down_len});
+    add_link_outage(router, LinkDir(dir), down,
+                    down + cfg_.rand_link_down_len);
   }
-  for (const auto& v : link_outages_)
-    if (!v.empty()) has_link_faults_ = true;
 
   node_downs_ = cfg_.node_downs;
   Rng crash = Rng::for_stream(cfg_.seed, kNodeStream);
@@ -121,17 +118,7 @@ void FaultPlan::add_link_outage(std::uint32_t router, LinkDir d, Cycle down,
       std::size_t(router) * std::size_t(LinkDir::kCount) + std::size_t(d);
   DSM_ASSERT(idx < link_outages_.size(), "link outage out of range");
   link_outages_[idx].push_back(Outage{down, up});
-  has_link_faults_ = true;
-}
-
-bool FaultPlan::link_down(std::uint32_t router, LinkDir d, Cycle t) const {
-  if (suspend_ > 0 || !has_link_faults_) return false;
-  const std::size_t idx =
-      std::size_t(router) * std::size_t(LinkDir::kCount) + std::size_t(d);
-  if (idx >= link_outages_.size()) return false;
-  for (const Outage& o : link_outages_[idx])
-    if (t >= o.down && t < o.up) return true;
-  return false;
+  link_horizon_ = std::max(link_horizon_, up);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,9 +14,12 @@
 //
 //   - Directed-link outages (router, direction, [down, up) cycle
 //     interval) for the mesh/torus fabrics, from an explicit list plus
-//     optionally a seeded batch drawn from stream 0x20000. MeshFabric
+//     optionally a seeded batch drawn from stream 0x20000. The plan
+//     keeps a horizon, the latest end of any outage (crash-folded and
+//     permanent ones included). A mesh walk departing before it
 //     consults the plan per hop and detours around dead links
-//     (fabric.cpp pick_step), counting reroutes.
+//     (fabric.cpp pick_step), counting reroutes; one departing at or
+//     after it takes the plain X-Y route without asking.
 //
 //   - Whole-node crash windows ([down, up) per node), from an explicit
 //     list plus optionally a seeded batch drawn from stream 0x30000. A
@@ -66,11 +69,24 @@ class FaultPlan {
   // mask leaves the surviving kinds' decisions untouched.
   bool targets(MsgKind k) const { return cfg_.targets(std::uint8_t(k)); }
 
-  // Link-outage queries (mesh/torus routing). link_down() is false
-  // while the plan is suspended: the reliable channel routes as if the
-  // fabric were perfect.
-  bool has_link_faults() const { return has_link_faults_; }
-  bool link_down(std::uint32_t router, LinkDir d, Cycle t) const;
+  // Link-outage queries (mesh/torus routing). links_up_from(t) is true
+  // when no directed-link outage can be in force at any time >= t: the
+  // plan is suspended (the reliable channel routes as if the fabric
+  // were perfect), or t is at or past the horizon, the latest end of
+  // any outage. Time only grows along a route walk, so a walk departing
+  // at such a t can skip every per-hop check.
+  bool links_up_from(Cycle t) const {
+    return suspend_ > 0 || t >= link_horizon_;
+  }
+  bool link_down(std::uint32_t router, LinkDir d, Cycle t) const {
+    if (links_up_from(t)) return false;
+    const std::size_t idx =
+        std::size_t(router) * std::size_t(LinkDir::kCount) + std::size_t(d);
+    DSM_DEBUG_ASSERT(idx < link_outages_.size(), "link out of range");
+    for (const Outage& o : link_outages_[idx])
+      if (t >= o.down && t < o.up) return true;
+    return false;
+  }
 
   // Node-crash queries (never suspension-gated; see the header comment).
   bool has_node_faults() const { return has_node_faults_; }
@@ -83,9 +99,10 @@ class FaultPlan {
     return node_downs_;
   }
 
-  // Installs an extra directed-link outage after construction — the
-  // fault decorator folds node crashes into the dead router's links
-  // once it knows the mesh adjacency.
+  // Installs a directed-link outage and raises the horizon to its end.
+  // The constructor adds the configured outages through it; the fault
+  // decorator adds more after construction, folding node crashes into
+  // the dead router's links once it knows the mesh adjacency.
   void add_link_outage(std::uint32_t router, LinkDir d, Cycle down, Cycle up);
 
   bool suspended() const { return suspend_ > 0; }
@@ -119,7 +136,7 @@ class FaultPlan {
   std::vector<Rng> src_rng_;                       // per source node
   std::vector<std::vector<Outage>> link_outages_;  // router*4 + dir
   std::vector<FaultConfig::NodeDown> node_downs_;  // crash windows
-  bool has_link_faults_ = false;
+  Cycle link_horizon_ = 0;  // max Outage::up; 0 = no link outages
   bool has_node_faults_ = false;
   int suspend_ = 0;
 };

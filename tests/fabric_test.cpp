@@ -1,12 +1,17 @@
 // Interconnect fabric tests: typed message geometry, NI contention
 // serialization on both backends, bulk-transfer occupancy scaling, 2D
-// mesh hop latency, and per-class byte accounting — both at the fabric
-// and end-to-end through DsmSystem transactions.
+// mesh hop latency, per-class byte accounting — both at the fabric and
+// end-to-end through DsmSystem transactions — and the mesh/torus route
+// walk checked hop for hop against a reference walker.
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "common/config.hpp"
+#include "common/rng.hpp"
 #include "dsm/cluster.hpp"
 #include "net/fabric.hpp"
+#include "net/fault.hpp"
 #include "net/message.hpp"
 #include "protocols/system_factory.hpp"
 
@@ -394,5 +399,462 @@ TEST_F(FabricSystemTest, MeshDistanceShowsUpInRemoteLatency) {
   EXPECT_EQ(lat3 - lat1, 2 * cfg_.timing.mesh_hop_latency);
 }
 
+
+// --------------------------------------------------------------------------
+// Differential route walk
+// --------------------------------------------------------------------------
+
+// The mesh/torus wire in its plainest form, the reference the fabric's
+// walks must reproduce bit for bit: every hop divides out the grid
+// coordinates, asks neighbor() about every candidate, builds the full
+// candidate list and scans the outage list, and every link keeps all
+// its in-flight finish times in a std::deque. It models what
+// make_fabric() builds for a mesh/torus config: the bare backend, or the
+// backend behind a FaultyFabric whose plan schedules link outages and
+// node crashes but no per-message perturbation.
+class ReferenceMesh {
+ public:
+  static constexpr std::uint32_t kNone = MeshFabric::kNoRouter;
+
+  struct Link {
+    Resource res;
+    std::deque<Cycle> inflight;
+    std::uint64_t msgs = 0;
+    std::uint64_t bytes = 0;
+    std::uint32_t max_queue_depth = 0;
+  };
+  struct NodeLinks {
+    std::uint64_t bytes = 0;
+    Cycle busy = 0;
+    std::uint32_t max_queue_depth = 0;
+  };
+
+  explicit ReferenceMesh(const SystemConfig& cfg)
+      : send_ni(cfg.nodes),
+        recv_ni(cfg.nodes),
+        links(std::size_t(cfg.nodes) * 4),
+        node(cfg.nodes),
+        t_(cfg.timing),
+        width_(cfg.mesh_width),
+        height_(cfg.nodes / cfg.mesh_width),
+        wrap_(cfg.fabric == FabricKind::kTorus2d),
+        outages_(std::size_t(cfg.nodes) * 4) {
+    const FaultConfig& f = cfg.faults;
+    for (const FaultConfig::LinkDown& ld : f.link_downs)
+      add_outage(ld.router, ld.dir, ld.down, ld.up);
+    // FaultPlan's seeded batch: stream 0x20000 of the plan seed.
+    Rng gen = Rng::for_stream(f.seed, 0x20000);
+    for (std::uint32_t i = 0; i < f.rand_link_downs; ++i) {
+      const auto router = std::uint32_t(gen.next_below(cfg.nodes));
+      const auto dir = std::uint32_t(gen.next_below(4));
+      const Cycle down = gen.next_below(f.rand_link_down_horizon);
+      add_outage(router, dir, down, down + f.rand_link_down_len);
+    }
+    // A crash takes down the dead router's links in both directions.
+    crashes_ = f.node_downs;
+    for (const FaultConfig::NodeDown& nd : crashes_) {
+      for (std::uint32_t d = 0; d < 4; ++d) {
+        add_outage(nd.node, d, nd.down, nd.up);
+        const std::uint32_t nb = neighbor(nd.node, LinkDir(d));
+        if (nb == kNone) continue;
+        for (std::uint32_t bd = 0; bd < 4; ++bd)
+          if (neighbor(nb, LinkDir(bd)) == nd.node)
+            add_outage(nb, bd, nd.down, nd.up);
+      }
+    }
+  }
+
+  std::uint32_t neighbor(std::uint32_t router, LinkDir d) const {
+    const std::uint32_t x = router % width_, y = router / width_;
+    switch (d) {
+      case LinkDir::kEast:
+        if (x + 1 < width_) return router + 1;
+        return wrap_ ? router + 1 - width_ : kNone;
+      case LinkDir::kWest:
+        if (x > 0) return router - 1;
+        return wrap_ ? router + width_ - 1 : kNone;
+      case LinkDir::kSouth:
+        if (y + 1 < height_) return router + width_;
+        return wrap_ ? x : kNone;
+      case LinkDir::kNorth:
+        if (y > 0) return router - width_;
+        return wrap_ ? (height_ - 1) * width_ + x : kNone;
+      case LinkDir::kCount: break;
+    }
+    return kNone;
+  }
+
+  // FaultyFabric::send_ex with no perturbation drawn.
+  Delivery send_ex(const Message& m, Cycle ready) {
+    if (crashed(m.src, ready)) {
+      crash_drops++;
+      return Delivery{ready, false, false};
+    }
+    if (crashed(m.dst, ready)) {
+      crash_drops++;
+      return Delivery{send_half(m, ready), false, false};
+    }
+    return wire(m, ready);
+  }
+
+  // The reliable channel: the plan is suspended.
+  Delivery send(const Message& m, Cycle ready) {
+    suspended_ = true;
+    const Delivery d = wire(m, ready);
+    suspended_ = false;
+    return d;
+  }
+
+  void post(const Message& m, Cycle ready) {
+    if (crashed(m.src, ready) || crashed(m.dst, ready)) {
+      crash_drops++;
+      return;
+    }
+    suspended_ = true;
+    const Cycle socc = ni_occ(m, t_.ni_send);
+    send_ni[m.src].occupy(ready, socc);
+    const Cycle at = traverse(m, ready + socc);
+    if (at != kNeverCycle) recv_ni[m.dst].occupy(at, ni_occ(m, t_.ni_recv));
+    suspended_ = false;
+  }
+
+  Cycle ni_occ(const Message& m, Cycle per_message) const {
+    return per_message * std::max(1u, m.payload_blocks / 4);
+  }
+  // The first link a dimension-order route from `m.src` crosses.
+  Link& first_link(const Message& m) {
+    const std::uint32_t x = m.src % width_, xd = m.dst % width_;
+    const LinkDir d = x != xd ? step_dir(x, xd, width_, true)
+                              : step_dir(m.src / width_, m.dst / width_,
+                                         height_, false);
+    return links[std::size_t(m.src) * 4 + std::size_t(d)];
+  }
+
+  std::vector<Resource> send_ni;
+  std::vector<Resource> recv_ni;
+  std::vector<Link> links;
+  std::vector<NodeLinks> node;
+  std::uint64_t reroutes = 0;
+  std::uint64_t crash_drops = 0;
+
+ private:
+  void add_outage(std::uint32_t router, std::uint32_t d, Cycle down,
+                  Cycle up) {
+    outages_[std::size_t(router) * 4 + d].push_back({down, up});
+    has_outages_ = true;
+  }
+  bool crashed(NodeId n, Cycle t) const {
+    for (const FaultConfig::NodeDown& nd : crashes_)
+      if (nd.node == n && t >= nd.down && t < nd.up) return true;
+    return false;
+  }
+  bool link_down(std::uint32_t router, LinkDir d, Cycle t) const {
+    if (suspended_) return false;
+    for (const auto& [down, up] : outages_[std::size_t(router) * 4 +
+                                           std::size_t(d)])
+      if (t >= down && t < up) return true;
+    return false;
+  }
+
+  Cycle send_half(const Message& m, Cycle ready) {
+    const Cycle socc = ni_occ(m, t_.ni_send);
+    return send_ni[m.src].reserve(ready, socc) + socc;
+  }
+  Delivery wire(const Message& m, Cycle ready) {
+    const Cycle depart = send_half(m, ready);
+    const Cycle at = traverse(m, depart);
+    if (at == kNeverCycle) return Delivery{depart, false, false};
+    const Cycle rocc = ni_occ(m, t_.ni_recv);
+    return Delivery{recv_ni[m.dst].reserve(at, rocc) + rocc, true, false};
+  }
+
+  unsigned dim_hops(std::uint32_t a, std::uint32_t b,
+                    std::uint32_t size) const {
+    const unsigned d = unsigned(a > b ? a - b : b - a);
+    return wrap_ ? std::min(d, unsigned(size) - d) : d;
+  }
+  LinkDir step_dir(std::uint32_t cur, std::uint32_t dst, std::uint32_t size,
+                   bool x_dim) const {
+    bool forward;
+    if (!wrap_) {
+      forward = dst > cur;
+    } else {
+      const std::uint32_t fwd = (dst + size - cur) % size;
+      forward = fwd <= size - fwd;
+    }
+    if (x_dim) return forward ? LinkDir::kEast : LinkDir::kWest;
+    return forward ? LinkDir::kSouth : LinkDir::kNorth;
+  }
+  static LinkDir reverse(LinkDir d) {
+    switch (d) {
+      case LinkDir::kEast: return LinkDir::kWest;
+      case LinkDir::kWest: return LinkDir::kEast;
+      case LinkDir::kSouth: return LinkDir::kNorth;
+      case LinkDir::kNorth: return LinkDir::kSouth;
+      case LinkDir::kCount: break;
+    }
+    return LinkDir::kCount;
+  }
+
+  Cycle cross(std::uint32_t router, LinkDir d, const Message& m, Cycle occ,
+              Cycle t) {
+    Link& l = links[std::size_t(router) * 4 + std::size_t(d)];
+    while (!l.inflight.empty() && l.inflight.front() <= t)
+      l.inflight.pop_front();
+    const Cycle start = l.res.reserve(t, occ);
+    l.inflight.push_back(start + occ);
+    l.max_queue_depth =
+        std::max(l.max_queue_depth, std::uint32_t(l.inflight.size()));
+    l.msgs++;
+    l.bytes += m.total_bytes();
+    NodeLinks& n = node[router];
+    n.bytes += m.total_bytes();
+    n.busy += occ;
+    n.max_queue_depth = std::max(n.max_queue_depth, l.max_queue_depth);
+    return start + t_.mesh_hop_latency;
+  }
+
+  LinkDir pick_step(std::uint32_t cur, std::uint32_t dst, LinkDir back,
+                    Cycle t) {
+    const std::uint32_t x = cur % width_, y = cur / width_;
+    const std::uint32_t xd = dst % width_, yd = dst / width_;
+    const LinkDir preferred = x != xd ? step_dir(x, xd, width_, true)
+                                      : step_dir(y, yd, height_, false);
+    LinkDir order[4];
+    int n = 0;
+    const auto push = [&](LinkDir d) {
+      for (int i = 0; i < n; ++i)
+        if (order[i] == d) return;
+      order[n++] = d;
+    };
+    push(preferred);
+    if (x != xd && y != yd) push(step_dir(y, yd, height_, false));
+    push(LinkDir::kEast);
+    push(LinkDir::kWest);
+    push(LinkDir::kSouth);
+    push(LinkDir::kNorth);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (int i = 0; i < n; ++i) {
+        const LinkDir d = order[i];
+        if (pass == 0 && d == back) continue;
+        if (pass == 1 && d != back) continue;
+        if (neighbor(cur, d) == kNone) continue;
+        if (link_down(cur, d, t)) continue;
+        if (d != preferred) reroutes++;
+        return d;
+      }
+    }
+    return LinkDir::kCount;
+  }
+
+  Cycle traverse(const Message& m, Cycle depart) {
+    const bool contention = t_.mesh_link_bytes_per_cycle > 0;
+    if (!contention && !has_outages_)
+      return depart + Cycle(dim_hops(m.src % width_, m.dst % width_, width_) +
+                            dim_hops(m.src / width_, m.dst / width_,
+                                     height_)) *
+                          t_.mesh_hop_latency;
+    const std::uint32_t bw = t_.mesh_link_bytes_per_cycle;
+    const Cycle occ =
+        contention ? std::max<Cycle>(1, (m.total_bytes() + bw - 1) / bw) : 0;
+    std::uint32_t cur = m.src;
+    Cycle t = depart;
+    const unsigned budget = 4 * (width_ + height_) + 8;
+    unsigned taken = 0;
+    LinkDir back = LinkDir::kCount;
+    while (cur != m.dst) {
+      if (++taken > budget) return kNeverCycle;
+      const LinkDir d = pick_step(cur, m.dst, back, t);
+      if (d == LinkDir::kCount) return kNeverCycle;
+      t = contention ? cross(cur, d, m, occ, t) : t + t_.mesh_hop_latency;
+      back = reverse(d);
+      cur = neighbor(cur, d);
+    }
+    return t;
+  }
+
+  TimingConfig t_;
+  std::uint32_t width_;
+  std::uint32_t height_;
+  bool wrap_;
+  std::vector<std::vector<std::pair<Cycle, Cycle>>> outages_;
+  std::vector<FaultConfig::NodeDown> crashes_;
+  bool has_outages_ = false;
+  bool suspended_ = false;
+};
+
+enum class WalkFaults { kNone, kWindows, kPermanentCrash };
+
+// Every outage and crash window ends before 250k cycles, except the
+// permanent crash; the traffic runs from 0 to 400k, so messages depart
+// before, inside and after the windows.
+SystemConfig walk_config(std::uint32_t nodes, std::uint32_t width,
+                         FabricKind fabric, std::uint32_t link_bw,
+                         WalkFaults faults, std::uint64_t seed) {
+  SystemConfig cfg;
+  cfg.nodes = nodes;
+  cfg.mesh_width = width;
+  cfg.fabric = fabric;
+  cfg.timing.mesh_link_bytes_per_cycle = link_bw;
+  if (faults == WalkFaults::kNone) return cfg;
+  FaultConfig& f = cfg.faults;
+  f.seed = seed;
+  Rng rng(seed * 31 + 7);
+  for (std::uint32_t i = 0; i < nodes / 2 + 2; ++i) {
+    const Cycle down = 20000 + rng.next_below(200000);
+    f.link_downs.push_back({std::uint32_t(rng.next_below(nodes)),
+                            std::uint8_t(rng.next_below(4)), down,
+                            down + 1000 + rng.next_below(20000)});
+  }
+  f.rand_link_downs = nodes / 4 + 1;
+  f.rand_link_down_len = 15000;
+  f.rand_link_down_horizon = 215000;
+  f.node_downs.push_back({1 % nodes, 60000, 160000});
+  if (faults == WalkFaults::kPermanentCrash)
+    f.node_downs.push_back({nodes - 2, 200000, kNeverCycle});
+  return cfg;
+}
+
+Message walk_message(Rng& rng, std::uint32_t nodes) {
+  const auto src = NodeId(rng.next_below(nodes));
+  NodeId dst = NodeId((src + 1 + rng.next_below(nodes - 1)) % nodes);
+  if (src != 0 && rng.next_below(5) == 0) dst = 0;  // hot home
+  switch (rng.next_below(8)) {
+    case 0: case 1: case 2: case 3: return ctrl(MsgKind::kGetS, src, dst);
+    case 4: case 5: return Message::data(src, dst, 7);
+    case 6: return Message::writeback(src, dst, 9);
+    default:
+      return Message::page_bulk(src, dst, 3,
+                                1u << std::uint32_t(rng.next_below(7)));
+  }
+}
+
+struct WalkTotals {
+  std::uint64_t reroutes = 0;
+  std::uint64_t lost = 0;
+  std::uint64_t exact_finish = 0;
+};
+
+void run_walk_case(const SystemConfig& cfg, std::uint64_t seed,
+                   WalkTotals& totals) {
+  Stats stats(cfg.nodes);
+  std::unique_ptr<Fabric> fab = make_fabric(cfg, &stats);
+  auto* mesh = dynamic_cast<MeshFabric*>(fab->backend());
+  ASSERT_NE(mesh, nullptr);
+  ASSERT_EQ(mesh->width(), cfg.mesh_width);
+  ReferenceMesh ref(cfg);
+  for (std::uint32_t r = 0; r < cfg.nodes; ++r)
+    for (std::uint32_t d = 0; d < 4; ++d)
+      ASSERT_EQ(mesh->neighbor(r, LinkDir(d)), ref.neighbor(r, LinkDir(d)));
+
+  Rng rng(seed);
+  constexpr unsigned kMsgs = 3000;
+  constexpr Cycle kSpan = 400000;
+  Message prev = ctrl(MsgKind::kGetS, 0, 1 % cfg.nodes);
+  for (unsigned i = 0; i < kMsgs; ++i) {
+    Message m = walk_message(rng, cfg.nodes);
+    Cycle ready = Cycle(i) * kSpan / kMsgs + rng.next_below(3000);
+    // Now and then, follow the previous message so that it reaches its
+    // first link exactly when the previous holder's occupancy ends.
+    if (i > 0 && rng.next_below(16) == 0) {
+      m = prev;
+      const Cycle socc = ref.ni_occ(m, cfg.timing.ni_send);
+      const Cycle free_at = ref.first_link(m).res.busy_until();
+      if (free_at >= ref.send_ni[m.src].busy_until() + socc) {
+        ready = free_at - socc;
+        totals.exact_finish++;
+      }
+    }
+    const unsigned op = unsigned(rng.next_below(10));
+    Delivery got, want;
+    if (op < 7) {
+      got = fab->send_ex(m, ready);
+      want = ref.send_ex(m, ready);
+    } else if (op < 9) {
+      got.at = fab->send(m, ready);
+      want = ref.send(m, ready);
+      ASSERT_TRUE(want.delivered);
+    } else {
+      fab->post(m, ready);
+      ref.post(m, ready);
+    }
+    ASSERT_EQ(got.at, want.at) << "message " << i;
+    ASSERT_EQ(got.delivered, want.delivered) << "message " << i;
+    ASSERT_EQ(got.duplicated, want.duplicated) << "message " << i;
+    if (!want.delivered) totals.lost++;
+    prev = m;
+  }
+
+  EXPECT_EQ(stats.faults.reroutes, ref.reroutes);
+  EXPECT_EQ(stats.faults.crash_drops, ref.crash_drops);
+  totals.reroutes += ref.reroutes;
+  for (std::uint32_t r = 0; r < cfg.nodes; ++r) {
+    SCOPED_TRACE(::testing::Message() << "router " << r);
+    for (std::uint32_t d = 0; d < 4; ++d) {
+      const MeshLink& got = mesh->out_link(r, LinkDir(d));
+      const ReferenceMesh::Link& want = ref.links[std::size_t(r) * 4 + d];
+      EXPECT_EQ(got.msgs, want.msgs);
+      EXPECT_EQ(got.bytes, want.bytes);
+      EXPECT_EQ(got.max_queue_depth, want.max_queue_depth);
+      EXPECT_EQ(got.res.total_busy(), want.res.total_busy());
+      EXPECT_EQ(got.res.busy_until(), want.res.busy_until());
+    }
+    EXPECT_EQ(stats.node[r].link_bytes, ref.node[r].bytes);
+    EXPECT_EQ(stats.node[r].link_busy, ref.node[r].busy);
+    EXPECT_EQ(stats.node[r].link_max_queue_depth,
+              ref.node[r].max_queue_depth);
+    EXPECT_EQ(fab->send_ni(r).total_busy(), ref.send_ni[r].total_busy());
+    EXPECT_EQ(fab->recv_ni(r).busy_until(), ref.recv_ni[r].busy_until());
+  }
+}
+
+TEST(RouteWalk, MatchesTheReferenceWalkerOnEveryGeometry) {
+  struct Shape {
+    std::uint32_t nodes;
+    std::uint32_t width;
+  };
+  const Shape shapes[] = {{8, 4}, {64, 8}, {5, 1}, {15, 3}};
+  WalkTotals totals;
+  std::uint64_t seed = 1;
+  for (const Shape& s : shapes)
+    for (FabricKind fabric : {FabricKind::kMesh2d, FabricKind::kTorus2d})
+      for (std::uint32_t bw : {4u, 0u})
+        for (WalkFaults faults : {WalkFaults::kNone, WalkFaults::kWindows,
+                                  WalkFaults::kPermanentCrash}) {
+          ++seed;
+          SCOPED_TRACE(::testing::Message()
+                       << s.width << "x" << s.nodes / s.width << " "
+                       << (fabric == FabricKind::kTorus2d ? "torus" : "mesh")
+                       << " link-bw " << bw << " faults " << int(faults)
+                       << " seed " << seed);
+          run_walk_case(
+              walk_config(s.nodes, s.width, fabric, bw, faults, seed), seed,
+              totals);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+  // The scenarios reached the paths they exist for.
+  EXPECT_GT(totals.reroutes, 0u);
+  EXPECT_GT(totals.lost, 0u);
+  EXPECT_GT(totals.exact_finish, 0u);
+}
+
+TEST(RouteWalk, ArrivalAtTheFinishTimeFindsTheLinkIdle) {
+  TimingConfig t;
+  const Cycle occ = (Message::data(0, 1, 7).total_bytes() +
+                     t.mesh_link_bytes_per_cycle - 1) /
+                    t.mesh_link_bytes_per_cycle;
+  MeshFabric mesh(8, t, nullptr);  // 4x2
+  mesh.send(Message::data(0, 1, 7), 0);  // holds 0->1 until ni_send + occ
+  // Departing exactly at that finish: the first message has left.
+  mesh.send(Message::data(0, 1, 7), occ);
+  EXPECT_EQ(mesh.out_link(0, LinkDir::kEast).max_queue_depth, 1u);
+  EXPECT_EQ(mesh.out_link(0, LinkDir::kEast).res.busy_until(),
+            t.ni_send + 2 * occ);
+  // One cycle earlier, the second message queues behind the first.
+  MeshFabric early(8, t, nullptr);
+  early.send(Message::data(0, 1, 7), 0);
+  early.send(Message::data(0, 1, 7), occ - 1);
+  EXPECT_EQ(early.out_link(0, LinkDir::kEast).max_queue_depth, 2u);
+}
 }  // namespace
 }  // namespace dsm
