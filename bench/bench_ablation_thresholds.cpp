@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
         specs.push_back(s);
       }
     }
-    auto results = run_matrix(specs, opt.jobs);
+    auto results = run_valid(specs, opt.jobs);
     Table t({"threshold", apps[0], apps.size() > 1 ? apps[1] : "-",
              apps.size() > 2 ? apps[2] : "-", "relocations/node (" + apps[0] + ")"});
     for (std::size_t i = 0; i < thresholds.size(); ++i) {
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
         specs.push_back(s);
       }
     }
-    auto results = run_matrix(specs, opt.jobs);
+    auto results = run_valid(specs, opt.jobs);
     Table t({"threshold", apps[0], apps.size() > 1 ? apps[1] : "-",
              apps.size() > 2 ? apps[2] : "-",
              "mig+rep/node (" + apps[0] + ")"});
@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
       s.system.migrep_counter_cache_pages = e;
       specs.push_back(s);
     }
-    auto results = run_matrix(specs, opt.jobs);
+    auto results = run_valid(specs, opt.jobs);
     Table t({"counter entries/home", "normalized (" + app + ")",
              "mig+rep per node"});
     for (std::size_t i = 0; i < entries.size(); ++i) {

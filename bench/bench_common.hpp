@@ -44,11 +44,12 @@ struct Options {
   // 1 = serial).
   unsigned jobs = 0;
   // Fault injection (--fault-seed N enables; --fault-drop-pct P,
-  // --fault-dup-pct P, --fault-delay-pct P, --fault-delay-cycles C and
-  // --fault-link-downs K shape the seeded draws and need --fault-seed;
+  // --fault-dup-pct P, --fault-delay-pct P, --fault-delay-cycles C,
+  // --fault-link-downs K and --fault-kinds shape the seeded draws and
+  // need --fault-seed;
   // --fault-retry-base C, --fault-retry-max A tune recovery;
-  // --fault-link-down a:b@cycle+N schedules an explicit node-pair
-  // outage and works without a seed). Whole-node crashes:
+  // --fault-link-down a:b@cycle+N downs the link the route from a to
+  // neighbour b takes, and works without a seed). Whole-node crashes:
   // --fault-node-down n@cycle[+N] schedules node n to crash at `cycle`
   // for N cycles (omitting +N makes the crash permanent) and works
   // without a seed; --fault-node-downs K draws K seeded crash windows
@@ -226,6 +227,7 @@ class SystemFlagParser {
       seeded_flag_ = flag;
     } else if (std::strcmp(flag, "--fault-kinds") == 0) {
       o_->fault_kinds = parse_kinds(flag, arg);
+      seeded_flag_ = flag;
     } else if (std::strcmp(flag, "--fault-retry-base") == 0) {
       o_->fault_retry_base = Cycle(
           parse_uint(flag, arg, 1, ~std::uint64_t(0), "cycles > 0"));
@@ -269,8 +271,8 @@ class SystemFlagParser {
     return v;
   }
 
-  // --fault-link-down a:b@cycle+N — the directed link from node a
-  // toward adjacent node b goes down at `cycle` for N cycles.
+  // --fault-link-down a:b@cycle+N — the directed link the route from
+  // node a to neighbour b takes goes down at `cycle` for N cycles.
   static FaultConfig::NodeLinkDown parse_link_down(const char* flag,
                                                    const char* arg) {
     FaultConfig::NodeLinkDown nd;
@@ -415,6 +417,21 @@ inline Options parse(int argc, char** argv,
   return o;
 }
 
+// Exit 2 with validate()'s message when `cfg` cannot run.
+inline void require_valid(const SystemConfig& cfg) {
+  const std::string invalid = validate(cfg);
+  if (invalid.empty()) return;
+  std::fprintf(stderr, "invalid configuration: %s\n", invalid.c_str());
+  std::exit(2);
+}
+
+// run_matrix over `specs`, after checking that every one can run.
+inline std::vector<RunResult> run_valid(const std::vector<RunSpec>& specs,
+                                        unsigned jobs) {
+  for (const RunSpec& s : specs) require_valid(s.system);
+  return run_matrix(specs, jobs);
+}
+
 inline const char* scale_name(Scale s) {
   switch (s) {
     case Scale::kPaper: return "paper (Table 2)";
@@ -450,7 +467,7 @@ inline NormalizedGrid run_normalized(
       specs.push_back(s);
     }
   }
-  auto results = run_matrix(specs, opt.jobs);
+  auto results = run_valid(specs, opt.jobs);
 
   NormalizedGrid grid;
   grid.apps = apps;

@@ -96,8 +96,8 @@ std::vector<NodeId> readers_of(unsigned p, std::uint32_t nodes, NodeId home) {
   return out;
 }
 
-CellResult run_cell(const Options& opt, std::uint32_t nodes,
-                    FabricKind fabric, Scenario sc) {
+SystemConfig cell_config(const Options& opt, std::uint32_t nodes,
+                         FabricKind fabric, Scenario sc) {
   SystemConfig cfg = SystemConfig::base(SystemKind::kCcNuma);
   opt.apply(cfg);
   cfg.nodes = nodes;
@@ -120,10 +120,14 @@ CellResult run_cell(const Options& opt, std::uint32_t nodes,
         {crash_b(nodes), kWindowDown + (kWindowUp - kWindowDown) / 4,
          kWindowUp - (kWindowUp - kWindowDown) / 4});
   }
+  return cfg;
+}
 
+CellResult run_cell(const SystemConfig& cfg, Scenario sc) {
+  const std::uint32_t nodes = cfg.nodes;
   CellResult out(nodes);
   out.nodes = nodes;
-  out.fabric = fabric;
+  out.fabric = cfg.fabric;
   out.scenario = sc;
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -174,6 +178,7 @@ CellResult run_cell(const Options& opt, std::uint32_t nodes,
   }
 
   sys->check_coherence();
+  sys->parallel_end(t);
   out.cycles = t;
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -249,6 +254,16 @@ int main(int argc, char** argv) {
                                      FabricKind::kTorus2d};
   if (flag_present(argc, argv, "--fabric")) fabrics = {opt.fabric};
 
+  // Every cell's config, checked before any cell runs.
+  std::vector<std::pair<SystemConfig, Scenario>> plan;
+  for (std::uint32_t nodes : node_counts)
+    for (FabricKind fabric : fabrics)
+      for (unsigned s = 0; s < unsigned(Scenario::kCount); ++s) {
+        plan.emplace_back(cell_config(opt, nodes, fabric, Scenario(s)),
+                          Scenario(s));
+        require_valid(plan.back().first);
+      }
+
   std::printf(
       "=== Chaos-at-scale sweep: %u pages/home, crash windows "
       "[%llu,%llu) ===\n\n",
@@ -259,29 +274,25 @@ int main(int argc, char** argv) {
   Table t({"nodes", "fabric", "scenario", "data KB", "ctl KB", "rcvy KB",
            "retries", "nacks", "rehomes", "rebuilds", "losses", "crash-drops",
            "hard-errs", "maxQ"});
-  for (std::uint32_t nodes : node_counts) {
-    for (FabricKind fabric : fabrics) {
-      for (unsigned s = 0; s < unsigned(Scenario::kCount); ++s) {
-        CellResult c = run_cell(opt, nodes, fabric, Scenario(s));
-        const TrafficBreakdown tr = c.stats.traffic_total();
-        t.add_row()
-            .cell(std::uint64_t(c.nodes))
-            .cell(dsm::to_string(c.fabric))
-            .cell(to_string(c.scenario))
-            .cell(double(tr.bytes_of(TrafficClass::kData)) / 1024.0, 1)
-            .cell(double(tr.bytes_of(TrafficClass::kControl)) / 1024.0, 1)
-            .cell(double(tr.bytes_of(TrafficClass::kRecovery)) / 1024.0, 1)
-            .cell(c.stats.faults.retries)
-            .cell(c.stats.faults.nacks)
-            .cell(c.stats.faults.rehomes)
-            .cell(c.stats.faults.dir_rebuilds)
-            .cell(c.stats.faults.data_losses)
-            .cell(c.stats.faults.crash_drops)
-            .cell(c.stats.faults.hard_errors)
-            .cell(std::uint64_t(c.stats.link_max_queue_depth()));
-        cells.push_back(std::move(c));
-      }
-    }
+  for (const auto& [cfg, scenario] : plan) {
+    CellResult c = run_cell(cfg, scenario);
+    const TrafficBreakdown tr = c.stats.traffic_total();
+    t.add_row()
+        .cell(std::uint64_t(c.nodes))
+        .cell(dsm::to_string(c.fabric))
+        .cell(to_string(c.scenario))
+        .cell(double(tr.bytes_of(TrafficClass::kData)) / 1024.0, 1)
+        .cell(double(tr.bytes_of(TrafficClass::kControl)) / 1024.0, 1)
+        .cell(double(tr.bytes_of(TrafficClass::kRecovery)) / 1024.0, 1)
+        .cell(c.stats.faults.retries)
+        .cell(c.stats.faults.nacks)
+        .cell(c.stats.faults.rehomes)
+        .cell(c.stats.faults.dir_rebuilds)
+        .cell(c.stats.faults.data_losses)
+        .cell(c.stats.faults.crash_drops)
+        .cell(c.stats.faults.hard_errors)
+        .cell(std::uint64_t(c.stats.link_max_queue_depth()));
+    cells.push_back(std::move(c));
   }
   std::printf("%s\n", t.to_string().c_str());
 

@@ -55,6 +55,7 @@ SweepPoint run_cell(FabricKind fabric, std::uint32_t link_bw, unsigned fanin,
   cfg.cpus_per_node = 1;
   cfg.fabric = fabric;
   cfg.timing.mesh_link_bytes_per_cycle = link_bw;
+  require_valid(cfg);
 
   SweepPoint out;
   auto sys = make_system(cfg, &out.stats);
@@ -87,52 +88,56 @@ SweepPoint run_cell(FabricKind fabric, std::uint32_t link_bw, unsigned fanin,
     }
   }
   out.mean_latency = latency_sum / double(kRounds * fanin);
-  out.recv_ni_busy_home = sys->fabric().recv_ni(kHome).total_busy();
-
-  const auto* mesh = dynamic_cast<const MeshFabric*>(&sys->fabric());
-  if (mesh != nullptr) {
-    out.maxq_into_home = mesh->max_queue_depth_into(kHome);
+  const Fabric& fab = sys->fabric();
+  out.recv_ni_busy_home = fab.recv_ni(kHome).total_busy();
+  // Peak depth over the fan-in links delivering into the home, over
+  // the home's own out-links, and over every link.
+  const Grid& grid = fab.grid();
+  for (std::uint32_t r = 0; r < grid.routers(); ++r)
     for (std::uint32_t d = 0; d < std::uint32_t(LinkDir::kCount); ++d)
-      out.maxq_out_of_home =
-          std::max(out.maxq_out_of_home,
-                   mesh->out_link(kHome, LinkDir(d)).max_queue_depth);
-    out.maxq_any = mesh->max_link_queue_depth();
+      if (grid.neighbor(r, LinkDir(d)) == kHome)
+        out.maxq_into_home = std::max(
+            out.maxq_into_home, fab.out_link(r, LinkDir(d)).max_queue_depth);
+  for (std::uint32_t d = 0; d < std::uint32_t(LinkDir::kCount); ++d)
+    out.maxq_out_of_home =
+        std::max(out.maxq_out_of_home,
+                 fab.out_link(kHome, LinkDir(d)).max_queue_depth);
+  out.maxq_any = fab.link_usage().max_queue_depth;
 
-    if (dump_links) {
-      struct Row {
-        std::uint32_t router;
-        LinkDir dir;
-        const MeshLink* l;
-      };
-      std::vector<Row> rows;
-      for (std::uint32_t rt = 0; rt < mesh->routers(); ++rt)
-        for (std::uint32_t d = 0; d < std::uint32_t(LinkDir::kCount); ++d)
-          if (mesh->out_link(rt, LinkDir(d)).msgs > 0)
-            rows.push_back({rt, LinkDir(d), &mesh->out_link(rt, LinkDir(d))});
-      std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-        return a.l->bytes > b.l->bytes;
-      });
-      // Utilization over the measured injection window only — folding
-      // the warmup and the 100k-cycle settling gap into the
-      // denominator would halve the congestion signal. (The warmup's
-      // own few link crossings are negligible against 48 rounds.)
-      const Cycle window = Cycle(kRounds) * kSpacing;
-      Table lt({"link", "msgs", "KB", "maxQ", "utilization"});
-      for (std::size_t i = 0; i < rows.size() && i < 8; ++i) {
-        char name[32];
-        std::snprintf(name, sizeof name, "%u->%s", rows[i].router,
-                      to_string(rows[i].dir));
-        lt.add_row()
-            .cell(std::string(name))
-            .cell(rows[i].l->msgs)
-            .cell(double(rows[i].l->bytes) / 1024.0, 1)
-            .cell(std::uint64_t(rows[i].l->max_queue_depth))
-            .cell(render_meter(double(rows[i].l->res.total_busy()) /
-                               double(window)));
-      }
-      std::printf("busiest links, fan-in %u (%s):\n%s\n", fanin,
-                  mesh->name(), lt.to_string().c_str());
+  if (dump_links) {
+    struct Row {
+      std::uint32_t router;
+      LinkDir dir;
+      const MeshLink* l;
+    };
+    std::vector<Row> rows;
+    for (std::uint32_t rt = 0; rt < grid.routers(); ++rt)
+      for (std::uint32_t d = 0; d < std::uint32_t(LinkDir::kCount); ++d)
+        if (fab.out_link(rt, LinkDir(d)).msgs > 0)
+          rows.push_back({rt, LinkDir(d), &fab.out_link(rt, LinkDir(d))});
+    std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+      return a.l->bytes > b.l->bytes;
+    });
+    // Utilization over the measured injection window only — folding
+    // the warmup and the 100k-cycle settling gap into the
+    // denominator would halve the congestion signal. (The warmup's
+    // own few link crossings are negligible against 48 rounds.)
+    const Cycle window = Cycle(kRounds) * kSpacing;
+    Table lt({"link", "msgs", "KB", "maxQ", "utilization"});
+    for (std::size_t i = 0; i < rows.size() && i < 8; ++i) {
+      char name[32];
+      std::snprintf(name, sizeof name, "%u->%s", rows[i].router,
+                    to_string(rows[i].dir));
+      lt.add_row()
+          .cell(std::string(name))
+          .cell(rows[i].l->msgs)
+          .cell(double(rows[i].l->bytes) / 1024.0, 1)
+          .cell(std::uint64_t(rows[i].l->max_queue_depth))
+          .cell(render_meter(double(rows[i].l->res.total_busy()) /
+                             double(window)));
     }
+    std::printf("busiest links, fan-in %u (%s):\n%s\n", fanin,
+                fab.name(), lt.to_string().c_str());
   }
   return out;
 }
@@ -151,6 +156,7 @@ Cycle run_bulk_probe(FabricKind fabric, std::uint32_t link_bw) {
   cfg.cpus_per_node = 1;
   cfg.fabric = fabric;
   cfg.timing.mesh_link_bytes_per_cycle = link_bw;
+  require_valid(cfg);
   Stats stats(kNodes);
   auto sys = make_system(cfg, &stats);
 

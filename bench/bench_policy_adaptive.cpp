@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
     }
   }
   SweepTimer timer;
-  auto results = run_matrix(specs, opt.jobs);
+  auto results = run_valid(specs, opt.jobs);
 
   // Decisions table: migrations/replications/relocations per column.
   {

@@ -48,7 +48,6 @@ struct CellResult {
   FabricKind fabric = FabricKind::kNiConstant;
   DirScheme scheme = DirScheme::kAuto;
   Stats stats;
-  DirUsage dir;
   Cycle cycles = 0;
   double wall_seconds = 0;
 
@@ -72,12 +71,10 @@ std::vector<NodeId> readers_of(unsigned p, std::uint32_t nodes, NodeId home) {
   return out;
 }
 
-void print_hot_links(DsmSystem& sys, std::uint32_t nodes, FabricKind fabric,
-                     DirScheme scheme);
+void print_hot_links(const Fabric& fab, const SystemConfig& cfg);
 
-CellResult run_cell(const Options& opt, std::uint32_t nodes,
-                    FabricKind fabric, DirScheme scheme,
-                    bool dump_links) {
+SystemConfig cell_config(const Options& opt, std::uint32_t nodes,
+                         FabricKind fabric, DirScheme scheme) {
   SystemConfig cfg = SystemConfig::base(SystemKind::kCcNuma);
   opt.apply(cfg);
   cfg.nodes = nodes;
@@ -87,11 +84,15 @@ CellResult run_cell(const Options& opt, std::uint32_t nodes,
   // No decision policy: page migration/replication would perturb the
   // fixed sharing pattern and hide the scheme-only traffic delta.
   cfg.policy = PolicyKind::kNone;
+  return cfg;
+}
 
+CellResult run_cell(const SystemConfig& cfg, bool dump_links) {
+  const std::uint32_t nodes = cfg.nodes;
   CellResult out(nodes);
   out.nodes = nodes;
-  out.fabric = fabric;
-  out.scheme = scheme;
+  out.fabric = cfg.fabric;
+  out.scheme = cfg.dir_scheme;
 
   const auto t0 = std::chrono::steady_clock::now();
   auto sys = make_system(cfg, &out.stats);
@@ -125,31 +126,28 @@ CellResult run_cell(const Options& opt, std::uint32_t nodes,
   }
 
   sys->check_coherence();
-  out.dir = sys->directory().usage();
+  sys->parallel_end(t);
   out.cycles = t;
   out.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  if (dump_links) print_hot_links(*sys, nodes, fabric, scheme);
+  if (dump_links) print_hot_links(sys->fabric(), cfg);
   return out;
 }
 
 // Top directed links by bytes carried — the per-link heat summary for
 // routed cells (the aggregate maxQ/KB columns live in the main table).
-void print_hot_links(DsmSystem& sys, std::uint32_t nodes, FabricKind fabric,
-                     DirScheme scheme) {
-  const auto* mesh = dynamic_cast<const MeshFabric*>(&sys.fabric());
-  if (mesh == nullptr) return;
+void print_hot_links(const Fabric& fab, const SystemConfig& cfg) {
   struct Row {
     std::uint32_t router;
     LinkDir dir;
     const MeshLink* l;
   };
   std::vector<Row> rows;
-  for (std::uint32_t rt = 0; rt < mesh->routers(); ++rt)
+  for (std::uint32_t rt = 0; rt < fab.grid().routers(); ++rt)
     for (std::uint32_t d = 0; d < std::uint32_t(LinkDir::kCount); ++d)
-      if (mesh->out_link(rt, LinkDir(d)).msgs > 0)
-        rows.push_back({rt, LinkDir(d), &mesh->out_link(rt, LinkDir(d))});
+      if (fab.out_link(rt, LinkDir(d)).msgs > 0)
+        rows.push_back({rt, LinkDir(d), &fab.out_link(rt, LinkDir(d))});
   std::sort(rows.begin(), rows.end(),
             [](const Row& a, const Row& b) { return a.l->bytes > b.l->bytes; });
   Table lt({"link", "msgs", "KB", "maxQ"});
@@ -163,8 +161,9 @@ void print_hot_links(DsmSystem& sys, std::uint32_t nodes, FabricKind fabric,
         .cell(double(rows[i].l->bytes) / 1024.0, 1)
         .cell(std::uint64_t(rows[i].l->max_queue_depth));
   }
-  std::printf("hottest links, %u nodes / %s / %s:\n%s\n", nodes,
-              to_string(fabric), to_string(scheme), lt.to_string().c_str());
+  std::printf("hottest links, %u nodes / %s / %s:\n%s\n", cfg.nodes,
+              to_string(cfg.fabric), to_string(cfg.dir_scheme),
+              lt.to_string().c_str());
 }
 
 void write_json(const std::string& path, const std::vector<CellResult>& cells,
@@ -199,12 +198,12 @@ void write_json(const std::string& path, const std::vector<CellResult>& cells,
         static_cast<unsigned long long>(t.msgs_of(TrafficClass::kControl)),
         static_cast<unsigned long long>(c.stats.link_bytes_total()),
         c.stats.link_max_queue_depth(),
-        static_cast<unsigned long long>(c.dir.entries),
-        static_cast<unsigned long long>(c.dir.shared_entries),
-        static_cast<unsigned long long>(c.dir.coarse_entries),
-        static_cast<unsigned long long>(c.dir.sharers_measured),
-        static_cast<unsigned long long>(c.dir.sharer_bits_used),
-        static_cast<unsigned long long>(c.dir.sharer_bits_full_map),
+        static_cast<unsigned long long>(c.stats.dir.entries),
+        static_cast<unsigned long long>(c.stats.dir.shared_entries),
+        static_cast<unsigned long long>(c.stats.dir.coarse_entries),
+        static_cast<unsigned long long>(c.stats.dir.sharers_measured),
+        static_cast<unsigned long long>(c.stats.dir.sharer_bits_used),
+        static_cast<unsigned long long>(c.stats.dir.sharer_bits_full_map),
         c.wall_seconds, jobs);
   }
   std::fprintf(f, "\n]\n");
@@ -231,15 +230,9 @@ int main(int argc, char** argv) {
   if (flag_present(argc, argv, "--fabric")) fabrics = {opt.fabric};
   const bool scheme_pinned = opt.dir_scheme != DirScheme::kAuto;
 
-  std::printf(
-      "=== Scale-out directory sweep: %u pages/home, readers "
-      "{1,2,4,13} ===\n\n",
-      kPagesPerHome);
-
-  std::vector<CellResult> cells;
-  Table t({"nodes", "fabric", "scheme", "data KB", "ctl KB", "ctl msgs",
-           "entries", "sharers", "bits/entry", "full-map b/e", "dir KB",
-           "full KB", "link KB", "maxQ"});
+  // Every cell's config, checked before any cell runs; the link dump
+  // goes with the last scheme of each routed fabric at the widest size.
+  std::vector<std::pair<SystemConfig, bool>> plan;
   for (std::uint32_t nodes : node_counts) {
     for (FabricKind fabric : fabrics) {
       std::vector<DirScheme> schemes;
@@ -251,35 +244,43 @@ int main(int argc, char** argv) {
         schemes.push_back(DirScheme::kCoarse);
       }
       for (DirScheme scheme : schemes) {
-        if (scheme == DirScheme::kFullMap && nodes > 64) {
-          std::fprintf(stderr,
-                       "--dir-scheme full is limited to 64 nodes "
-                       "(inline bit-vector)\n");
-          return 2;
-        }
-        const bool dump =
-            fabric != FabricKind::kNiConstant &&
-            nodes == node_counts.back() && scheme == schemes.back();
-        CellResult c = run_cell(opt, nodes, fabric, scheme, dump);
-        const TrafficBreakdown tr = c.stats.traffic_total();
-        t.add_row()
-            .cell(std::uint64_t(c.nodes))
-            .cell(to_string(c.fabric))
-            .cell(to_string(c.scheme))
-            .cell(double(tr.bytes_of(TrafficClass::kData)) / 1024.0, 1)
-            .cell(double(tr.bytes_of(TrafficClass::kControl)) / 1024.0, 1)
-            .cell(tr.msgs_of(TrafficClass::kControl))
-            .cell(c.dir.entries)
-            .cell(c.dir.sharers_measured)
-            .cell(c.dir.bits_per_entry(), 1)
-            .cell(double(c.nodes), 0)
-            .cell(double(c.dir.sharer_bits_used) / 8.0 / 1024.0, 2)
-            .cell(double(c.dir.sharer_bits_full_map) / 8.0 / 1024.0, 2)
-            .cell(double(c.stats.link_bytes_total()) / 1024.0, 1)
-            .cell(std::uint64_t(c.stats.link_max_queue_depth()));
-        cells.push_back(std::move(c));
+        plan.emplace_back(cell_config(opt, nodes, fabric, scheme),
+                          fabric != FabricKind::kNiConstant &&
+                              nodes == node_counts.back() &&
+                              scheme == schemes.back());
+        require_valid(plan.back().first);
       }
     }
+  }
+
+  std::printf(
+      "=== Scale-out directory sweep: %u pages/home, readers "
+      "{1,2,4,13} ===\n\n",
+      kPagesPerHome);
+
+  std::vector<CellResult> cells;
+  Table t({"nodes", "fabric", "scheme", "data KB", "ctl KB", "ctl msgs",
+           "entries", "sharers", "bits/entry", "full-map b/e", "dir KB",
+           "full KB", "link KB", "maxQ"});
+  for (const auto& [cfg, dump] : plan) {
+    CellResult c = run_cell(cfg, dump);
+    const TrafficBreakdown tr = c.stats.traffic_total();
+    t.add_row()
+        .cell(std::uint64_t(c.nodes))
+        .cell(to_string(c.fabric))
+        .cell(to_string(c.scheme))
+        .cell(double(tr.bytes_of(TrafficClass::kData)) / 1024.0, 1)
+        .cell(double(tr.bytes_of(TrafficClass::kControl)) / 1024.0, 1)
+        .cell(tr.msgs_of(TrafficClass::kControl))
+        .cell(c.stats.dir.entries)
+        .cell(c.stats.dir.sharers_measured)
+        .cell(c.stats.dir.bits_per_entry(), 1)
+        .cell(double(c.nodes), 0)
+        .cell(double(c.stats.dir.sharer_bits_used) / 8.0 / 1024.0, 2)
+        .cell(double(c.stats.dir.sharer_bits_full_map) / 8.0 / 1024.0, 2)
+        .cell(double(c.stats.link_bytes_total()) / 1024.0, 1)
+        .cell(std::uint64_t(c.stats.link_max_queue_depth()));
+    cells.push_back(std::move(c));
   }
   std::printf("%s\n", t.to_string().c_str());
 
@@ -289,7 +290,7 @@ int main(int argc, char** argv) {
   for (const CellResult& c : cells) {
     // Full map pays machine width for every live entry.
     if (c.scheme == DirScheme::kFullMap &&
-        c.dir.sharer_bits_used != c.dir.entries * c.nodes) {
+        c.stats.dir.sharer_bits_used != c.stats.dir.entries * c.nodes) {
       std::printf("FAIL: full-map bits != entries x nodes at %u nodes\n",
                   c.nodes);
       ok = false;
@@ -297,7 +298,7 @@ int main(int argc, char** argv) {
     // Wide machines: compact schemes stay strictly below the full-map
     // extrapolation — directory memory tracks sharers, not node count.
     if (c.nodes > 64 && c.scheme != DirScheme::kFullMap &&
-        c.dir.sharer_bits_used >= c.dir.sharer_bits_full_map) {
+        c.stats.dir.sharer_bits_used >= c.stats.dir.sharer_bits_full_map) {
       std::printf("FAIL: %s bits >= full-map extrapolation at %u nodes\n",
                   to_string(c.scheme), c.nodes);
       ok = false;

@@ -199,7 +199,7 @@ struct TimingConfig {
 // percentages of messages on the injectable channel; decisions are drawn
 // from per-source-node Rng streams, so a fixed seed replays the same
 // schedule and one node's draws never shift another's. Default-
-// constructed = no faults, and the fault layer is never built
+// constructed = no faults, and the Fabric builds no plan
 // (zero-cost-when-off).
 struct FaultConfig {
   std::uint64_t seed = 0;     // fault-plan RNG seed (independent of cfg.seed)
@@ -220,10 +220,11 @@ struct FaultConfig {
   std::vector<LinkDown> link_downs;
 
   // Node-pair outage schedule (--fault-link-down a:b@cycle+N): the
-  // directed link from node `a`'s router toward adjacent node `b` is
-  // dead for cycles [down, down + len). Resolved to a (router, dir)
-  // LinkDown by the fault layer at construction — the two nodes must be
-  // mesh/torus neighbors, which the resolver asserts.
+  // directed link the route from node `a` to adjacent node `b` takes is
+  // dead for cycles [down, down + len). The Fabric resolves it against
+  // its grid at construction (on a torus dimension of size 2, two links
+  // join the pair; the route takes the east/south one); validate()
+  // rejects a pair that are not grid neighbours.
   struct NodeLinkDown {
     std::uint32_t a = 0;
     std::uint32_t b = 0;
@@ -270,11 +271,13 @@ struct FaultConfig {
     return (fault_kinds >> kind) & 1u;
   }
 
+  bool has_link_outages() const {
+    return !link_downs.empty() || !node_link_downs.empty() ||
+           rand_link_downs > 0;
+  }
   bool enabled() const {
     return drop_pct > 0.0 || dup_pct > 0.0 || delay_pct > 0.0 ||
-           !link_downs.empty() || !node_link_downs.empty() ||
-           rand_link_downs > 0 || !node_downs.empty() ||
-           rand_node_downs > 0;
+           has_link_outages() || !node_downs.empty() || rand_node_downs > 0;
   }
 };
 

@@ -1,7 +1,5 @@
 #include "common/stats.hpp"
 
-#include <algorithm>
-
 namespace dsm {
 
 const char* to_string(MissClass c) {
@@ -88,24 +86,6 @@ double Stats::relocations_per_node() const {
 double Stats::traffic_bytes_per_node(TrafficClass c) const {
   if (node.empty()) return 0.0;
   return double(traffic_total().bytes_of(c)) / double(node.size());
-}
-
-std::uint64_t Stats::link_bytes_total() const {
-  std::uint64_t s = 0;
-  for (const auto& n : node) s += n.link_bytes;
-  return s;
-}
-
-Cycle Stats::link_busy_total() const {
-  Cycle s = 0;
-  for (const auto& n : node) s += n.link_busy;
-  return s;
-}
-
-std::uint32_t Stats::link_max_queue_depth() const {
-  std::uint32_t d = 0;
-  for (const auto& n : node) d = std::max(d, n.link_max_queue_depth);
-  return d;
 }
 
 }  // namespace dsm

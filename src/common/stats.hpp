@@ -114,16 +114,6 @@ struct NodeStats {
 
   // Interconnect bytes/messages sent by this node, by traffic class.
   TrafficBreakdown traffic;
-
-  // Link-level router contention (mesh/torus fabric with
-  // mesh_link_bytes_per_cycle > 0), aggregated over this node's four
-  // outgoing links. link_bytes counts each traversal — a message
-  // crossing h links adds h x its size here — so it measures channel
-  // occupancy, unlike `traffic`, which charges each message once at
-  // its sender. All three stay zero on the NI-only wire models.
-  std::uint64_t link_bytes = 0;
-  Cycle link_busy = 0;                     // serialization cycles reserved
-  std::uint32_t link_max_queue_depth = 0;  // peak FIFO depth, any out-link
 };
 
 // Per-policy decision counters, one record per engine attached to the
@@ -141,8 +131,8 @@ struct PolicyCounters {
 
 // Fault-injection and recovery counters (net/fault.hpp and the
 // reliable-transaction layer in dsm/recovery.cpp). All zero when the
-// fault layer is off. The *_injected counters are charged by the
-// FaultyFabric when it perturbs a message; the rest by the protocol's
+// fault layer is off. The *_injected counters, reroutes and
+// crash_drops are charged by the Fabric; the rest by the protocol's
 // recovery machinery.
 struct FaultStats {
   std::uint64_t drops_injected = 0;   // messages lost in flight
@@ -183,6 +173,19 @@ struct DirUsage {
   }
 };
 
+// Link-level router contention (mesh/torus fabric with
+// mesh_link_bytes_per_cycle > 0), totalled over every directed link and
+// snapshotted at parallel_end (net/fabric.hpp Fabric::link_usage).
+// `bytes` counts each traversal — a message crossing h links adds h x
+// its size — so it measures channel occupancy, unlike
+// NodeStats::traffic, which charges each message once at its sender.
+// All zero on the NI-only wire models.
+struct LinkUsage {
+  std::uint64_t bytes = 0;
+  Cycle busy = 0;                     // serialization cycles reserved
+  std::uint32_t max_queue_depth = 0;  // peak FIFO depth, any link
+};
+
 struct Stats {
   std::vector<NodeStats> node;           // indexed by NodeId
   Cycle execution_cycles = 0;            // parallel-phase execution time
@@ -200,6 +203,9 @@ struct Stats {
 
   // End-of-run directory-memory census (see DirUsage above).
   DirUsage dir;
+
+  // End-of-run link-contention totals (see LinkUsage above).
+  LinkUsage links;
 
   explicit Stats(std::uint32_t nodes = 0) : node(nodes) {}
 
@@ -221,10 +227,10 @@ struct Stats {
   double relocations_per_node() const;
   double traffic_bytes_per_node(TrafficClass c) const;
 
-  // Link-contention aggregates (zero on NI-only wire models).
-  std::uint64_t link_bytes_total() const;
-  Cycle link_busy_total() const;
-  std::uint32_t link_max_queue_depth() const;
+  // Link-contention totals (zero on NI-only wire models).
+  std::uint64_t link_bytes_total() const { return links.bytes; }
+  Cycle link_busy_total() const { return links.busy; }
+  std::uint32_t link_max_queue_depth() const { return links.max_queue_depth; }
 };
 
 }  // namespace dsm

@@ -40,7 +40,7 @@ DsmSystem::DsmSystem(const SystemConfig& cfg, Stats* stats)
       nsl_(NodeSetLayout::make(cfg.nodes, cfg.dir_scheme)),
       pt_(cfg.nodes, nsl_, &arena_),
       dir_(nsl_, &arena_),
-      net_(make_fabric(cfg_, stats)),
+      net_(cfg_, stats),
       bus_(cfg.nodes),
       device_(cfg.nodes) {
   DSM_ASSERT(stats_ != nullptr);
@@ -63,11 +63,10 @@ DsmSystem::DsmSystem(const SystemConfig& cfg, Stats* stats)
   }
   engine_ = std::make_unique<PolicyEngine>(cfg_, stats_, &arena_);
   // Reliable-transaction tables exist only when the fault layer is on.
-  if (net_->fault_injection()) {
+  if (net_.fault_plan() != nullptr) {
     txn_seq_.assign(cfg.nodes, 0);
     served_seq_.assign(std::size_t(cfg.nodes) * cfg.nodes, 0);
     crash_detected_until_.assign(cfg.nodes, 0);
-    fault_plan_ = net_->fault_plan();
   }
 }
 
@@ -79,6 +78,7 @@ void DsmSystem::parallel_end(Cycle now) {
   // End-of-run directory-memory census: what the sharer-set
   // representations actually occupy vs the full-map extrapolation.
   stats_->dir = dir_.usage();
+  stats_->links = net_.link_usage();
 }
 
 // ---------------------------------------------------------------------------

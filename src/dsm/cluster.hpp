@@ -20,7 +20,7 @@
 // transactions in dsm/home_agent.cpp, the page-op mechanisms in
 // dsm/page_ops.cpp, and the dispatcher/checker in dsm/cluster.cpp.
 // Each layer reaches the interconnect only through typed messages on
-// the pluggable Fabric (net/fabric.hpp), which accounts traffic in
+// the Fabric (net/fabric.hpp), which accounts traffic in
 // bytes per class at the sending node.
 //
 // Timing model: each access is processed atomically at issue; shared
@@ -139,7 +139,7 @@ class DsmSystem : public MemorySystem {
   Stats* stats() { return stats_; }
   PageTable& page_table() { return pt_; }
   Directory& directory() { return dir_; }
-  Fabric& fabric() { return *net_; }
+  Fabric& fabric() { return net_; }
   L1Cache& l1(CpuId cpu) { return *l1_[cpu]; }
   BlockCache& block_cache(NodeId n) { return *bc_[n]; }
   PageCache& page_cache(NodeId n) { return *pc_[n]; }
@@ -202,7 +202,7 @@ class DsmSystem : public MemorySystem {
 
   // ---- reliable-transaction layer (dsm/recovery.cpp) ----------------------
   // With the fault layer off, every call below collapses to a plain
-  // net_->send — no sequence numbers, no extra state, bit-identical
+  // net_.send — no sequence numbers, no extra state, bit-identical
   // timing.
   struct SendOutcome {
     Cycle at;  // arrival on success, last depart time on failure
@@ -291,7 +291,7 @@ class DsmSystem : public MemorySystem {
   Arena arena_;
   PageTable pt_;
   Directory dir_;
-  std::unique_ptr<Fabric> net_;
+  Fabric net_;
   std::vector<std::unique_ptr<L1Cache>> l1_;       // per CPU
   std::vector<std::unique_ptr<BlockCache>> bc_;    // per node
   std::vector<std::unique_ptr<PageCache>> pc_;     // per node
@@ -309,8 +309,6 @@ class DsmSystem : public MemorySystem {
   // Failure detector: end of the detected crash window per node (0 =
   // no crash detected). Sized only when the fault layer is on.
   std::vector<Cycle> crash_detected_until_;
-  // The fault schedule, when a fault decorator wraps the fabric.
-  const FaultPlan* fault_plan_ = nullptr;
 
   Cycle parallel_begin_at_ = 0;
 };

@@ -449,9 +449,9 @@ void DsmSystem::bc_install(NodeId n, Addr blk, NodeState st, Cycle t) {
   const PageInfo* vpi = pt_.find(vpage);
   DSM_ASSERT(vpi && vpi->home != kNoNode);
   if (vpi->home != n)
-    net_->post(dirty ? Message::writeback(n, vpi->home, v.blk)
-                     : Message::control(MsgKind::kHint, n, vpi->home, v.blk),
-               t);
+    net_.post(dirty ? Message::writeback(n, vpi->home, v.blk)
+                    : Message::control(MsgKind::kHint, n, vpi->home, v.blk),
+              t);
   // Event: a block of `vpage` left this node's block cache; charged the
   // writeback or replacement hint the home just received (zero when the
   // victim's memory is local and no message exists).

@@ -287,12 +287,13 @@ Cycle DsmSystem::emergency_rehome(Addr page, NodeId dead_home,
   // Another requester may already have re-homed the page while this one
   // sat in its timeout storm; the new mapping is simply usable.
   if (pi.home != dead_home) return std::max(t, pi.op_pending_until);
-  DSM_ASSERT(fault_plan_ != nullptr, "re-homing without a fault plan");
+  const FaultPlan* plan = net_.fault_plan();
+  DSM_ASSERT(plan != nullptr, "re-homing without a fault plan");
 
   NodeId succ = kNoNode;
   for (std::uint32_t i = 1; i < cfg_.nodes; ++i) {
     const NodeId cand = NodeId((dead_home + i) % cfg_.nodes);
-    if (!fault_plan_->node_down(cand, t)) {
+    if (!plan->node_down(cand, t)) {
       succ = cand;
       break;
     }
@@ -357,7 +358,7 @@ Cycle DsmSystem::emergency_rehome(Addr page, NodeId dead_home,
       if (probe_block(s, first_blk + i, &dirty) && dirty) {
         Message wb = Message::writeback(s, succ, first_blk + i);
         wb.recovery = true;
-        net_->post(wb, ts);
+        net_.post(wb, ts);
       }
     }
     Message rep = Message::control(MsgKind::kAck, s, succ, page);

@@ -1,5 +1,5 @@
-// Reliable-transaction layer: protocol recovery over the fault-
-// injecting fabric (net/fault.hpp).
+// Reliable-transaction layer: protocol recovery over the fabric's
+// injectable channel (Fabric::send_ex, net/fault.hpp).
 //
 // The simulator delivers messages as synchronous timed calls, so loss
 // is modeled at transaction granularity: an injectable send returns a
@@ -26,9 +26,9 @@
 // caller can trigger emergency re-homing (dsm/page_ops.cpp); a reply
 // toward a dead requester is abandoned.
 //
-// With the fault layer off every entry point collapses to a plain
-// net_->send: no sequence stamping, no table lookups, bit-identical
-// byte and cycle accounting.
+// With the fault layer off (no Fabric::fault_plan) every entry point
+// collapses to a plain net_.send: no sequence stamping, no table
+// lookups, bit-identical byte and cycle accounting.
 #include <algorithm>
 
 #include "dsm/cluster.hpp"
@@ -42,19 +42,18 @@ std::uint32_t DsmSystem::next_seq(NodeId requester) {
 }
 
 void DsmSystem::note_crash(NodeId n, Cycle t) {
-  if (crash_detected_until_.empty() || fault_plan_ == nullptr) return;
-  crash_detected_until_[n] =
-      std::max(crash_detected_until_[n], fault_plan_->node_down_until(n, t));
+  crash_detected_until_[n] = std::max(
+      crash_detected_until_[n], net_.fault_plan()->node_down_until(n, t));
 }
 
 DsmSystem::SendOutcome DsmSystem::send_reliable(Message m, Cycle t,
                                                 bool nack_dup) {
-  if (!net_->fault_injection()) return {net_->send(m, t), true};
+  if (net_.fault_plan() == nullptr) return {net_.send(m, t), true};
   const TimingConfig& tc = cfg_.timing;
   m.seq = next_seq(m.src);
   Cycle at = t;
   for (std::uint32_t attempt = 0;; ++attempt) {
-    const Delivery d = net_->send_ex(m, at);
+    const Delivery d = net_.send_ex(m, at);
     if (d.delivered) {
       served_seq_[std::size_t(m.dst) * cfg_.nodes + m.src] = m.seq;
       if (d.duplicated && nack_dup) {
@@ -65,7 +64,7 @@ DsmSystem::SendOutcome DsmSystem::send_reliable(Message m, Cycle t,
         // until the sender has seen the rejection.
         stats_->faults.nacks++;
         device_[m.dst].occupy(d.at, tc.dir_lookup);
-        const Cycle nack_at = net_->send(
+        const Cycle nack_at = net_.send(
             Message::nack(m.dst, m.src, m.addr, m.seq), d.at + tc.dir_lookup);
         return {std::max(d.at, nack_at), true};
       }
@@ -82,7 +81,8 @@ DsmSystem::SendOutcome DsmSystem::send_reliable(Message m, Cycle t,
 
 DsmSystem::DemandOutcome DsmSystem::send_demand(const Message& m, Cycle t,
                                                 bool nack_dup) {
-  if (!net_->fault_injection()) return {net_->send(m, t), false};
+  const FaultPlan* plan = net_.fault_plan();
+  if (plan == nullptr) return {net_.send(m, t), false};
   // Destination already known dead: skip the wire and the storm; the
   // caller recovers (re-homes, or drops the dead node from a round).
   if (suspect(m.dst, t)) return {t, true};
@@ -92,24 +92,23 @@ DsmSystem::DemandOutcome DsmSystem::send_demand(const Message& m, Cycle t,
   // detection storm below is paid once; afterwards this is the path.
   if (suspect(m.src, t)) {
     stats_->faults.hard_errors++;
-    return {net_->send(m, t), false};
+    return {net_.send(m, t), false};
   }
   const SendOutcome o = send_reliable(m, t, nack_dup);
   if (o.ok) return {o.at, false};
-  if (fault_plan_ != nullptr) {
-    if (fault_plan_->node_down(m.dst, o.at)) {
-      note_crash(m.dst, o.at);
-      return {o.at, true};
-    }
-    if (fault_plan_->node_down(m.src, o.at)) note_crash(m.src, o.at);
+  if (plan->node_down(m.dst, o.at)) {
+    note_crash(m.dst, o.at);
+    return {o.at, true};
   }
+  if (plan->node_down(m.src, o.at)) note_crash(m.src, o.at);
   stats_->faults.hard_errors++;
-  return {net_->send(m, o.at), false};
+  return {net_.send(m, o.at), false};
 }
 
 Cycle DsmSystem::reply_reliable(const Message& reply, const Message& request,
                                 Cycle ready) {
-  if (!net_->fault_injection()) return net_->send(reply, ready);
+  const FaultPlan* plan = net_.fault_plan();
+  if (plan == nullptr) return net_.send(reply, ready);
   // A reply toward a node known dead is abandoned — nobody is waiting.
   if (suspect(reply.dst, ready)) return ready;
   const TimingConfig& tc = cfg_.timing;
@@ -117,15 +116,15 @@ Cycle DsmSystem::reply_reliable(const Message& reply, const Message& request,
   Message rep = reply;
   Message req = request;
   for (std::uint32_t attempt = 0;; ++attempt) {
-    const Delivery d = net_->send_ex(rep, at);
+    const Delivery d = net_.send_ex(rep, at);
     if (d.delivered) return d.at;
     if (attempt + 1 >= tc.fault_retry_max_attempts) {
-      if (fault_plan_ != nullptr && fault_plan_->node_down(rep.dst, at)) {
+      if (plan->node_down(rep.dst, at)) {
         note_crash(rep.dst, at);
         return at;
       }
       stats_->faults.hard_errors++;
-      return net_->send(rep, at);
+      return net_.send(rep, at);
     }
     // Lost reply: the requester's timeout retransmits the request (same
     // sequence); the responder's duplicate table recognizes it and
@@ -137,7 +136,7 @@ Cycle DsmSystem::reply_reliable(const Message& reply, const Message& request,
     const Cycle backoff = tc.fault_retry_base
                           << std::min<std::uint32_t>(attempt, 16);
     const Cycle resend = std::max(d.at, ready + backoff);
-    const Delivery rq = net_->send_ex(req, resend);
+    const Delivery rq = net_.send_ex(req, resend);
     if (rq.delivered) {
       device_[rep.src].occupy(rq.at, tc.dir_lookup);
       at = rq.at + tc.dir_lookup;

@@ -1,15 +1,67 @@
 #include "harness/runner.hpp"
 
 #include <chrono>
+#include <cstdarg>
+#include <cstdio>
 
+#include "common/log.hpp"
 #include "harness/parallel.hpp"
+#include "net/fabric.hpp"
 #include "protocols/system_factory.hpp"
 #include "sim/engine.hpp"
 #include "workloads/workload.hpp"
 
 namespace dsm {
 
+namespace {
+[[gnu::format(printf, 1, 2)]] std::string format(const char* fmt, ...) {
+  char buf[256];
+  std::va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(buf, sizeof buf, fmt, args);
+  va_end(args);
+  return buf;
+}
+}  // namespace
+
+std::string validate(const SystemConfig& cfg) {
+  const FaultConfig& f = cfg.faults;
+  if (cfg.dir_scheme == DirScheme::kFullMap && cfg.nodes > 64)
+    return format("--dir-scheme full holds at most 64 nodes, not %u",
+                  cfg.nodes);
+  if (f.drop_pct + f.dup_pct + f.delay_pct > 100.0)
+    return format(
+        "--fault-drop-pct, --fault-dup-pct and --fault-delay-pct sum to "
+        "%g, past 100",
+        f.drop_pct + f.dup_pct + f.delay_pct);
+  for (const FaultConfig::NodeDown& nd : f.node_downs)
+    if (nd.node >= cfg.nodes)
+      return format("--fault-node-down: node %u is out of range for %u nodes",
+                    nd.node, cfg.nodes);
+  if (cfg.fabric == FabricKind::kNiConstant)
+    return f.has_link_outages()
+               ? "--fault-link-down and --fault-link-downs need --fabric "
+                 "mesh or torus: ni-constant has no links"
+               : "";
+  if (cfg.mesh_width != 0 && cfg.nodes % cfg.mesh_width != 0)
+    return format("mesh width %u does not divide %u nodes", cfg.mesh_width,
+                  cfg.nodes);
+  const Grid grid(cfg);
+  for (const FaultConfig::NodeLinkDown& nl : f.node_link_downs) {
+    if (nl.a >= cfg.nodes || nl.b >= cfg.nodes)
+      return format("--fault-link-down %u:%u: node out of range for %u nodes",
+                    nl.a, nl.b, cfg.nodes);
+    if (grid.hops(nl.a, nl.b) != 1)
+      return format(
+          "--fault-link-down %u:%u: not neighbours on the %ux%u %s grid",
+          nl.a, nl.b, grid.width, grid.height, to_string(cfg.fabric));
+  }
+  return "";
+}
+
 RunResult run_one(const RunSpec& spec) {
+  const std::string invalid = validate(spec.system);
+  DSM_ASSERT(invalid.empty(), invalid);
   const auto wall_start = std::chrono::steady_clock::now();
   RunResult result;
   result.spec = spec;

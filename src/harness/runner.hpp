@@ -50,6 +50,11 @@ struct RunResult {
   }
 };
 
+// The first reason `cfg` cannot run, naming the bench flag that sets
+// the offending field; empty when it can. Every bench exits 2 with it
+// and run_one asserts it, so no flag reaches a DSM_ASSERT.
+std::string validate(const SystemConfig& cfg);
+
 // Run a single experiment. Deterministic for a given spec.
 RunResult run_one(const RunSpec& spec);
 

@@ -1,7 +1,5 @@
 #include "net/fabric.hpp"
 
-#include <cmath>
-
 #include "common/log.hpp"
 #include "net/fault.hpp"
 
@@ -36,148 +34,45 @@ const char* to_string(LinkDir d) {
   return "?";
 }
 
-void Fabric::account(const Message& m) {
-  DSM_DEBUG_ASSERT(m.src != m.dst, "fabric message to self");
-  DSM_DEBUG_ASSERT(m.src < nodes() && m.dst < nodes());
-  messages_++;
-  bytes_ += m.total_bytes();
-  msgs_by_kind_[std::size_t(m.kind)]++;
-  if (stats_ && m.src < stats_->node.size())
-    stats_->node[m.src].traffic.add(m.cls(), m.total_bytes());
+namespace {
+LinkDir reverse_dir(LinkDir d) {
+  switch (d) {
+    case LinkDir::kEast: return LinkDir::kWest;
+    case LinkDir::kWest: return LinkDir::kEast;
+    case LinkDir::kSouth: return LinkDir::kNorth;
+    case LinkDir::kNorth: return LinkDir::kSouth;
+    case LinkDir::kCount: break;
+  }
+  return LinkDir::kCount;
 }
-
-Delivery Fabric::send_ex(const Message& m, Cycle ready) {
-  account(m);
-  const Cycle socc = occupancy(m, timing_->ni_send);
-  const Cycle depart = send_[m.src].reserve(ready, socc) + socc;
-  const Cycle at_dest = traverse(m, depart);
-  // A fault-gated route can dead-end (every detour walled in by link
-  // outages): the message is lost on the wire, like a drop.
-  if (at_dest == kNeverCycle) return Delivery{depart, false, false};
-  const Cycle rocc = occupancy(m, timing_->ni_recv);
-  return Delivery{recv_[m.dst].reserve(at_dest, rocc) + rocc, true, false};
-}
-
-Cycle Fabric::send(const Message& m, Cycle ready) {
-  const Delivery d = Fabric::send_ex(m, ready);
-  DSM_ASSERT(d.delivered, "undeliverable message on the reliable channel");
-  return d.at;
-}
-
-void Fabric::post(const Message& m, Cycle ready) {
-  account(m);
-  const Cycle socc = occupancy(m, timing_->ni_send);
-  send_[m.src].occupy(ready, socc);
-  const Cycle at_dest = traverse(m, ready + socc);
-  if (at_dest == kNeverCycle) return;  // eaten by a dead route
-  recv_[m.dst].occupy(at_dest, occupancy(m, timing_->ni_recv));
-}
-
-Cycle Fabric::drop_after_send(const Message& m, Cycle ready) {
-  account(m);
-  const Cycle socc = occupancy(m, timing_->ni_send);
-  return send_[m.src].reserve(ready, socc) + socc;
-}
+}  // namespace
 
 // ---------------------------------------------------------------------------
-// MeshFabric / TorusFabric
+// Grid
 // ---------------------------------------------------------------------------
 
-MeshFabric::MeshFabric(std::uint32_t nodes, const TimingConfig& t,
-                       Stats* stats, std::uint32_t width)
-    : MeshFabric(nodes, t, stats, width, /*wrap=*/false) {}
-
-MeshFabric::MeshFabric(std::uint32_t nodes, const TimingConfig& t,
-                       Stats* stats, std::uint32_t width, bool wrap)
-    : Fabric(nodes, t, stats), width_(width), wrap_(wrap) {
-  DSM_ASSERT(nodes > 0);
-  if (width_ == 0) {
-    // Most square factorization: largest divisor <= sqrt(nodes) gives
-    // the height; falls back to a 1xN chain for primes.
+Grid::Grid(const SystemConfig& cfg) {
+  if (cfg.fabric == FabricKind::kNiConstant) return;
+  DSM_ASSERT(cfg.nodes > 0);
+  wrap = cfg.fabric == FabricKind::kTorus2d;
+  width = cfg.mesh_width;
+  if (width == 0) {
+    // Most square factorization: the largest divisor <= sqrt(nodes) is
+    // the height.
     std::uint32_t best = 1;
-    for (std::uint32_t d = 1; d * d <= nodes; ++d)
-      if (nodes % d == 0) best = d;
-    width_ = nodes / best;
+    for (std::uint32_t d = 1; d * d <= cfg.nodes; ++d)
+      if (cfg.nodes % d == 0) best = d;
+    width = cfg.nodes / best;
   }
-  DSM_ASSERT(width_ >= 1 && width_ <= nodes);
-  height_ = (nodes + width_ - 1) / width_;
-  // A fully populated grid is required: a ragged last row would give
-  // the torus wrap links nonexistent endpoints and would route link
-  // traffic through phantom routers no NodeStats entry can own,
-  // silently breaking the per-node/per-link byte reconciliation. The
-  // auto-width factorization always satisfies this; explicit widths
-  // must divide the node count.
-  DSM_ASSERT(width_ * height_ == nodes,
+  DSM_ASSERT(cfg.nodes % width == 0,
              "mesh/torus requires nodes == width x height");
-  links_.resize(std::size_t(routers()) * std::size_t(LinkDir::kCount));
+  height = cfg.nodes / width;
 }
 
-std::uint32_t MeshFabric::neighbor(std::uint32_t router, LinkDir d) const {
-  GridPos p = grid_pos(router);
-  if (d == LinkDir::kCount || !has_link(p, d)) return kNoRouter;
-  advance(p, d);
-  return p.router;
-}
-
-bool MeshFabric::has_link(const GridPos& p, LinkDir d) const {
-  if (wrap_) return true;
-  switch (d) {
-    case LinkDir::kEast: return p.x + 1 < width_;
-    case LinkDir::kWest: return p.x > 0;
-    case LinkDir::kSouth: return p.y + 1 < height_;
-    case LinkDir::kNorth: return p.y > 0;
-    case LinkDir::kCount: break;
-  }
-  return false;
-}
-
-void MeshFabric::advance(GridPos& p, LinkDir d) const {
-  DSM_DEBUG_ASSERT(has_link(p, d), "route fell off the mesh");
-  switch (d) {
-    case LinkDir::kEast:
-      if (p.x + 1 < width_) {
-        ++p.x;
-        ++p.router;
-      } else {  // torus wrap to the row's first column
-        p.x = 0;
-        p.router = p.router + 1 - width_;
-      }
-      break;
-    case LinkDir::kWest:
-      if (p.x > 0) {
-        --p.x;
-        --p.router;
-      } else {
-        p.x = width_ - 1;
-        p.router = p.router + width_ - 1;
-      }
-      break;
-    case LinkDir::kSouth:
-      if (p.y + 1 < height_) {
-        ++p.y;
-        p.router += width_;
-      } else {
-        p.y = 0;
-        p.router = p.x;
-      }
-      break;
-    case LinkDir::kNorth:
-      if (p.y > 0) {
-        --p.y;
-        p.router -= width_;
-      } else {
-        p.y = height_ - 1;
-        p.router = p.y * width_ + p.x;
-      }
-      break;
-    case LinkDir::kCount: break;
-  }
-}
-
-LinkDir MeshFabric::step_dir(std::uint32_t cur, std::uint32_t dst,
-                             std::uint32_t size, bool x_dim) const {
+LinkDir Grid::step_dir(std::uint32_t cur, std::uint32_t dst,
+                       std::uint32_t size, bool x_dim) const {
   bool forward;  // east / south
-  if (!wrap_) {
+  if (!wrap) {
     forward = dst > cur;
   } else {
     const std::uint32_t fwd = dst >= cur ? dst - cur : dst + size - cur;
@@ -187,13 +82,206 @@ LinkDir MeshFabric::step_dir(std::uint32_t cur, std::uint32_t dst,
   return forward ? LinkDir::kSouth : LinkDir::kNorth;
 }
 
-Cycle MeshFabric::link_occupancy(const Message& m) const {
-  const std::uint32_t bw = timing().mesh_link_bytes_per_cycle;
-  return std::max<Cycle>(1, (m.total_bytes() + bw - 1) / bw);
+bool Grid::has_link(const Pos& p, LinkDir d) const {
+  if (wrap) return true;
+  switch (d) {
+    case LinkDir::kEast: return p.x + 1 < width;
+    case LinkDir::kWest: return p.x > 0;
+    case LinkDir::kSouth: return p.y + 1 < height;
+    case LinkDir::kNorth: return p.y > 0;
+    case LinkDir::kCount: break;
+  }
+  return false;
 }
 
-Cycle MeshFabric::cross(std::uint32_t router, LinkDir d, const Message& m,
-                        Cycle occ, Cycle t) {
+void Grid::advance(Pos& p, LinkDir d) const {
+  DSM_DEBUG_ASSERT(has_link(p, d), "route fell off the mesh");
+  switch (d) {
+    case LinkDir::kEast:
+      if (p.x + 1 < width) {
+        ++p.x;
+        ++p.router;
+      } else {  // torus wrap to the row's first column
+        p.x = 0;
+        p.router = p.router + 1 - width;
+      }
+      break;
+    case LinkDir::kWest:
+      if (p.x > 0) {
+        --p.x;
+        --p.router;
+      } else {
+        p.x = width - 1;
+        p.router = p.router + width - 1;
+      }
+      break;
+    case LinkDir::kSouth:
+      if (p.y + 1 < height) {
+        ++p.y;
+        p.router += width;
+      } else {
+        p.y = 0;
+        p.router = p.x;
+      }
+      break;
+    case LinkDir::kNorth:
+      if (p.y > 0) {
+        --p.y;
+        p.router -= width;
+      } else {
+        p.y = height - 1;
+        p.router = p.y * width + p.x;
+      }
+      break;
+    case LinkDir::kCount: break;
+  }
+}
+
+std::uint32_t Grid::neighbor(std::uint32_t router, LinkDir d) const {
+  Pos p = pos(router);
+  if (d == LinkDir::kCount || !has_link(p, d)) return kNoRouter;
+  advance(p, d);
+  return p.router;
+}
+
+// ---------------------------------------------------------------------------
+// Fabric
+// ---------------------------------------------------------------------------
+
+Fabric::Fabric(const SystemConfig& cfg, Stats* stats)
+    : kind_(cfg.fabric),
+      timing_(cfg.timing),
+      stats_(stats),
+      send_(cfg.nodes),
+      recv_(cfg.nodes),
+      grid_(cfg),
+      links_(std::size_t(grid_.routers()) * std::size_t(LinkDir::kCount)) {
+  DSM_ASSERT(stats_ != nullptr && stats_->node.size() >= cfg.nodes,
+             "the fabric charges a Stats sized for the node count");
+  if (!cfg.faults.enabled()) return;
+  plan_ = std::make_unique<FaultPlan>(cfg.faults, cfg.nodes, grid_.routers());
+  // A node-pair outage downs the link the route from a to b takes first.
+  for (const FaultConfig::NodeLinkDown& nd : cfg.faults.node_link_downs) {
+    DSM_ASSERT(nd.a < nodes() && nd.b < nodes() && grid_.hops(nd.a, nd.b) == 1,
+               "fault-link-down nodes are not mesh/torus neighbors");
+    plan_->add_link_outage(nd.a, grid_.step(grid_.pos(nd.a), grid_.pos(nd.b)),
+                           nd.down, nd.down + nd.len);
+  }
+  // A crash downs the dead router's four outgoing links and every
+  // neighbor's link toward it for the window, so adaptive routing
+  // (pick_step) detours around the dead router exactly as it does around
+  // scheduled link outages.
+  if (grid_.routers() == 0) return;
+  for (const FaultConfig::NodeDown& nd : plan_->node_downs()) {
+    for (std::uint8_t i = 0; i < std::uint8_t(LinkDir::kCount); ++i) {
+      const LinkDir d = LinkDir(i);
+      plan_->add_link_outage(nd.node, d, nd.down, nd.up);
+      const std::uint32_t nb = grid_.neighbor(nd.node, d);
+      if (nb != Grid::kNoRouter)
+        plan_->add_link_outage(nb, reverse_dir(d), nd.down, nd.up);
+    }
+  }
+}
+
+Fabric::~Fabric() = default;
+
+void Fabric::account(const Message& m) {
+  DSM_DEBUG_ASSERT(m.src != m.dst, "fabric message to self");
+  DSM_DEBUG_ASSERT(m.src < nodes() && m.dst < nodes());
+  stats_->node[m.src].traffic.add(m.cls(), m.total_bytes());
+}
+
+Cycle Fabric::send_half(const Message& m, Cycle ready) {
+  account(m);
+  const Cycle socc = occupancy(m, timing_.ni_send);
+  return send_[m.src].reserve(ready, socc) + socc;
+}
+
+Delivery Fabric::wire(const Message& m, Cycle ready, bool gated) {
+  const Cycle depart = send_half(m, ready);
+  const Cycle at_dest = traverse(m, depart, gated);
+  // A gated route can dead-end (every detour walled in by link
+  // outages): the message is lost on the wire, like a drop.
+  if (at_dest == kNeverCycle) return Delivery{depart, false, false};
+  const Cycle rocc = occupancy(m, timing_.ni_recv);
+  return Delivery{recv_[m.dst].reserve(at_dest, rocc) + rocc, true, false};
+}
+
+Cycle Fabric::send(const Message& m, Cycle ready) {
+  return wire(m, ready, /*gated=*/false).at;
+}
+
+void Fabric::post(const Message& m, Cycle ready) {
+  // Fire-and-forget traffic to or from a dead node is swallowed on the
+  // wire; the caller's synchronous state updates are unaffected.
+  if (plan_ && plan_->has_node_faults() &&
+      (plan_->node_down(m.src, ready) || plan_->node_down(m.dst, ready))) {
+    stats_->faults.crash_drops++;
+    return;
+  }
+  account(m);
+  const Cycle socc = occupancy(m, timing_.ni_send);
+  send_[m.src].occupy(ready, socc);
+  recv_[m.dst].occupy(traverse(m, ready + socc, /*gated=*/false),
+                      occupancy(m, timing_.ni_recv));
+}
+
+Delivery Fabric::send_ex(const Message& m, Cycle ready) {
+  if (!plan_) return wire(m, ready, /*gated=*/false);
+  FaultStats& fs = stats_->faults;
+  if (plan_->has_node_faults()) {
+    // A crashed source never reaches the wire (no NI charge); a message
+    // toward a crashed destination is swallowed after the send half.
+    // Both are judged at send time, like the perturbation draw.
+    if (plan_->node_down(m.src, ready)) {
+      fs.crash_drops++;
+      return Delivery{ready, false, false};
+    }
+    if (plan_->node_down(m.dst, ready)) {
+      fs.crash_drops++;
+      return Delivery{send_half(m, ready), false, false};
+    }
+  }
+  FaultPlan::Perturb p = plan_->draw(m.src);
+  if (p != FaultPlan::Perturb::kNone && !plan_->targets(m.kind))
+    p = FaultPlan::Perturb::kNone;
+  switch (p) {
+    case FaultPlan::Perturb::kDrop:
+      // The sender's NI and byte accounting see a normal departure; the
+      // wire eats the message.
+      fs.drops_injected++;
+      return Delivery{send_half(m, ready), false, false};
+    case FaultPlan::Perturb::kDup: {
+      fs.dups_injected++;
+      Delivery d = wire(m, ready, /*gated=*/true);
+      (void)wire(m, ready, /*gated=*/true);  // the copy, fully charged
+      d.duplicated = true;
+      return d;
+    }
+    case FaultPlan::Perturb::kDelay: {
+      fs.delays_injected++;
+      Delivery d = wire(m, ready, /*gated=*/true);
+      if (d.delivered) d.at += plan_->delay_cycles();
+      return d;
+    }
+    case FaultPlan::Perturb::kNone:
+      break;
+  }
+  return wire(m, ready, /*gated=*/true);
+}
+
+Cycle Fabric::traverse(const Message& m, Cycle depart, bool gated) {
+  if (kind_ == FabricKind::kNiConstant) return depart + timing_.net_latency;
+  // Time only grows along a walk, so an outage can fire on it only
+  // when one can be in force at departure.
+  if (gated && !plan_->links_up_from(depart)) return walk_gated(m, depart);
+  if (timing_.mesh_link_bytes_per_cycle == 0)
+    return depart + Cycle(grid_.hops(m.src, m.dst)) * timing_.mesh_hop_latency;
+  return walk_straight(m, depart);
+}
+
+Cycle Fabric::cross(std::uint32_t router, LinkDir d, const Message& m,
+                    Cycle occ, Cycle t) {
   MeshLink& l = links_[router * std::uint32_t(LinkDir::kCount) +
                        std::uint32_t(d)];
   std::uint32_t depth = 1;  // this message
@@ -216,38 +304,16 @@ Cycle MeshFabric::cross(std::uint32_t router, LinkDir d, const Message& m,
   l.max_queue_depth = std::max(l.max_queue_depth, depth);
   l.msgs++;
   l.bytes += m.total_bytes();
-  if (stats() && router < stats()->node.size()) {
-    NodeStats& ns = stats()->node[router];
-    ns.link_bytes += m.total_bytes();
-    ns.link_busy += occ;
-    ns.link_max_queue_depth =
-        std::max(ns.link_max_queue_depth, l.max_queue_depth);
-  }
-  return start + timing().mesh_hop_latency;
+  return start + timing_.mesh_hop_latency;
 }
 
-namespace {
-LinkDir reverse_dir(LinkDir d) {
-  switch (d) {
-    case LinkDir::kEast: return LinkDir::kWest;
-    case LinkDir::kWest: return LinkDir::kEast;
-    case LinkDir::kSouth: return LinkDir::kNorth;
-    case LinkDir::kNorth: return LinkDir::kSouth;
-    case LinkDir::kCount: break;
-  }
-  return LinkDir::kCount;
-}
-}  // namespace
-
-LinkDir MeshFabric::pick_step(const GridPos& p, const GridPos& dst,
-                              LinkDir back, Cycle t) {
-  const LinkDir preferred =
-      (p.x != dst.x) ? step_dir(p.x, dst.x, width_, /*x_dim=*/true)
-                     : step_dir(p.y, dst.y, height_, /*x_dim=*/false);
+LinkDir Fabric::pick_step(const Grid::Pos& p, const Grid::Pos& dst,
+                          LinkDir back, Cycle t) {
+  const LinkDir preferred = grid_.step(p, dst);
   // The dimension-order step always has a link (it heads toward dst).
   // When it is live and does not backtrack, it is what pass 0 below
   // would return first.
-  if (preferred != back && !fault_plan_->link_down(p.router, preferred, t))
+  if (preferred != back && !plan_->link_down(p.router, preferred, t))
     return preferred;
   // Candidate order: dimension-order step, the other productive
   // dimension, then any detour direction.
@@ -260,7 +326,7 @@ LinkDir MeshFabric::pick_step(const GridPos& p, const GridPos& dst,
   };
   push(preferred);
   if (p.x != dst.x && p.y != dst.y)
-    push(step_dir(p.y, dst.y, height_, /*x_dim=*/false));
+    push(grid_.step_dir(p.y, dst.y, grid_.height, /*x_dim=*/false));
   push(LinkDir::kEast);
   push(LinkDir::kWest);
   push(LinkDir::kSouth);
@@ -272,105 +338,67 @@ LinkDir MeshFabric::pick_step(const GridPos& p, const GridPos& dst,
       const LinkDir d = order[i];
       if (pass == 0 && d == back) continue;
       if (pass == 1 && d != back) continue;
-      if (!has_link(p, d)) continue;
-      if (fault_plan_->link_down(p.router, d, t)) continue;
-      if (d != preferred && stats()) stats()->faults.reroutes++;
+      if (!grid_.has_link(p, d)) continue;
+      if (plan_->link_down(p.router, d, t)) continue;
+      if (d != preferred) stats_->faults.reroutes++;
       return d;
     }
   }
   return LinkDir::kCount;  // walled in: the message dies here
 }
 
-Cycle MeshFabric::walk_straight(const Message& m, Cycle t) {
-  const Cycle occ = link_occupancy(m);
-  GridPos p = grid_pos(m.src);
-  const GridPos dst = grid_pos(m.dst);
-  const LinkDir dx = step_dir(p.x, dst.x, width_, /*x_dim=*/true);
+Cycle Fabric::walk_straight(const Message& m, Cycle t) {
+  const std::uint32_t bw = timing_.mesh_link_bytes_per_cycle;
+  const Cycle occ = std::max<Cycle>(1, (m.total_bytes() + bw - 1) / bw);
+  Grid::Pos p = grid_.pos(m.src);
+  const Grid::Pos dst = grid_.pos(m.dst);
+  const LinkDir dx = grid_.step_dir(p.x, dst.x, grid_.width, /*x_dim=*/true);
   while (p.x != dst.x) {
     t = cross(p.router, dx, m, occ, t);
-    advance(p, dx);
+    grid_.advance(p, dx);
   }
-  const LinkDir dy = step_dir(p.y, dst.y, height_, /*x_dim=*/false);
+  const LinkDir dy =
+      grid_.step_dir(p.y, dst.y, grid_.height, /*x_dim=*/false);
   while (p.y != dst.y) {
     t = cross(p.router, dy, m, occ, t);
-    advance(p, dy);
+    grid_.advance(p, dy);
   }
   return t;
 }
 
-Cycle MeshFabric::walk_gated(const Message& m, Cycle t) {
-  const bool contention = link_contention_enabled();
-  const Cycle occ = contention ? link_occupancy(m) : 0;
-  GridPos p = grid_pos(m.src);
-  const GridPos dst = grid_pos(m.dst);
+Cycle Fabric::walk_gated(const Message& m, Cycle t) {
+  const std::uint32_t bw = timing_.mesh_link_bytes_per_cycle;
+  const Cycle occ = bw > 0 ? std::max<Cycle>(1, (m.total_bytes() + bw - 1) / bw)
+                           : 0;
+  Grid::Pos p = grid_.pos(m.src);
+  const Grid::Pos dst = grid_.pos(m.dst);
   // Detours cannot exceed a perimeter walk of the grid; past this the
   // route is livelocked around moving outages — treat it as lost.
-  const unsigned budget = 4 * (width_ + height_) + 8;
+  const unsigned budget = 4 * (grid_.width + grid_.height) + 8;
   unsigned taken = 0;
   LinkDir back = LinkDir::kCount;
   while (p.router != dst.router) {
     if (++taken > budget) return kNeverCycle;
     const LinkDir d = pick_step(p, dst, back, t);
     if (d == LinkDir::kCount) return kNeverCycle;
-    if (contention)
+    if (bw > 0)
       t = cross(p.router, d, m, occ, t);
     else
-      t += timing().mesh_hop_latency;
+      t += timing_.mesh_hop_latency;
     back = reverse_dir(d);
-    advance(p, d);
+    grid_.advance(p, d);
   }
   return t;
 }
 
-Cycle MeshFabric::traverse(const Message& m, Cycle depart) {
-  // Time only grows along a walk, so an outage can fire on it only
-  // when one can be in force at departure.
-  if (fault_plan_ != nullptr && !fault_plan_->links_up_from(depart))
-    return walk_gated(m, depart);
-  if (!link_contention_enabled()) return depart + latency(m.src, m.dst);
-  return walk_straight(m, depart);
-}
-
-std::uint64_t MeshFabric::link_bytes_total() const {
-  std::uint64_t sum = 0;
-  for (const MeshLink& l : links_) sum += l.bytes;
-  return sum;
-}
-
-std::uint32_t MeshFabric::max_link_queue_depth() const {
-  std::uint32_t depth = 0;
-  for (const MeshLink& l : links_) depth = std::max(depth, l.max_queue_depth);
-  return depth;
-}
-
-std::uint32_t MeshFabric::max_queue_depth_into(std::uint32_t router) const {
-  std::uint32_t depth = 0;
-  for (std::uint32_t r = 0; r < routers(); ++r)
-    for (std::uint32_t d = 0; d < std::uint32_t(LinkDir::kCount); ++d)
-      if (neighbor(r, LinkDir(d)) == router)
-        depth = std::max(depth, out_link(r, LinkDir(d)).max_queue_depth);
-  return depth;
-}
-
-std::unique_ptr<Fabric> make_fabric(const SystemConfig& cfg, Stats* stats) {
-  std::unique_ptr<Fabric> f;
-  switch (cfg.fabric) {
-    case FabricKind::kNiConstant:
-      f = std::make_unique<NiFabric>(cfg.nodes, cfg.timing, stats);
-      break;
-    case FabricKind::kMesh2d:
-      f = std::make_unique<MeshFabric>(cfg.nodes, cfg.timing, stats,
-                                       cfg.mesh_width);
-      break;
-    case FabricKind::kTorus2d:
-      f = std::make_unique<TorusFabric>(cfg.nodes, cfg.timing, stats,
-                                        cfg.mesh_width);
-      break;
+LinkUsage Fabric::link_usage() const {
+  LinkUsage u;
+  for (const MeshLink& l : links_) {
+    u.bytes += l.bytes;
+    u.busy += l.res.total_busy();
+    u.max_queue_depth = std::max(u.max_queue_depth, l.max_queue_depth);
   }
-  DSM_ASSERT(f != nullptr, "unknown fabric kind");
-  if (cfg.faults.enabled())
-    f = std::make_unique<FaultyFabric>(std::move(f), cfg.faults, stats);
-  return f;
+  return u;
 }
 
 }  // namespace dsm

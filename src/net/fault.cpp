@@ -22,35 +22,13 @@ std::uint64_t pct_threshold(double pct) {
   return std::uint64_t(clamped * double(std::uint64_t(1) << 53) / 100.0);
 }
 
-// Fold node-pair outage schedules (--fault-link-down a:b@cycle+N) into
-// explicit (router, dir) LinkDown entries: the directed link leaving
-// node a's router toward adjacent node b. Requires a mesh/torus
-// backend, and the two nodes must be neighbors on it.
-FaultConfig resolve_node_link_downs(FaultConfig cfg, const Fabric* backend) {
-  if (cfg.node_link_downs.empty()) return cfg;
-  const auto* mesh = dynamic_cast<const MeshFabric*>(backend);
-  DSM_ASSERT(mesh != nullptr,
-             "node-pair link outages require a mesh/torus fabric");
-  for (const FaultConfig::NodeLinkDown& nd : cfg.node_link_downs) {
-    DSM_ASSERT(nd.a < mesh->nodes() && nd.b < mesh->nodes(),
-               "fault-link-down node out of range");
-    std::uint8_t dir = std::uint8_t(LinkDir::kCount);
-    for (std::uint8_t d = 0; d < std::uint8_t(LinkDir::kCount); ++d)
-      if (mesh->neighbor(nd.a, LinkDir(d)) == nd.b) dir = d;
-    DSM_ASSERT(dir != std::uint8_t(LinkDir::kCount),
-               "fault-link-down nodes are not mesh/torus neighbors");
-    cfg.link_downs.push_back(
-        FaultConfig::LinkDown{nd.a, dir, nd.down, nd.down + nd.len});
-  }
-  cfg.node_link_downs.clear();
-  return cfg;
-}
-
 }  // namespace
 
 FaultPlan::FaultPlan(const FaultConfig& cfg, std::uint32_t nodes,
                      std::uint32_t routers)
     : cfg_(cfg) {
+  DSM_ASSERT(routers > 0 || !cfg_.has_link_outages(),
+             "link outages need a mesh or torus fabric");
   drop_below_ = pct_threshold(cfg_.drop_pct);
   dup_below_ = drop_below_ + pct_threshold(cfg_.dup_pct);
   delay_below_ = dup_below_ + pct_threshold(cfg_.delay_pct);
@@ -119,108 +97,6 @@ void FaultPlan::add_link_outage(std::uint32_t router, LinkDir d, Cycle down,
   DSM_ASSERT(idx < link_outages_.size(), "link outage out of range");
   link_outages_[idx].push_back(Outage{down, up});
   link_horizon_ = std::max(link_horizon_, up);
-}
-
-// ---------------------------------------------------------------------------
-// FaultyFabric
-// ---------------------------------------------------------------------------
-
-FaultyFabric::FaultyFabric(std::unique_ptr<Fabric> inner,
-                           const FaultConfig& cfg, Stats* stats)
-    : Fabric(inner->nodes(), inner->timing(), stats),
-      inner_(std::move(inner)),
-      plan_(resolve_node_link_downs(cfg, inner_.get()), inner_->nodes(),
-            [&]() -> std::uint32_t {
-              if (const auto* mesh =
-                      dynamic_cast<const MeshFabric*>(inner_.get()))
-                return mesh->routers();
-              return inner_->nodes();
-            }()) {
-  if (auto* mesh = dynamic_cast<MeshFabric*>(inner_.get())) {
-    mesh->set_fault_plan(&plan_);
-    // Fold node crashes into the dead router's links: its four outgoing
-    // links and every neighbor's link toward it are down for the crash
-    // window, so adaptive routing (pick_step) detours around the dead
-    // router exactly as it does around scheduled link outages.
-    for (const FaultConfig::NodeDown& nd : plan_.node_downs()) {
-      for (std::uint8_t d = 0; d < std::uint8_t(LinkDir::kCount); ++d) {
-        plan_.add_link_outage(nd.node, LinkDir(d), nd.down, nd.up);
-        const std::uint32_t nb = mesh->neighbor(nd.node, LinkDir(d));
-        if (nb == MeshFabric::kNoRouter) continue;
-        for (std::uint8_t bd = 0; bd < std::uint8_t(LinkDir::kCount); ++bd)
-          if (mesh->neighbor(nb, LinkDir(bd)) == nd.node)
-            plan_.add_link_outage(nb, LinkDir(bd), nd.down, nd.up);
-      }
-    }
-  }
-}
-
-FaultyFabric::~FaultyFabric() {
-  if (auto* mesh = dynamic_cast<MeshFabric*>(inner_.get()))
-    mesh->set_fault_plan(nullptr);
-}
-
-FaultStats& FaultyFabric::faults() {
-  return stats() ? stats()->faults : local_faults_;
-}
-
-Cycle FaultyFabric::send(const Message& m, Cycle ready) {
-  FaultPlan::SuspendScope reliable(&plan_);
-  return inner_->send(m, ready);
-}
-
-void FaultyFabric::post(const Message& m, Cycle ready) {
-  // Fire-and-forget traffic to or from a dead node is swallowed on the
-  // wire; the caller's synchronous state updates are unaffected.
-  if (plan_.has_node_faults() &&
-      (plan_.node_down(m.src, ready) || plan_.node_down(m.dst, ready))) {
-    faults().crash_drops++;
-    return;
-  }
-  FaultPlan::SuspendScope reliable(&plan_);
-  inner_->post(m, ready);
-}
-
-Delivery FaultyFabric::send_ex(const Message& m, Cycle ready) {
-  if (plan_.has_node_faults()) {
-    // A crashed source never reaches the wire (no NI charge); a message
-    // toward a crashed destination is swallowed after the send half.
-    // Both are judged at send time, like the perturbation draw.
-    if (plan_.node_down(m.src, ready)) {
-      faults().crash_drops++;
-      return Delivery{ready, false, false};
-    }
-    if (plan_.node_down(m.dst, ready)) {
-      faults().crash_drops++;
-      return Delivery{inner_->drop_after_send(m, ready), false, false};
-    }
-  }
-  FaultPlan::Perturb p = plan_.draw(m.src);
-  if (p != FaultPlan::Perturb::kNone && !plan_.targets(m.kind))
-    p = FaultPlan::Perturb::kNone;
-  switch (p) {
-    case FaultPlan::Perturb::kDrop:
-      // The sender's NI and byte accounting see a normal departure; the
-      // wire eats the message.
-      faults().drops_injected++;
-      return Delivery{inner_->drop_after_send(m, ready), false, false};
-    case FaultPlan::Perturb::kDup: {
-      faults().dups_injected++;
-      Delivery d = inner_->send_ex(m, ready);
-      (void)inner_->send_ex(m, ready);  // the duplicate copy, fully charged
-      d.duplicated = true;
-      return d;
-    }
-    case FaultPlan::Perturb::kDelay: {
-      faults().delays_injected++;
-      Delivery d = inner_->send_ex(m, ready);
-      if (d.delivered) d.at += plan_.delay_cycles();
-      return d;
-    }
-    case FaultPlan::Perturb::kNone:
-      break;
-  }
-  return inner_->send_ex(m, ready);
 }
 
 }  // namespace dsm

@@ -1,4 +1,5 @@
-// Deterministic fault injection over any fabric backend.
+// Deterministic fault schedule, owned by the Fabric (net/fabric.hpp)
+// when FaultConfig::enabled().
 //
 // FaultPlan is a seeded, reproducible fault schedule:
 //
@@ -13,39 +14,32 @@
 //     rate's decisions.
 //
 //   - Directed-link outages (router, direction, [down, up) cycle
-//     interval) for the mesh/torus fabrics, from an explicit list plus
-//     optionally a seeded batch drawn from stream 0x20000. The plan
-//     keeps a horizon, the latest end of any outage (crash-folded and
-//     permanent ones included). A mesh walk departing before it
-//     consults the plan per hop and detours around dead links
+//     interval) on a mesh/torus, from an explicit list plus optionally
+//     a seeded batch drawn from stream 0x20000; the Fabric adds the
+//     resolved a:b node-pair outages and the crash-folded links. The
+//     plan keeps a horizon, the latest end of any outage (crash-folded
+//     and permanent ones included). An injectable mesh walk departing
+//     before it consults the plan per hop and detours around dead links
 //     (fabric.cpp pick_step), counting reroutes; one departing at or
-//     after it takes the plain X-Y route without asking.
+//     after it takes the plain X-Y route without asking. The reliable
+//     channel never asks.
 //
 //   - Whole-node crash windows ([down, up) per node), from an explicit
 //     list plus optionally a seeded batch drawn from stream 0x30000. A
 //     crashed node's sends never reach the wire and messages toward it
-//     are swallowed after the send half (FaultyFabric::send_ex); on a
+//     are swallowed after the send half (Fabric::send_ex); on a
 //     mesh/torus its router's links additionally go down for the
-//     window, so adaptive routing detours around the dead router. The
-//     node_down queries are deliberately NOT suspension-gated — a dead
-//     node is dead for the reliable channel's *protocol* too; the
-//     recovery layer (dsm/recovery.cpp) consults them to decide when
-//     retrying is pointless and emergency re-homing must take over.
-//
-// FaultyFabric is the injecting decorator make_fabric() installs when
-// FaultConfig::enabled(). Only send_ex() is perturbed; the plain
-// send()/post() channel suspends the plan for the duration of the call
-// (SuspendScope), so retry escalation and lazy writebacks ride on a
-// reliable wire and see the pristine X-Y routes. With faults disabled
-// no FaultyFabric exists at all — the fast paths are untouched.
+//     window, so adaptive routing detours around the dead router. A
+//     dead node is dead for the reliable channel's *protocol* too: the
+//     recovery layer (dsm/recovery.cpp) consults node_down to decide
+//     when retrying is pointless and emergency re-homing must take over.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/log.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "net/fabric.hpp"
 
 namespace dsm {
@@ -54,9 +48,8 @@ class FaultPlan {
  public:
   enum class Perturb : std::uint8_t { kNone = 0, kDrop, kDup, kDelay };
 
-  // `routers` sizes the link-outage table (MeshFabric::routers(); equal
-  // to `nodes` for fabrics without internal links, where outages are
-  // simply never consulted).
+  // `routers` sizes the link-outage table (Grid::routers(); 0 on
+  // ni-constant, which takes no link outages).
   FaultPlan(const FaultConfig& cfg, std::uint32_t nodes,
             std::uint32_t routers);
 
@@ -70,14 +63,11 @@ class FaultPlan {
   bool targets(MsgKind k) const { return cfg_.targets(std::uint8_t(k)); }
 
   // Link-outage queries (mesh/torus routing). links_up_from(t) is true
-  // when no directed-link outage can be in force at any time >= t: the
-  // plan is suspended (the reliable channel routes as if the fabric
-  // were perfect), or t is at or past the horizon, the latest end of
-  // any outage. Time only grows along a route walk, so a walk departing
-  // at such a t can skip every per-hop check.
-  bool links_up_from(Cycle t) const {
-    return suspend_ > 0 || t >= link_horizon_;
-  }
+  // when no directed-link outage can be in force at any time >= t: t is
+  // at or past the horizon, the latest end of any outage. Time only
+  // grows along a route walk, so a walk departing at such a t can skip
+  // every per-hop check.
+  bool links_up_from(Cycle t) const { return t >= link_horizon_; }
   bool link_down(std::uint32_t router, LinkDir d, Cycle t) const {
     if (links_up_from(t)) return false;
     const std::size_t idx =
@@ -88,7 +78,7 @@ class FaultPlan {
     return false;
   }
 
-  // Node-crash queries (never suspension-gated; see the header comment).
+  // Node-crash queries.
   bool has_node_faults() const { return has_node_faults_; }
   bool node_down(NodeId n, Cycle t) const;
   // End of the crash window containing `t` (kNeverCycle for a permanent
@@ -100,24 +90,10 @@ class FaultPlan {
   }
 
   // Installs a directed-link outage and raises the horizon to its end.
-  // The constructor adds the configured outages through it; the fault
-  // decorator adds more after construction, folding node crashes into
-  // the dead router's links once it knows the mesh adjacency.
+  // The constructor adds the configured (router, dir) outages and the
+  // seeded draws through it; the Fabric adds the ones it resolves
+  // against its grid.
   void add_link_outage(std::uint32_t router, LinkDir d, Cycle down, Cycle up);
-
-  bool suspended() const { return suspend_ > 0; }
-
-  // RAII plan suspension for the reliable channel (re-entrant).
-  class SuspendScope {
-   public:
-    explicit SuspendScope(FaultPlan* p) : p_(p) { p_->suspend_++; }
-    ~SuspendScope() { p_->suspend_--; }
-    SuspendScope(const SuspendScope&) = delete;
-    SuspendScope& operator=(const SuspendScope&) = delete;
-
-   private:
-    FaultPlan* p_;
-  };
 
  private:
   struct Outage {
@@ -138,51 +114,6 @@ class FaultPlan {
   std::vector<FaultConfig::NodeDown> node_downs_;  // crash windows
   Cycle link_horizon_ = 0;  // max Outage::up; 0 = no link outages
   bool has_node_faults_ = false;
-  int suspend_ = 0;
-};
-
-// Fault-injecting decorator: owns the backend and the plan, perturbs
-// send_ex(), and delegates everything else. Its own base-class state
-// (NIs, counters) is unused — introspection reaches the backend's.
-class FaultyFabric final : public Fabric {
- public:
-  FaultyFabric(std::unique_ptr<Fabric> inner, const FaultConfig& cfg,
-               Stats* stats);
-  ~FaultyFabric() override;
-
-  const char* name() const override { return inner_->name(); }
-  Cycle latency(NodeId from, NodeId to) const override {
-    return inner_->latency(from, to);
-  }
-
-  Cycle send(const Message& m, Cycle ready) override;
-  void post(const Message& m, Cycle ready) override;
-  Delivery send_ex(const Message& m, Cycle ready) override;
-
-  bool fault_injection() const override { return true; }
-  Fabric* backend() override { return inner_->backend(); }
-  const FaultPlan* fault_plan() const override { return &plan_; }
-
-  std::uint64_t messages() const override { return inner_->messages(); }
-  std::uint64_t messages(MsgKind k) const override {
-    return inner_->messages(k);
-  }
-  std::uint64_t bytes() const override { return inner_->bytes(); }
-  const Resource& send_ni(NodeId n) const override {
-    return inner_->send_ni(n);
-  }
-  const Resource& recv_ni(NodeId n) const override {
-    return inner_->recv_ni(n);
-  }
-
-  FaultPlan& plan() { return plan_; }
-
- private:
-  FaultStats& faults();
-
-  std::unique_ptr<Fabric> inner_;
-  FaultPlan plan_;
-  FaultStats local_faults_;  // fallback when no Stats is attached
 };
 
 }  // namespace dsm

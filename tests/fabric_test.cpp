@@ -1,8 +1,9 @@
 // Interconnect fabric tests: typed message geometry, NI contention
-// serialization on both backends, bulk-transfer occupancy scaling, 2D
+// serialization on every wire, bulk-transfer occupancy scaling, 2D
 // mesh hop latency, per-class byte accounting — both at the fabric and
-// end-to-end through DsmSystem transactions — and the mesh/torus route
-// walk checked hop for hop against a reference walker.
+// end-to-end through DsmSystem transactions — the mesh/torus route
+// walk checked hop for hop against a reference walker, and the
+// resolution of a:b node-pair outages.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -21,6 +22,21 @@ namespace {
 Message ctrl(MsgKind k, NodeId s, NodeId d) {
   return Message::control(k, s, d, /*blk=*/1);
 }
+
+// The config a Fabric is built from: `nodes` nodes on `kind` with
+// timing `t` (width 0 = the most square grid).
+SystemConfig net_cfg(FabricKind kind, std::uint32_t nodes,
+                     const TimingConfig& t, std::uint32_t width = 0) {
+  SystemConfig cfg;
+  cfg.nodes = nodes;
+  cfg.fabric = kind;
+  cfg.mesh_width = width;
+  cfg.timing = t;
+  return cfg;
+}
+constexpr FabricKind kNi = FabricKind::kNiConstant;
+constexpr FabricKind kMesh = FabricKind::kMesh2d;
+constexpr FabricKind kTorus = FabricKind::kTorus2d;
 
 // --------------------------------------------------------------------------
 // Message geometry
@@ -49,56 +65,62 @@ TEST(Message, KindsMapToTrafficClasses) {
 }
 
 // --------------------------------------------------------------------------
-// Constant-latency backend: the paper's timing contract
+// Constant-latency wire: the paper's timing contract
 // --------------------------------------------------------------------------
 
-TEST(NiFabric, UnloadedTransferLatency) {
+TEST(NiConstant, UnloadedTransferLatency) {
   TimingConfig t;
-  NiFabric net(4, t, nullptr);
+  Stats stats(4);
+  Fabric net(net_cfg(kNi, 4, t), &stats);
   const Cycle done = net.send(Message::data(0, 1, 7), 1000);
   EXPECT_EQ(done, 1000 + t.ni_send + t.net_latency + t.ni_recv);
-  EXPECT_EQ(net.messages(), 1u);
-  EXPECT_EQ(net.messages(MsgKind::kData), 1u);
+  EXPECT_EQ(stats.traffic_total().total_msgs(), 1u);
+  EXPECT_EQ(stats.traffic_total().msgs_of(TrafficClass::kData), 1u);
 }
 
-TEST(NiFabric, SendNiContention) {
+TEST(NiConstant, SendNiContention) {
   TimingConfig t;
-  NiFabric net(4, t, nullptr);
+  Stats stats(4);
+  Fabric net(net_cfg(kNi, 4, t), &stats);
   const Cycle first = net.send(ctrl(MsgKind::kGetS, 0, 1), 1000);
   // Second message from the same node at the same time queues at the NI.
   const Cycle second = net.send(ctrl(MsgKind::kGetS, 0, 2), 1000);
   EXPECT_EQ(second, first + t.ni_send);
 }
 
-TEST(NiFabric, RecvNiContention) {
+TEST(NiConstant, RecvNiContention) {
   TimingConfig t;
-  NiFabric net(4, t, nullptr);
+  Stats stats(4);
+  Fabric net(net_cfg(kNi, 4, t), &stats);
   const Cycle a = net.send(ctrl(MsgKind::kGetS, 0, 3), 1000);
   const Cycle b = net.send(ctrl(MsgKind::kGetS, 1, 3), 1000);
   EXPECT_EQ(b, a + t.ni_recv);  // serialized at the receiver
 }
 
-TEST(NiFabric, PostedTransferConsumesBandwidthOnly) {
+TEST(NiConstant, PostedTransferConsumesBandwidthOnly) {
   TimingConfig t;
-  NiFabric net(4, t, nullptr);
+  Stats stats(4);
+  Fabric net(net_cfg(kNi, 4, t), &stats);
   net.post(Message::writeback(0, 1, 7), 1000);
   // A subsequent critical-path message queues behind the writeback.
   const Cycle done = net.send(Message::data(0, 1, 8), 1000);
   EXPECT_EQ(done, 1000 + 2 * t.ni_send + t.net_latency + t.ni_recv);
 }
 
-TEST(NiFabric, BulkTransferScalesWithBlocks) {
+TEST(NiConstant, BulkTransferScalesWithBlocks) {
   TimingConfig t;
-  NiFabric net(4, t, nullptr);
+  Stats stats(4);
+  Fabric net(net_cfg(kNi, 4, t), &stats);
   const Cycle small = net.send(Message::page_bulk(0, 1, 0, 4), 0);
-  NiFabric net2(4, t, nullptr);
+  Fabric net2(net_cfg(kNi, 4, t), &stats);
   const Cycle big = net2.send(Message::page_bulk(0, 1, 0, 64), 0);
   EXPECT_GT(big, small);
 }
 
-TEST(NiFabric, BulkOccupancySerializesFollowingTraffic) {
+TEST(NiConstant, BulkOccupancySerializesFollowingTraffic) {
   TimingConfig t;
-  NiFabric net(4, t, nullptr);
+  Stats stats(4);
+  Fabric net(net_cfg(kNi, 4, t), &stats);
   // A full-page bulk occupies the send NI for ni_send * blocks/4.
   net.send(Message::page_bulk(0, 1, 0, 64), 1000);
   const Cycle occ = t.ni_send * (64 / 4);
@@ -107,38 +129,38 @@ TEST(NiFabric, BulkOccupancySerializesFollowingTraffic) {
 }
 
 // --------------------------------------------------------------------------
-// 2D mesh backend
+// 2D mesh
 // --------------------------------------------------------------------------
 
-TEST(MeshFabric, MostSquareLayoutAndHops) {
-  TimingConfig t;
-  MeshFabric mesh(8, t, nullptr);  // 8 nodes -> 4x2
-  EXPECT_EQ(mesh.width(), 4u);
-  EXPECT_EQ(mesh.height(), 2u);
+TEST(Mesh2d, MostSquareLayoutAndHops) {
+  const Grid mesh(net_cfg(kMesh, 8, TimingConfig{}));  // 8 nodes -> 4x2
+  EXPECT_EQ(mesh.width, 4u);
+  EXPECT_EQ(mesh.height, 2u);
   EXPECT_EQ(mesh.hops(0, 1), 1u);  // neighbors on a row
   EXPECT_EQ(mesh.hops(0, 4), 1u);  // neighbors on a column
   EXPECT_EQ(mesh.hops(0, 7), 4u);  // corner to corner: 3 + 1
   EXPECT_EQ(mesh.hops(3, 3), 0u);
 }
 
-TEST(MeshFabric, HopCountDrivesWireLatency) {
+TEST(Mesh2d, HopCountDrivesWireLatency) {
   TimingConfig t;
-  MeshFabric mesh(8, t, nullptr);
+  Stats stats(8);
+  Fabric mesh(net_cfg(kMesh, 8, t), &stats);
   const Cycle near = mesh.send(ctrl(MsgKind::kGetS, 0, 1), 1000) - 1000;
   const Cycle far = mesh.send(ctrl(MsgKind::kGetS, 0, 7), 10000) - 10000;
   EXPECT_EQ(near, t.ni_send + 1 * t.mesh_hop_latency + t.ni_recv);
   EXPECT_EQ(far, t.ni_send + 4 * t.mesh_hop_latency + t.ni_recv);
 }
 
-TEST(MeshFabric, ExplicitWidthOverride) {
-  TimingConfig t;
-  MeshFabric chain(8, t, nullptr, /*width=*/8);  // 1x8 chain
+TEST(Mesh2d, ExplicitWidthOverride) {
+  const Grid chain(net_cfg(kMesh, 8, TimingConfig{}, /*width=*/8));  // 1x8
   EXPECT_EQ(chain.hops(0, 7), 7u);
 }
 
-TEST(MeshFabric, NiContentionStillSerializes) {
+TEST(Mesh2d, NiContentionStillSerializes) {
   TimingConfig t;
-  MeshFabric mesh(8, t, nullptr);
+  Stats stats(8);
+  Fabric mesh(net_cfg(kMesh, 8, t), &stats);
   const Cycle first = mesh.send(ctrl(MsgKind::kGetS, 0, 1), 1000);
   const Cycle second = mesh.send(ctrl(MsgKind::kGetS, 0, 1), 1000);
   EXPECT_EQ(second, first + t.ni_send);
@@ -151,7 +173,8 @@ TEST(MeshFabric, NiContentionStillSerializes) {
 TEST(MeshLinkContention, SharedLinkSerializesDisjointRoutesDoNot) {
   TimingConfig t;  // link contention on by default (4 B/cycle)
   ASSERT_GT(t.mesh_link_bytes_per_cycle, 0u);
-  MeshFabric mesh(8, t, nullptr);  // 4x2
+  Stats stats(8);
+  Fabric mesh(net_cfg(kMesh, 8, t), &stats);  // 4x2
 
   // A full-page bulk 0 -> 2 seizes links 0->1 and 1->2 for its
   // serialization time.
@@ -181,7 +204,8 @@ TEST(MeshLinkContention, SharedLinkSerializesDisjointRoutesDoNot) {
 TEST(MeshLinkContention, ZeroBandwidthDisablesLinkModel) {
   TimingConfig t;
   t.mesh_link_bytes_per_cycle = 0;  // NI-only wire model
-  MeshFabric mesh(8, t, nullptr);
+  Stats stats(8);
+  Fabric mesh(net_cfg(kMesh, 8, t), &stats);
   mesh.post(Message::page_bulk(0, 2, 0, kBlocksPerPage), 0);
   const Cycle done = mesh.send(ctrl(MsgKind::kGetS, 1, 2), 0);
   // With the link model off the queueing happens at the *edge*: the
@@ -192,52 +216,53 @@ TEST(MeshLinkContention, ZeroBandwidthDisablesLinkModel) {
   const Cycle bulk_at_recv = bulk_socc + 2 * t.mesh_hop_latency;
   EXPECT_EQ(done, bulk_at_recv + bulk_rocc + t.ni_recv);
   // And there is no link state at all.
-  EXPECT_EQ(mesh.link_bytes_total(), 0u);
-  EXPECT_EQ(mesh.max_link_queue_depth(), 0u);
+  EXPECT_EQ(mesh.link_usage().bytes, 0u);
+  EXPECT_EQ(mesh.link_usage().max_queue_depth, 0u);
 }
 
 TEST(MeshLinkContention, LinkBytesCountEveryTraversal) {
   TimingConfig t;
   Stats stats(8);
-  MeshFabric mesh(8, t, &stats);  // 4x2
+  Fabric mesh(net_cfg(kMesh, 8, t), &stats);  // 4x2
   const Message near = ctrl(MsgKind::kGetS, 0, 1);   // 1 hop
   const Message far = Message::data(0, 7, 9);        // 4 hops
   mesh.send(near, 0);
   mesh.send(far, 100000);
 
   // TrafficBreakdown charges each message once, at its sender...
-  EXPECT_EQ(stats.traffic_total().total_bytes(), mesh.bytes());
   EXPECT_EQ(stats.node[0].traffic.total_bytes(),
             near.total_bytes() + far.total_bytes());
   // ...while link bytes count each link crossed.
-  EXPECT_EQ(mesh.link_bytes_total(),
+  EXPECT_EQ(mesh.link_usage().bytes,
             1 * std::uint64_t(near.total_bytes()) +
                 4 * std::uint64_t(far.total_bytes()));
-  // The per-node aggregates surfaced into NodeStats reconcile with the
-  // fabric's own per-link totals.
-  std::uint64_t node_sum = 0;
-  for (const NodeStats& n : stats.node) node_sum += n.link_bytes;
-  EXPECT_EQ(node_sum, mesh.link_bytes_total());
+  // The totals reconcile with the links they are taken from.
+  std::uint64_t link_sum = 0;
+  for (std::uint32_t r = 0; r < mesh.grid().routers(); ++r)
+    for (std::uint32_t d = 0; d < 4; ++d)
+      link_sum += mesh.out_link(r, LinkDir(d)).bytes;
+  EXPECT_EQ(link_sum, mesh.link_usage().bytes);
 }
 
-TEST(TorusFabric, WraparoundPicksTheShorterDirection) {
+TEST(Torus2d, WraparoundPicksTheShorterDirection) {
   TimingConfig t;
-  TorusFabric torus(8, t, nullptr);  // 4x2 with wrap links
-  MeshFabric mesh(8, t, nullptr);
+  Stats stats(8);
+  Fabric torus(net_cfg(kTorus, 8, t), &stats);  // 4x2 with wrap links
+  const Grid mesh(net_cfg(kMesh, 8, t));
   // Across the row: 3 mesh hops, but 1 torus hop going west off the edge.
   EXPECT_EQ(mesh.hops(0, 3), 3u);
-  EXPECT_EQ(torus.hops(0, 3), 1u);
+  EXPECT_EQ(torus.grid().hops(0, 3), 1u);
   // Corner to corner: wrap in x (1) + one row (1).
   EXPECT_EQ(mesh.hops(0, 7), 4u);
-  EXPECT_EQ(torus.hops(0, 7), 2u);
+  EXPECT_EQ(torus.grid().hops(0, 7), 2u);
   // The shorter route is what the wire actually does, links included.
   const Cycle wrapped = torus.send(ctrl(MsgKind::kGetS, 0, 3), 1000) - 1000;
   EXPECT_EQ(wrapped, t.ni_send + 1 * t.mesh_hop_latency + t.ni_recv);
   // The wrap link is the west out-link of the row's first column.
-  EXPECT_EQ(torus.neighbor(0, LinkDir::kWest), 3u);
+  EXPECT_EQ(torus.grid().neighbor(0, LinkDir::kWest), 3u);
   EXPECT_EQ(torus.out_link(0, LinkDir::kWest).msgs, 1u);
   // A mesh edge has no wrap neighbor.
-  EXPECT_EQ(mesh.neighbor(0, LinkDir::kWest), MeshFabric::kNoRouter);
+  EXPECT_EQ(mesh.neighbor(0, LinkDir::kWest), Grid::kNoRouter);
 }
 
 // --------------------------------------------------------------------------
@@ -247,7 +272,7 @@ TEST(TorusFabric, WraparoundPicksTheShorterDirection) {
 TEST(FabricAccounting, BytesReconcileWithMessageCounts) {
   TimingConfig t;
   Stats stats(4);
-  NiFabric net(4, t, &stats);
+  Fabric net(net_cfg(kNi, 4, t), &stats);
   net.send(ctrl(MsgKind::kGetS, 0, 1), 0);            // control
   net.send(Message::data(1, 0, 7), 0);                // data
   net.post(Message::writeback(2, 0, 9), 0);           // data
@@ -255,7 +280,7 @@ TEST(FabricAccounting, BytesReconcileWithMessageCounts) {
   net.send(Message::page_bulk(3, 0, 5, 64), 0);       // page-op
 
   const TrafficBreakdown sum = stats.traffic_total();
-  EXPECT_EQ(sum.total_msgs(), net.messages());
+  EXPECT_EQ(sum.total_msgs(), 5u);
   EXPECT_EQ(sum.msgs_of(TrafficClass::kControl), 2u);
   EXPECT_EQ(sum.msgs_of(TrafficClass::kData), 2u);
   EXPECT_EQ(sum.msgs_of(TrafficClass::kPageOp), 1u);
@@ -265,7 +290,8 @@ TEST(FabricAccounting, BytesReconcileWithMessageCounts) {
             2 * (kMsgHeaderBytes + kBlockBytes));
   EXPECT_EQ(sum.bytes_of(TrafficClass::kPageOp),
             kMsgHeaderBytes + kPageBytes);
-  EXPECT_EQ(sum.total_bytes(), net.bytes());
+  EXPECT_EQ(sum.total_bytes(),
+            5 * kMsgHeaderBytes + 2 * kBlockBytes + kPageBytes);
   // Charged at the sending node.
   EXPECT_EQ(stats.node[0].traffic.total_bytes(), kMsgHeaderBytes);
   EXPECT_EQ(stats.node[3].traffic.bytes_of(TrafficClass::kPageOp),
@@ -345,6 +371,7 @@ TEST_F(FabricSystemTest, LinkContentionChangesLatencyNeverBytes) {
     go(1, a, false, 500000);
     sys_->replicate_page(page_of(b), 2, 700000);
     sys_->check_coherence();
+    sys_->parallel_end(800000);  // takes the link totals
     *out = stats_;
   };
 
@@ -408,13 +435,13 @@ TEST_F(FabricSystemTest, MeshDistanceShowsUpInRemoteLatency) {
 // walks must reproduce bit for bit: every hop divides out the grid
 // coordinates, asks neighbor() about every candidate, builds the full
 // candidate list and scans the outage list, and every link keeps all
-// its in-flight finish times in a std::deque. It models what
-// make_fabric() builds for a mesh/torus config: the bare backend, or the
-// backend behind a FaultyFabric whose plan schedules link outages and
-// node crashes but no per-message perturbation.
+// its in-flight finish times in a std::deque. It models the Fabric a
+// mesh/torus config builds: without faults, or with a plan that
+// schedules link outages and node crashes but no per-message
+// perturbation.
 class ReferenceMesh {
  public:
-  static constexpr std::uint32_t kNone = MeshFabric::kNoRouter;
+  static constexpr std::uint32_t kNone = Grid::kNoRouter;
 
   struct Link {
     Resource res;
@@ -423,17 +450,11 @@ class ReferenceMesh {
     std::uint64_t bytes = 0;
     std::uint32_t max_queue_depth = 0;
   };
-  struct NodeLinks {
-    std::uint64_t bytes = 0;
-    Cycle busy = 0;
-    std::uint32_t max_queue_depth = 0;
-  };
 
   explicit ReferenceMesh(const SystemConfig& cfg)
       : send_ni(cfg.nodes),
         recv_ni(cfg.nodes),
         links(std::size_t(cfg.nodes) * 4),
-        node(cfg.nodes),
         t_(cfg.timing),
         width_(cfg.mesh_width),
         height_(cfg.nodes / cfg.mesh_width),
@@ -484,7 +505,7 @@ class ReferenceMesh {
     return kNone;
   }
 
-  // FaultyFabric::send_ex with no perturbation drawn.
+  // Fabric::send_ex with no perturbation drawn.
   Delivery send_ex(const Message& m, Cycle ready) {
     if (crashed(m.src, ready)) {
       crash_drops++;
@@ -497,7 +518,7 @@ class ReferenceMesh {
     return wire(m, ready);
   }
 
-  // The reliable channel: the plan is suspended.
+  // The reliable channel: every link counts as up.
   Delivery send(const Message& m, Cycle ready) {
     suspended_ = true;
     const Delivery d = wire(m, ready);
@@ -533,7 +554,7 @@ class ReferenceMesh {
   std::vector<Resource> send_ni;
   std::vector<Resource> recv_ni;
   std::vector<Link> links;
-  std::vector<NodeLinks> node;
+  LinkUsage totals;  // over every link
   std::uint64_t reroutes = 0;
   std::uint64_t crash_drops = 0;
 
@@ -607,10 +628,10 @@ class ReferenceMesh {
         std::max(l.max_queue_depth, std::uint32_t(l.inflight.size()));
     l.msgs++;
     l.bytes += m.total_bytes();
-    NodeLinks& n = node[router];
-    n.bytes += m.total_bytes();
-    n.busy += occ;
-    n.max_queue_depth = std::max(n.max_queue_depth, l.max_queue_depth);
+    totals.bytes += m.total_bytes();
+    totals.busy += occ;
+    totals.max_queue_depth =
+        std::max(totals.max_queue_depth, l.max_queue_depth);
     return start + t_.mesh_hop_latency;
   }
 
@@ -738,14 +759,13 @@ struct WalkTotals {
 void run_walk_case(const SystemConfig& cfg, std::uint64_t seed,
                    WalkTotals& totals) {
   Stats stats(cfg.nodes);
-  std::unique_ptr<Fabric> fab = make_fabric(cfg, &stats);
-  auto* mesh = dynamic_cast<MeshFabric*>(fab->backend());
-  ASSERT_NE(mesh, nullptr);
-  ASSERT_EQ(mesh->width(), cfg.mesh_width);
+  Fabric fab(cfg, &stats);
+  ASSERT_EQ(fab.grid().width, cfg.mesh_width);
   ReferenceMesh ref(cfg);
   for (std::uint32_t r = 0; r < cfg.nodes; ++r)
     for (std::uint32_t d = 0; d < 4; ++d)
-      ASSERT_EQ(mesh->neighbor(r, LinkDir(d)), ref.neighbor(r, LinkDir(d)));
+      ASSERT_EQ(fab.grid().neighbor(r, LinkDir(d)),
+                ref.neighbor(r, LinkDir(d)));
 
   Rng rng(seed);
   constexpr unsigned kMsgs = 3000;
@@ -768,14 +788,14 @@ void run_walk_case(const SystemConfig& cfg, std::uint64_t seed,
     const unsigned op = unsigned(rng.next_below(10));
     Delivery got, want;
     if (op < 7) {
-      got = fab->send_ex(m, ready);
+      got = fab.send_ex(m, ready);
       want = ref.send_ex(m, ready);
     } else if (op < 9) {
-      got.at = fab->send(m, ready);
+      got.at = fab.send(m, ready);
       want = ref.send(m, ready);
       ASSERT_TRUE(want.delivered);
     } else {
-      fab->post(m, ready);
+      fab.post(m, ready);
       ref.post(m, ready);
     }
     ASSERT_EQ(got.at, want.at) << "message " << i;
@@ -791,7 +811,7 @@ void run_walk_case(const SystemConfig& cfg, std::uint64_t seed,
   for (std::uint32_t r = 0; r < cfg.nodes; ++r) {
     SCOPED_TRACE(::testing::Message() << "router " << r);
     for (std::uint32_t d = 0; d < 4; ++d) {
-      const MeshLink& got = mesh->out_link(r, LinkDir(d));
+      const MeshLink& got = fab.out_link(r, LinkDir(d));
       const ReferenceMesh::Link& want = ref.links[std::size_t(r) * 4 + d];
       EXPECT_EQ(got.msgs, want.msgs);
       EXPECT_EQ(got.bytes, want.bytes);
@@ -799,13 +819,13 @@ void run_walk_case(const SystemConfig& cfg, std::uint64_t seed,
       EXPECT_EQ(got.res.total_busy(), want.res.total_busy());
       EXPECT_EQ(got.res.busy_until(), want.res.busy_until());
     }
-    EXPECT_EQ(stats.node[r].link_bytes, ref.node[r].bytes);
-    EXPECT_EQ(stats.node[r].link_busy, ref.node[r].busy);
-    EXPECT_EQ(stats.node[r].link_max_queue_depth,
-              ref.node[r].max_queue_depth);
-    EXPECT_EQ(fab->send_ni(r).total_busy(), ref.send_ni[r].total_busy());
-    EXPECT_EQ(fab->recv_ni(r).busy_until(), ref.recv_ni[r].busy_until());
+    EXPECT_EQ(fab.send_ni(r).total_busy(), ref.send_ni[r].total_busy());
+    EXPECT_EQ(fab.recv_ni(r).busy_until(), ref.recv_ni[r].busy_until());
   }
+  // The totals Stats::links takes at parallel_end.
+  EXPECT_EQ(fab.link_usage().bytes, ref.totals.bytes);
+  EXPECT_EQ(fab.link_usage().busy, ref.totals.busy);
+  EXPECT_EQ(fab.link_usage().max_queue_depth, ref.totals.max_queue_depth);
 }
 
 TEST(RouteWalk, MatchesTheReferenceWalkerOnEveryGeometry) {
@@ -838,12 +858,37 @@ TEST(RouteWalk, MatchesTheReferenceWalkerOnEveryGeometry) {
   EXPECT_GT(totals.exact_finish, 0u);
 }
 
+// --------------------------------------------------------------------------
+// Node-pair outages (--fault-link-down a:b)
+// --------------------------------------------------------------------------
+
+TEST(NodePairOutage, DownsTheLinkTheRouteTakesAcrossASizeTwoTorusDimension) {
+  // On a 4x2 torus two links join routers 0 and 4: north (the wrap)
+  // and south. The dimension-order route 0 -> 4 takes south (ties go
+  // east/south), so 0:4 must down south; downing north would leave the
+  // route untouched.
+  SystemConfig cfg = net_cfg(kTorus, 8, TimingConfig{});
+  cfg.faults.node_link_downs.push_back({0, 4, 1000, 8000});
+  Stats stats(8);
+  Fabric torus(cfg, &stats);
+  ASSERT_EQ(torus.grid().neighbor(0, LinkDir::kNorth), 4u);
+  ASSERT_EQ(torus.grid().neighbor(0, LinkDir::kSouth), 4u);
+  const Message m = ctrl(MsgKind::kGetS, 0, 4);
+  EXPECT_TRUE(torus.send_ex(m, 100).delivered);  // before the window
+  EXPECT_EQ(stats.faults.reroutes, 0u);
+  EXPECT_EQ(torus.out_link(0, LinkDir::kSouth).msgs, 1u);
+  EXPECT_TRUE(torus.send_ex(m, 2000).delivered);  // inside it: detour
+  EXPECT_GT(stats.faults.reroutes, 0u);
+  EXPECT_EQ(torus.out_link(0, LinkDir::kSouth).msgs, 1u);
+}
+
 TEST(RouteWalk, ArrivalAtTheFinishTimeFindsTheLinkIdle) {
   TimingConfig t;
   const Cycle occ = (Message::data(0, 1, 7).total_bytes() +
                      t.mesh_link_bytes_per_cycle - 1) /
                     t.mesh_link_bytes_per_cycle;
-  MeshFabric mesh(8, t, nullptr);  // 4x2
+  Stats stats(8);
+  Fabric mesh(net_cfg(kMesh, 8, t), &stats);  // 4x2
   mesh.send(Message::data(0, 1, 7), 0);  // holds 0->1 until ni_send + occ
   // Departing exactly at that finish: the first message has left.
   mesh.send(Message::data(0, 1, 7), occ);
@@ -851,7 +896,7 @@ TEST(RouteWalk, ArrivalAtTheFinishTimeFindsTheLinkIdle) {
   EXPECT_EQ(mesh.out_link(0, LinkDir::kEast).res.busy_until(),
             t.ni_send + 2 * occ);
   // One cycle earlier, the second message queues behind the first.
-  MeshFabric early(8, t, nullptr);
+  Fabric early(net_cfg(kMesh, 8, t), &stats);
   early.send(Message::data(0, 1, 7), 0);
   early.send(Message::data(0, 1, 7), occ - 1);
   EXPECT_EQ(early.out_link(0, LinkDir::kEast).max_queue_depth, 2u);

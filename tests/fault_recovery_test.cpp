@@ -2,7 +2,7 @@
 //
 // Three layers:
 //   1. Unit tests per fault primitive: FaultPlan draw determinism and
-//      rate independence, FaultyFabric drop/duplicate/delay semantics,
+//      rate independence, Fabric::send_ex drop/duplicate/delay semantics,
 //      mesh link outages with adaptive rerouting, and the recovery
 //      paths (retry, NACK on duplicate, hard-error escalation, clean
 //      page-op abort).
@@ -120,66 +120,73 @@ TEST(FaultPlan, PerSourceStreamsAreIndependent) {
 }
 
 // ---------------------------------------------------------------------------
-// FaultyFabric perturbation semantics
+// Fabric::send_ex perturbation semantics
 // ---------------------------------------------------------------------------
 
+// A 4-node ni-constant fabric under fault config `fc`.
 struct FaultyNi {
-  TimingConfig timing{};
-  std::unique_ptr<FaultyFabric> net;
-  explicit FaultyNi(const FaultConfig& fc, Stats* stats = nullptr) {
-    net = std::make_unique<FaultyFabric>(
-        std::make_unique<NiFabric>(4, timing, stats), fc, stats);
+  Stats stats{4};
+  Fabric net;
+  explicit FaultyNi(const FaultConfig& fc) : net(config(fc), &stats) {}
+  static SystemConfig config(const FaultConfig& fc) {
+    SystemConfig cfg;
+    cfg.nodes = 4;
+    cfg.faults = fc;
+    return cfg;
   }
 };
 
-TEST(FaultyFabric, DropChargesTheSendHalfOnly) {
+TEST(FaultSemantics, DropChargesTheSendHalfOnly) {
   FaultyNi f(plan_cfg(100, 0, 0));
   const Message m = Message::control(MsgKind::kGetS, 0, 1, 0);
-  const Delivery d = f.net->send_ex(m, 1000);
+  const Delivery d = f.net.send_ex(m, 1000);
   EXPECT_FALSE(d.delivered);
   // The message was accounted (it left the source) but never reached
   // the destination NI.
-  EXPECT_EQ(f.net->messages(), 1u);
-  EXPECT_EQ(f.net->recv_ni(1).busy_until(), 0u);
-  EXPECT_GT(f.net->send_ni(0).busy_until(), 1000u);
+  EXPECT_EQ(f.stats.traffic_total().total_msgs(), 1u);
+  EXPECT_EQ(f.net.recv_ni(1).busy_until(), 0u);
+  EXPECT_GT(f.net.send_ni(0).busy_until(), 1000u);
 }
 
-TEST(FaultyFabric, ReliableChannelIgnoresThePlan) {
-  // send()/post() suspend the plan: at 100% drop they still deliver.
+TEST(FaultSemantics, ReliableChannelIgnoresThePlan) {
+  // send()/post() never draw: at 100% drop they still deliver.
   FaultyNi f(plan_cfg(100, 0, 0));
   const Message m = Message::control(MsgKind::kGetS, 0, 1, 0);
-  const Cycle at = f.net->send(m, 1000);
+  const Cycle at = f.net.send(m, 1000);
   EXPECT_GT(at, 1000u);
-  EXPECT_FALSE(f.net->plan().suspended());  // scope released
+  // ...and leave the injectable channel as it was.
+  EXPECT_FALSE(f.net.send_ex(m, 2000).delivered);
 }
 
-TEST(FaultyFabric, DuplicateDeliversAndChargesTwice) {
+TEST(FaultSemantics, DuplicateDeliversAndChargesTwice) {
   FaultyNi f(plan_cfg(0, 100, 0));
   const Message m = Message::control(MsgKind::kGetS, 0, 1, 0);
-  const Delivery d = f.net->send_ex(m, 1000);
+  const Delivery d = f.net.send_ex(m, 1000);
   EXPECT_TRUE(d.delivered);
   EXPECT_TRUE(d.duplicated);
-  EXPECT_EQ(f.net->messages(), 2u);  // the copy really crossed the wire
+  // The copy really crossed the wire.
+  EXPECT_EQ(f.stats.traffic_total().total_msgs(), 2u);
 }
 
-TEST(FaultyFabric, DelayAddsConfiguredCycles) {
+TEST(FaultSemantics, DelayAddsConfiguredCycles) {
   FaultConfig fc = plan_cfg(0, 0, 100);
   fc.delay_cycles = 777;
   FaultyNi faulty(fc);
   FaultyNi clean(plan_cfg(0, 0, 0));
   const Message m = Message::control(MsgKind::kGetS, 0, 1, 0);
-  const Delivery slow = faulty.net->send_ex(m, 1000);
-  const Delivery fast = clean.net->send_ex(m, 1000);
+  const Delivery slow = faulty.net.send_ex(m, 1000);
+  const Delivery fast = clean.net.send_ex(m, 1000);
   ASSERT_TRUE(slow.delivered);
   EXPECT_EQ(slow.at, fast.at + 777);
 }
 
-TEST(FaultyFabric, FaultsOffDrawsNothing) {
-  // enabled() gates construction in make_fabric; a zero-rate plan also
-  // perturbs nothing if built anyway.
+TEST(FaultSemantics, FaultsOffDrawsNothing) {
+  // enabled() gates the plan: a zero-rate config builds none, and its
+  // injectable sends are never perturbed.
   FaultyNi f(plan_cfg(0, 0, 0));
+  EXPECT_EQ(f.net.fault_plan(), nullptr);
   const Message m = Message::control(MsgKind::kGetS, 0, 1, 0);
-  const Delivery d = f.net->send_ex(m, 1000);
+  const Delivery d = f.net.send_ex(m, 1000);
   EXPECT_TRUE(d.delivered);
   EXPECT_FALSE(d.duplicated);
   FaultConfig off;
@@ -205,8 +212,8 @@ TEST(FaultKinds, MaskGatesOutcomesWithoutShiftingDraws) {
     const MsgKind k = (i % 2 == 0) ? MsgKind::kGetS : MsgKind::kData;
     const Message m = (k == MsgKind::kData) ? Message::data(0, 1, 0)
                                             : Message::control(k, 0, 1, 0);
-    const Delivery da = fa.net->send_ex(m, Cycle(1000 + i * 100));
-    const Delivery dd = fd.net->send_ex(m, Cycle(1000 + i * 100));
+    const Delivery da = fa.net.send_ex(m, Cycle(1000 + i * 100));
+    const Delivery dd = fd.net.send_ex(m, Cycle(1000 + i * 100));
     if (k == MsgKind::kData) {
       data_msgs++;
       EXPECT_EQ(da.delivered, dd.delivered) << "data draw " << i;
@@ -237,37 +244,37 @@ TEST(MeshReroute, DetoursAroundADeadLinkAndCountsIt) {
   cfg.faults.link_downs.push_back(
       {0, std::uint8_t(LinkDir::kEast), 0, kNeverCycle});
   Stats stats(16);
-  auto net = make_fabric(cfg, &stats);
-  ASSERT_TRUE(net->fault_injection());
+  Fabric net(cfg, &stats);
+  ASSERT_NE(net.fault_plan(), nullptr);
   const Message m = Message::control(MsgKind::kGetS, 0, 3, 0);
-  const Delivery d = net->send_ex(m, 1000);
+  const Delivery d = net.send_ex(m, 1000);
   EXPECT_TRUE(d.delivered);
   EXPECT_GT(stats.faults.reroutes, 0u);
 
-  // The reliable channel suspends the plan and takes the pristine X-Y
-  // route: no further reroutes are counted.
+  // The reliable channel ignores link outages and takes the pristine
+  // X-Y route: no further reroutes are counted.
   const std::uint64_t before = stats.faults.reroutes;
-  (void)net->send(m, 2000);
+  (void)net.send(m, 2000);
   EXPECT_EQ(stats.faults.reroutes, before);
 }
 
 TEST(MeshReroute, NodePairOutageResolvesToTheDirectedLink) {
   // --fault-link-down 0:1@1000+8000 names the outage by node pair; the
-  // fault layer resolves it to the directed (router, dir) link at
+  // fabric resolves it to the directed (router, dir) link at
   // construction. 0 -> 1 on a 4x4 grid is router 0's east link, so this
   // must behave exactly like the explicit kEast schedule above.
   SystemConfig cfg = mesh_cfg(16);
   cfg.faults.node_link_downs.push_back({0, 1, 1000, 8000});
   ASSERT_TRUE(cfg.faults.enabled());  // schedule alone enables the layer
   Stats stats(16);
-  auto net = make_fabric(cfg, &stats);
-  ASSERT_TRUE(net->fault_injection());
+  Fabric net(cfg, &stats);
+  ASSERT_NE(net.fault_plan(), nullptr);
   const Message m = Message::control(MsgKind::kGetS, 0, 3, 0);
-  (void)net->send_ex(m, 100);  // before the outage: straight X-Y
+  (void)net.send_ex(m, 100);  // before the outage: straight X-Y
   EXPECT_EQ(stats.faults.reroutes, 0u);
-  (void)net->send_ex(m, 2000);  // inside it: detour
+  (void)net.send_ex(m, 2000);  // inside it: detour
   EXPECT_GT(stats.faults.reroutes, 0u);
-  (void)net->send_ex(m, 20000);  // after down+len: link restored
+  (void)net.send_ex(m, 20000);  // after down+len: link restored
 }
 
 TEST(MeshReroute, OutageWindowIsTemporal) {
@@ -275,11 +282,11 @@ TEST(MeshReroute, OutageWindowIsTemporal) {
   cfg.faults.link_downs.push_back(
       {0, std::uint8_t(LinkDir::kEast), 5000, 9000});
   Stats stats(16);
-  auto net = make_fabric(cfg, &stats);
+  Fabric net(cfg, &stats);
   const Message m = Message::control(MsgKind::kGetS, 0, 3, 0);
-  (void)net->send_ex(m, 100);  // before the outage: straight X-Y
+  (void)net.send_ex(m, 100);  // before the outage: straight X-Y
   EXPECT_EQ(stats.faults.reroutes, 0u);
-  (void)net->send_ex(m, 6000);  // inside it: detour
+  (void)net.send_ex(m, 6000);  // inside it: detour
   EXPECT_GT(stats.faults.reroutes, 0u);
 }
 
@@ -291,9 +298,9 @@ TEST(MeshReroute, WalledInCornerLosesTheMessage) {
   cfg.faults.link_downs.push_back(
       {0, std::uint8_t(LinkDir::kSouth), 0, kNeverCycle});
   Stats stats(16);
-  auto net = make_fabric(cfg, &stats);
+  Fabric net(cfg, &stats);
   const Message m = Message::control(MsgKind::kGetS, 0, 3, 0);
-  const Delivery d = net->send_ex(m, 1000);
+  const Delivery d = net.send_ex(m, 1000);
   EXPECT_FALSE(d.delivered);  // upper layer treats this as a loss
 }
 
@@ -569,7 +576,7 @@ ChaosResult run_chaos(const RunSpec& spec) {
 
   ChaosResult r;
   r.cycles = engine.finish_time();
-  r.bytes = system->fabric().bytes();
+  r.bytes = stats.traffic_total().total_bytes();
   r.faults = stats.faults;
   return r;
 }

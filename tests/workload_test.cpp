@@ -1,6 +1,7 @@
-// Workload tests: every kernel computes a correct result under
-// simulation, runs deterministically, and keeps the coherence
-// invariants on every system kind.
+// Workload and harness tests: every kernel computes a correct result
+// under simulation, runs deterministically, and keeps the coherence
+// invariants on every system kind; validate() refuses every
+// configuration that cannot run.
 #include <gtest/gtest.h>
 
 #include "harness/runner.hpp"
@@ -116,6 +117,102 @@ TEST(Harness, PaperSpecDefaults) {
   EXPECT_EQ(s.system.nodes, 8u);
   EXPECT_EQ(s.system.kind, SystemKind::kRNuma);
   EXPECT_EQ(s.workload, "lu");
+}
+
+// ---------------------------------------------------------------------------
+// validate(): a configuration either runs or is refused with a message
+// that names the flag setting the offending field.
+// ---------------------------------------------------------------------------
+
+SystemConfig machine(FabricKind fabric, std::uint32_t nodes) {
+  SystemConfig cfg = SystemConfig::base(SystemKind::kCcNuma);
+  cfg.fabric = fabric;
+  cfg.nodes = nodes;
+  return cfg;
+}
+
+// The error names `flag`; an empty error fails.
+void expect_refused(const SystemConfig& cfg, const std::string& flag) {
+  const std::string err = validate(cfg);
+  EXPECT_NE(err.find(flag), std::string::npos) << "error: '" << err << "'";
+}
+
+TEST(Validate, AcceptsRunnableConfigurations) {
+  for (SystemKind k : {SystemKind::kCcNuma, SystemKind::kCcNumaMigRep,
+                       SystemKind::kRNuma, SystemKind::kRNumaMigRep})
+    EXPECT_EQ(validate(paper_spec(k, "lu").system), "");
+  SystemConfig torus = machine(FabricKind::kTorus2d, 8);
+  torus.faults.node_link_downs.push_back({0, 4, 100, 5000});
+  torus.faults.node_link_downs.push_back({0, 3, 100, 5000});  // wrap link
+  torus.faults.node_downs.push_back({7, 100, 5000});
+  torus.faults.seed = 1;
+  torus.faults.rand_link_downs = 4;
+  EXPECT_EQ(validate(torus), "");
+  SystemConfig wide = machine(FabricKind::kMesh2d, 1024);
+  wide.dir_scheme = DirScheme::kCoarse;
+  EXPECT_EQ(validate(wide), "");
+}
+
+TEST(Validate, FullMapDirectoryHoldsAtMost64Nodes) {
+  SystemConfig cfg = machine(FabricKind::kNiConstant, 64);
+  cfg.dir_scheme = DirScheme::kFullMap;
+  EXPECT_EQ(validate(cfg), "");
+  cfg.nodes = 128;
+  expect_refused(cfg, "--dir-scheme full");
+}
+
+TEST(Validate, NodeDownMustNameANode) {
+  SystemConfig cfg = machine(FabricKind::kNiConstant, 8);
+  cfg.faults.node_downs.push_back({9, 100, 5100});
+  expect_refused(cfg, "--fault-node-down");
+}
+
+TEST(Validate, LinkDownEndpointsMustNameNodes) {
+  SystemConfig cfg = machine(FabricKind::kMesh2d, 8);
+  cfg.faults.node_link_downs.push_back({0, 99, 100, 5000});
+  expect_refused(cfg, "--fault-link-down 0:99");
+}
+
+TEST(Validate, LinkDownEndpointsMustBeGridNeighbours) {
+  SystemConfig mesh = machine(FabricKind::kMesh2d, 8);  // 4x2
+  mesh.faults.node_link_downs.push_back({0, 5, 100, 5000});
+  expect_refused(mesh, "--fault-link-down 0:5");
+  // 0 and 3 meet only across the torus wrap.
+  mesh.faults.node_link_downs = {{0, 3, 100, 5000}};
+  expect_refused(mesh, "--fault-link-down 0:3");
+  SystemConfig torus = mesh;
+  torus.fabric = FabricKind::kTorus2d;
+  EXPECT_EQ(validate(torus), "");
+}
+
+TEST(Validate, LinkOutagesNeedARoutedFabric) {
+  SystemConfig pair = machine(FabricKind::kNiConstant, 8);
+  pair.faults.node_link_downs.push_back({0, 1, 100, 5000});
+  expect_refused(pair, "--fault-link-down");
+  SystemConfig seeded = machine(FabricKind::kNiConstant, 8);
+  seeded.faults.seed = 1;
+  seeded.faults.rand_link_downs = 4;
+  expect_refused(seeded, "--fault-link-downs");
+  pair.fabric = FabricKind::kMesh2d;
+  seeded.fabric = FabricKind::kMesh2d;
+  EXPECT_EQ(validate(pair), "");
+  EXPECT_EQ(validate(seeded), "");
+}
+
+TEST(Validate, FaultRatesSumToAtMost100) {
+  SystemConfig cfg = machine(FabricKind::kNiConstant, 8);
+  cfg.faults.seed = 1;
+  cfg.faults.drop_pct = 60;
+  cfg.faults.dup_pct = 40;
+  EXPECT_EQ(validate(cfg), "");
+  cfg.faults.delay_pct = 1;
+  expect_refused(cfg, "--fault-delay-pct");
+}
+
+TEST(Validate, MeshWidthDividesTheNodeCount) {
+  SystemConfig cfg = machine(FabricKind::kMesh2d, 8);
+  cfg.mesh_width = 3;
+  expect_refused(cfg, "mesh width 3");
 }
 
 }  // namespace
