@@ -8,6 +8,7 @@
 // every job count; only wall-clock changes.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include <cstring>
 #include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/table.hpp"
@@ -23,6 +25,46 @@
 #include "net/message.hpp"
 
 namespace dsm::bench {
+
+// Exit 2 naming `flag`, its value `arg` and what it expects.
+[[noreturn]] inline void bad_value(const char* flag, std::string_view arg,
+                                   const char* expected) {
+  std::fprintf(stderr, "bad %s '%.*s' (expected %s)\n", flag, int(arg.size()),
+               arg.data(), expected);
+  std::exit(2);
+}
+
+// The one parser for numeric flag values, and for each numeric field
+// of one: decimal digits only (no sign or space), no overflow, and
+// within [lo, hi]. Anything else exits 2 naming the flag.
+inline std::uint64_t parse_uint(const char* flag, std::string_view arg,
+                                std::uint64_t lo, std::uint64_t hi,
+                                const char* expected) {
+  std::uint64_t v = 0;
+  for (const char c : arg) {
+    const std::uint64_t digit = std::uint64_t(c - '0');
+    if (c < '0' || c > '9' || digit > hi || v > (hi - digit) / 10)
+      bad_value(flag, arg, expected);
+    v = v * 10 + digit;
+  }
+  if (arg.empty() || v < lo) bad_value(flag, arg, expected);
+  return v;
+}
+
+// `list` split at every comma, empty items kept (so callers reject them).
+inline std::vector<std::string> split_list(std::string_view list) {
+  std::vector<std::string> items;
+  for (std::size_t comma; (comma = list.find(',')) != list.npos;
+       list.remove_prefix(comma + 1))
+    items.emplace_back(list.substr(0, comma));
+  items.emplace_back(list);
+  return items;
+}
+
+// Cycle-valued flag fields stay below 2^40, so a window end (down + N),
+// a delayed delivery (t + delay) and the largest retry backoff
+// (base << 16) cannot wrap.
+inline constexpr Cycle kMaxFlagCycle = Cycle(1) << 40;
 
 struct Options {
   static constexpr std::uint32_t kLinkBwUnset = ~std::uint32_t(0);
@@ -154,7 +196,7 @@ class SystemFlagParser {
                  std::strcmp(arg, "ni-constant") == 0) {
         o_->fabric = FabricKind::kNiConstant;
       } else {
-        die(flag, arg, "mesh|torus|ni");
+        bad_value(flag, arg, "mesh|torus|ni");
       }
     } else if (std::strcmp(flag, "--nodes") == 0) {
       o_->nodes = std::uint32_t(
@@ -174,7 +216,7 @@ class SystemFlagParser {
       } else if (std::strcmp(arg, "auto") == 0) {
         o_->dir_scheme = DirScheme::kAuto;
       } else {
-        die(flag, arg, "full|limited|coarse|auto");
+        bad_value(flag, arg, "full|limited|coarse|auto");
       }
     } else if (std::strcmp(flag, "--link-bw") == 0) {
       o_->link_bw = std::uint32_t(
@@ -192,7 +234,7 @@ class SystemFlagParser {
       } else if (std::strcmp(arg, "adaptive") == 0) {
         o_->policy = PolicyKind::kAdaptive;
       } else {
-        die(flag, arg, "default|none|migrep|rnuma|adaptive");
+        bad_value(flag, arg, "default|none|migrep|rnuma|adaptive");
       }
     } else if (std::strcmp(flag, "--adaptive-k") == 0) {
       o_->adaptive_k = std::uint32_t(parse_uint(
@@ -210,8 +252,8 @@ class SystemFlagParser {
       o_->fault_delay_pct = parse_pct(flag, arg);
       seeded_flag_ = flag;
     } else if (std::strcmp(flag, "--fault-delay-cycles") == 0) {
-      o_->fault_delay_cycles = Cycle(
-          parse_uint(flag, arg, 1, ~std::uint64_t(0), "extra cycles > 0"));
+      o_->fault_delay_cycles =
+          parse_uint(flag, arg, 1, kMaxFlagCycle, "extra cycles, 1..2^40");
       seeded_flag_ = flag;
     } else if (std::strcmp(flag, "--fault-link-down") == 0) {
       o_->fault_node_link_downs.push_back(parse_link_down(flag, arg));
@@ -229,8 +271,8 @@ class SystemFlagParser {
       o_->fault_kinds = parse_kinds(flag, arg);
       seeded_flag_ = flag;
     } else if (std::strcmp(flag, "--fault-retry-base") == 0) {
-      o_->fault_retry_base = Cycle(
-          parse_uint(flag, arg, 1, ~std::uint64_t(0), "cycles > 0"));
+      o_->fault_retry_base =
+          parse_uint(flag, arg, 1, kMaxFlagCycle, "cycles, 1..2^40");
     } else if (std::strcmp(flag, "--fault-retry-max") == 0) {
       o_->fault_retry_max =
           std::uint32_t(parse_uint(flag, arg, 1, 64, "1..64 attempts"));
@@ -247,48 +289,42 @@ class SystemFlagParser {
   const char* seeded_flag() const { return seeded_flag_; }
 
  private:
-  [[noreturn]] static void die(const char* flag, const char* arg,
-                               const char* expected) {
-    std::fprintf(stderr, "bad %s '%s' (expected %s)\n", flag, arg, expected);
-    std::exit(2);
-  }
-
-  static std::uint64_t parse_uint(const char* flag, const char* arg,
-                                  std::uint64_t lo, std::uint64_t hi,
-                                  const char* expected) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(arg, &end, 10);
-    if (end == arg || *end != '\0' || v < lo || v > hi)
-      die(flag, arg, expected);
-    return v;
-  }
-
   static double parse_pct(const char* flag, const char* arg) {
     char* end = nullptr;
     const double v = std::strtod(arg, &end);
-    if (end == arg || *end != '\0' || v < 0.0 || v > 100.0)
-      die(flag, arg, "0..100");
+    if (*arg < '0' || *arg > '9' || *end != '\0' || !(v >= 0.0 && v <= 100.0))
+      bad_value(flag, arg, "0..100");
     return v;
+  }
+
+  // `arg` split at each of `seps` in turn; empty when one is missing.
+  static std::vector<std::string_view> fields(std::string_view arg,
+                                              std::string_view seps) {
+    std::vector<std::string_view> out;
+    for (const char sep : seps) {
+      const std::size_t at = arg.find(sep);
+      if (at == arg.npos) return {};
+      out.push_back(arg.substr(0, at));
+      arg.remove_prefix(at + 1);
+    }
+    out.push_back(arg);
+    return out;
   }
 
   // --fault-link-down a:b@cycle+N — the directed link the route from
   // node a to neighbour b takes goes down at `cycle` for N cycles.
   static FaultConfig::NodeLinkDown parse_link_down(const char* flag,
                                                    const char* arg) {
+    static constexpr const char* kForm =
+        "a:b@cycle+N: nodes a != b, cycle < 2^40, N in 1..2^40";
+    const std::vector<std::string_view> f = fields(arg, ":@+");
+    if (f.empty()) bad_value(flag, arg, kForm);
     FaultConfig::NodeLinkDown nd;
-    char* p = nullptr;
-    nd.a = std::uint32_t(std::strtoul(arg, &p, 10));
-    if (p == arg || *p != ':') die(flag, arg, "a:b@cycle+N");
-    const char* q = p + 1;
-    nd.b = std::uint32_t(std::strtoul(q, &p, 10));
-    if (p == q || *p != '@') die(flag, arg, "a:b@cycle+N");
-    q = p + 1;
-    nd.down = Cycle(std::strtoull(q, &p, 10));
-    if (p == q || *p != '+') die(flag, arg, "a:b@cycle+N");
-    q = p + 1;
-    nd.len = Cycle(std::strtoull(q, &p, 10));
-    if (p == q || *p != '\0' || nd.len == 0 || nd.a == nd.b)
-      die(flag, arg, "a:b@cycle+N");
+    nd.a = std::uint32_t(parse_uint(flag, f[0], 0, 0xffff, kForm));
+    nd.b = std::uint32_t(parse_uint(flag, f[1], 0, 0xffff, kForm));
+    nd.down = parse_uint(flag, f[2], 0, kMaxFlagCycle - 1, kForm);
+    nd.len = parse_uint(flag, f[3], 1, kMaxFlagCycle, kForm);
+    if (nd.a == nd.b) bad_value(flag, arg, kForm);
     return nd;
   }
 
@@ -296,21 +332,16 @@ class SystemFlagParser {
   // it recovers N cycles later, without it the crash is permanent.
   static FaultConfig::NodeDown parse_node_down(const char* flag,
                                                const char* arg) {
+    static constexpr const char* kForm =
+        "n@cycle[+N]: cycle < 2^40, N in 1..2^40";
+    const bool windowed = std::strchr(arg, '+') != nullptr;
+    const std::vector<std::string_view> f = fields(arg, windowed ? "@+" : "@");
+    if (f.empty()) bad_value(flag, arg, kForm);
     FaultConfig::NodeDown nd;
-    char* p = nullptr;
-    nd.node = std::uint32_t(std::strtoul(arg, &p, 10));
-    if (p == arg || *p != '@') die(flag, arg, "n@cycle[+N]");
-    const char* q = p + 1;
-    nd.down = Cycle(std::strtoull(q, &p, 10));
-    if (p == q) die(flag, arg, "n@cycle[+N]");
-    if (*p == '+') {
-      q = p + 1;
-      const Cycle len = Cycle(std::strtoull(q, &p, 10));
-      if (p == q || *p != '\0' || len == 0) die(flag, arg, "n@cycle[+N]");
-      nd.up = nd.down + len;
-    } else if (*p != '\0') {
-      die(flag, arg, "n@cycle[+N]");
-    }
+    nd.node = std::uint32_t(parse_uint(flag, f[0], 0, 0xffff, kForm));
+    nd.down = parse_uint(flag, f[1], 0, kMaxFlagCycle - 1, kForm);
+    if (windowed)
+      nd.up = nd.down + parse_uint(flag, f[2], 1, kMaxFlagCycle, kForm);
     return nd;
   }
 
@@ -323,25 +354,13 @@ class SystemFlagParser {
     static_assert(sizeof(kNames) / sizeof(kNames[0]) ==
                   std::size_t(MsgKind::kCount));
     std::uint32_t mask = 0;
-    const std::string list = arg;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-      std::size_t comma = list.find(',', pos);
-      if (comma == std::string::npos) comma = list.size();
-      const std::string name = list.substr(pos, comma - pos);
-      bool hit = false;
-      for (std::size_t k = 0; k < std::size_t(MsgKind::kCount); ++k) {
-        if (name == kNames[k]) {
-          mask |= 1u << k;
-          hit = true;
-          break;
-        }
-      }
-      if (!hit)
-        die(flag, arg,
-            "a comma list of gets|getx|upgrade|inval|ack|data|writeback|"
-            "hint|pagebulk|nack|rebuild");
-      pos = comma + 1;
+    for (const std::string& name : split_list(arg)) {
+      const auto* k = std::find(std::begin(kNames), std::end(kNames), name);
+      if (k == std::end(kNames))
+        bad_value(flag, arg,
+                  "a comma list of gets|getx|upgrade|inval|ack|data|"
+                  "writeback|hint|pagebulk|nack|rebuild");
+      mask |= 1u << (k - std::begin(kNames));
     }
     return mask;
   }
@@ -378,26 +397,18 @@ inline Options parse(int argc, char** argv,
     } else if (std::strcmp(flag, "--json") == 0 && has_value) {
       o.json_path = argv[++i];
     } else if (std::strcmp(flag, "--jobs") == 0 && has_value) {
-      const char* arg = argv[++i];
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(arg, &end, 10);
-      if (end == arg || *end != '\0' || v > 4096) {
-        std::fprintf(stderr,
-                     "bad --jobs '%s' (expected a worker count; 0 = one "
-                     "per hardware thread)\n",
-                     arg);
-        std::exit(2);
-      }
-      o.jobs = unsigned(v);
+      o.jobs = unsigned(parse_uint(
+          flag, argv[++i], 0, 4096,
+          "a worker count, 0..4096; 0 = one per hardware thread"));
     } else if (std::strcmp(flag, "--apps") == 0 && has_value) {
-      o.apps.clear();
-      std::string list = argv[++i];
-      std::size_t pos = 0;
-      while (pos < list.size()) {
-        std::size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) comma = list.size();
-        o.apps.push_back(list.substr(pos, comma - pos));
-        pos = comma + 1;
+      o.apps = split_list(argv[++i]);
+      const std::vector<std::string>& known = all_workloads();
+      for (const std::string& app : o.apps) {
+        if (std::count(known.begin(), known.end(), app) != 0) continue;
+        std::string names;
+        for (const std::string& w : known)
+          names += (names.empty() ? "" : "|") + w;
+        bad_value(flag, app, ("a comma list of " + names).c_str());
       }
     } else if (own_flag != nullptr && (!own_flag->takes_value || has_value)) {
       if (own_flag->takes_value) ++i;
@@ -415,6 +426,29 @@ inline Options parse(int argc, char** argv,
     std::exit(2);
   }
   return o;
+}
+
+// The flags on the command line of a fixed experiment, which takes
+// only `allowed` (each with a value): any other flag exits 2 instead of
+// having no effect on its cells. A sweep pins an axis whose flag was
+// given.
+inline std::vector<std::string_view> only_flags(
+    int argc, char** argv, std::initializer_list<std::string_view> allowed) {
+  std::vector<std::string_view> given;
+  for (int i = 1; i < argc; i += 2) {
+    if (std::find(allowed.begin(), allowed.end(), argv[i]) == allowed.end()) {
+      std::string list;
+      for (const std::string_view a : allowed)
+        list += std::string(list.empty() ? "" : " ") + std::string(a);
+      std::fprintf(stderr,
+                   "%s: '%s' does not change this experiment's cells; it "
+                   "takes only %s\n",
+                   argv[0], argv[i], list.c_str());
+      std::exit(2);
+    }
+    given.push_back(argv[i]);
+  }
+  return given;
 }
 
 // Exit 2 with validate()'s message when `cfg` cannot run.
@@ -518,21 +552,27 @@ inline std::string traffic_cell(const RunResult& r) {
   return buf;
 }
 
-// Render a traffic table: one row per app, one column per system.
-inline void print_traffic_table(const std::vector<std::string>& apps,
-                                const std::vector<ResultColumn>& columns) {
+// Render `title` over a table with one row per app and one column per
+// system, each cell filled by `cell`.
+inline void print_grid(const char* title, const std::vector<std::string>& apps,
+                       const std::vector<ResultColumn>& columns,
+                       std::string (*cell)(const RunResult&)) {
   std::vector<std::string> header = {"app"};
   for (const auto& c : columns) header.push_back(c.name);
   Table t(header);
   for (std::size_t a = 0; a < apps.size(); ++a) {
     auto& row = t.add_row();
     row.cell(apps[a]);
-    for (const auto& c : columns) row.cell(traffic_cell(*c.rows.at(a)));
+    for (const auto& c : columns) row.cell(cell(*c.rows.at(a)));
   }
-  std::printf(
-      "per-node interconnect traffic, data/control/page-op/recovery "
-      "KB:\n%s\n",
-      t.to_string().c_str());
+  std::printf("%s:\n%s\n", title, t.to_string().c_str());
+}
+
+// The per-node traffic table (see traffic_cell).
+inline void print_traffic_table(const std::vector<std::string>& apps,
+                                const std::vector<ResultColumn>& columns) {
+  print_grid("per-node interconnect traffic, data/control/page-op/recovery KB",
+             apps, columns, traffic_cell);
 }
 
 // Link-contention cell: peak FIFO depth on any mesh/torus link plus the
@@ -549,107 +589,93 @@ inline std::string link_cell(const RunResult& r) {
   return buf;
 }
 
-// Render the link-contention table (same shape as print_traffic_table);
-// meaningful only for runs on a routed fabric (mesh/torus).
+// The link-contention table, meaningful only for runs on a routed
+// fabric (mesh/torus).
 inline void print_link_table(const std::vector<std::string>& apps,
                              const std::vector<ResultColumn>& columns) {
-  std::vector<std::string> header = {"app"};
-  for (const auto& c : columns) header.push_back(c.name);
-  Table t(header);
-  for (std::size_t a = 0; a < apps.size(); ++a) {
-    auto& row = t.add_row();
-    row.cell(apps[a]);
-    for (const auto& c : columns) row.cell(link_cell(*c.rows.at(a)));
-  }
-  std::printf(
-      "link-level contention, peak queue depth / per-node link-occupancy "
-      "KB:\n%s\n",
-      t.to_string().c_str());
+  print_grid(
+      "link-level contention, peak queue depth / per-node link-occupancy KB",
+      apps, columns, link_cell);
 }
 
-// Emit the per-app x per-system traffic split as a flat JSON array so
-// CI can archive the bytes-per-class trajectory as a workflow artifact.
-// `jobs` is the sweep's worker count: wall_seconds/events_per_sec are
-// measured with that many concurrent runs, so the throughput fields
-// are only comparable between records with equal jobs.
-inline void write_traffic_json(const std::string& path, const char* bench,
-                               const std::vector<std::string>& apps,
-                               const std::vector<ResultColumn>& columns,
-                               unsigned jobs = 1) {
+// The --json record schema version. Bump it when a key is renamed or
+// dropped: CI archives the records from change to change.
+inline constexpr int kRecordSchema = 1;
+
+// One --json record: the bench's own fields (app, system, scenario),
+// then the configuration and the counters of one run.
+struct Record {
+  std::vector<std::pair<const char*, std::string>> fields;
+  const SystemConfig* cfg;
+  const Stats* stats;
+  double wall_seconds;
+};
+
+// The records of an app x column result grid, app-major.
+inline std::vector<Record> records_of(
+    const std::vector<std::string>& apps,
+    const std::vector<ResultColumn>& columns) {
+  std::vector<Record> out;
+  for (std::size_t a = 0; a < apps.size(); ++a)
+    for (const ResultColumn& c : columns) {
+      const RunResult& r = *c.rows.at(a);
+      out.push_back({{{"app", apps[a]}, {"system", c.name}},
+                     &r.spec.system,
+                     &r.stats,
+                     r.wall_seconds});
+    }
+  return out;
+}
+
+// Write `records` to `path` as a JSON array, one object per line. Each
+// holds the schema version, the bench, the record's own fields, the
+// run's configuration, every counter Stats::visit names, the digest,
+// and the host-time fields under "host". `jobs` is the sweep's worker
+// count: wall time is measured with that many runs sharing the host.
+// Two runs agree when their records agree without "host".
+inline void write_json(const std::string& path, const char* bench,
+                       const std::vector<Record>& records, unsigned jobs) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     std::exit(2);
   }
-  std::fprintf(f, "[\n");
-  bool first = true;
-  for (std::size_t a = 0; a < apps.size(); ++a) {
-    for (const auto& c : columns) {
-      const RunResult& r = *c.rows.at(a);
-      // Attached engines in order ("migrep+rnuma" for composed lists).
-      std::string policy_names;
-      for (const auto& p : r.stats.policy) {
-        if (!policy_names.empty()) policy_names += '+';
-        policy_names += p.name;
-      }
-      if (policy_names.empty()) policy_names = "none";
-      std::fprintf(
-          f,
-          "%s  {\"bench\": \"%s\", \"app\": \"%s\", \"system\": \"%s\",\n"
-          "   \"fabric\": \"%s\", \"policy\": \"%s\", \"cycles\": %llu,\n"
-          "   \"data_bytes_per_node\": %.1f, \"control_bytes_per_node\": "
-          "%.1f, \"pageop_bytes_per_node\": %.1f, "
-          "\"recovery_bytes_per_node\": %.1f,\n"
-          "   \"migrations\": %llu, \"replications\": %llu, "
-          "\"relocations\": %llu,\n"
-          "   \"link_bytes_total\": %llu, \"link_max_queue_depth\": %u,\n"
-          "   \"drops_injected\": %llu, \"dups_injected\": %llu, "
-          "\"delays_injected\": %llu,\n"
-          "   \"retries\": %llu, \"nacks\": %llu, \"reroutes\": %llu, "
-          "\"aborted_page_ops\": %llu, \"hard_errors\": %llu,\n"
-          "   \"crash_drops\": %llu, \"rehomes\": %llu, "
-          "\"dir_rebuilds\": %llu, \"data_losses\": %llu,\n"
-          "   \"fault_drop_pct\": %.3f, \"fault_dup_pct\": %.3f, "
-          "\"fault_delay_pct\": %.3f, \"fault_delay_cycles\": %llu, "
-          "\"fault_link_downs\": %zu, \"fault_node_downs\": %zu,\n"
-          "   \"sim_refs\": %llu, \"wall_seconds\": %.4f, "
-          "\"events_per_sec\": %.0f, \"jobs\": %u}",
-          first ? "" : ",\n", bench, apps[a].c_str(), c.name.c_str(),
-          to_string(r.spec.system.fabric), policy_names.c_str(),
-          static_cast<unsigned long long>(r.cycles),
-          r.stats.traffic_bytes_per_node(TrafficClass::kData),
-          r.stats.traffic_bytes_per_node(TrafficClass::kControl),
-          r.stats.traffic_bytes_per_node(TrafficClass::kPageOp),
-          r.stats.traffic_bytes_per_node(TrafficClass::kRecovery),
-          static_cast<unsigned long long>(r.stats.page_migrations_total()),
-          static_cast<unsigned long long>(r.stats.page_replications_total()),
-          static_cast<unsigned long long>(r.stats.page_relocations_total()),
-          static_cast<unsigned long long>(r.stats.link_bytes_total()),
-          r.stats.link_max_queue_depth(),
-          static_cast<unsigned long long>(r.stats.faults.drops_injected),
-          static_cast<unsigned long long>(r.stats.faults.dups_injected),
-          static_cast<unsigned long long>(r.stats.faults.delays_injected),
-          static_cast<unsigned long long>(r.stats.faults.retries),
-          static_cast<unsigned long long>(r.stats.faults.nacks),
-          static_cast<unsigned long long>(r.stats.faults.reroutes),
-          static_cast<unsigned long long>(r.stats.faults.aborted_page_ops),
-          static_cast<unsigned long long>(r.stats.faults.hard_errors),
-          static_cast<unsigned long long>(r.stats.faults.crash_drops),
-          static_cast<unsigned long long>(r.stats.faults.rehomes),
-          static_cast<unsigned long long>(r.stats.faults.dir_rebuilds),
-          static_cast<unsigned long long>(r.stats.faults.data_losses),
-          r.spec.system.faults.drop_pct, r.spec.system.faults.dup_pct,
-          r.spec.system.faults.delay_pct,
-          static_cast<unsigned long long>(r.spec.system.faults.delay_cycles),
-          r.spec.system.faults.link_downs.size() +
-              r.spec.system.faults.node_link_downs.size() +
-              r.spec.system.faults.rand_link_downs,
-          r.spec.system.faults.node_downs.size() +
-              r.spec.system.faults.rand_node_downs,
-          static_cast<unsigned long long>(r.sim_refs()), r.wall_seconds,
-          r.events_per_sec(), jobs);
-      first = false;
-    }
+  std::fprintf(f, "[");
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const Record& r = records[i];
+    const SystemConfig& c = *r.cfg;
+    const FaultConfig& fc = c.faults;
+    std::fprintf(f, "%s\n  {\"schema\": %d, \"bench\": \"%s\"",
+                 i == 0 ? "" : ",", kRecordSchema, bench);
+    for (const auto& [key, value] : r.fields)
+      std::fprintf(f, ", \"%s\": \"%s\"", key, value.c_str());
+    // The attached engines in order ("migrep+rnuma" for a composed list).
+    std::string policy;
+    for (const PolicyCounters& p : r.stats->policy)
+      policy += (policy.empty() ? "" : "+") + p.name;
+    std::fprintf(
+        f,
+        ", \"nodes\": %u, \"cpus_per_node\": %u, \"fabric\": \"%s\", "
+        "\"dir_scheme\": \"%s\", \"policy\": \"%s\", \"fault_drop_pct\": %g, "
+        "\"fault_dup_pct\": %g, \"fault_delay_pct\": %g, "
+        "\"fault_delay_cycles\": %llu, \"fault_link_downs\": %zu, "
+        "\"fault_node_downs\": %zu",
+        c.nodes, c.cpus_per_node, to_string(c.fabric), to_string(c.dir_scheme),
+        policy.empty() ? "none" : policy.c_str(), fc.drop_pct, fc.dup_pct,
+        fc.delay_pct, static_cast<unsigned long long>(fc.delay_cycles),
+        fc.link_downs.size() + fc.node_link_downs.size() + fc.rand_link_downs,
+        fc.node_downs.size() + fc.rand_node_downs);
+    r.stats->visit([f](std::string_view key, std::uint64_t value) {
+      std::fprintf(f, ", \"%.*s\": %llu", int(key.size()), key.data(),
+                   static_cast<unsigned long long>(value));
+    });
+    const double refs = double(r.stats->shared_reads + r.stats->shared_writes);
+    std::fprintf(f,
+                 ", \"digest\": \"%016llx\", \"host\": {\"wall_seconds\": "
+                 "%.4f, \"events_per_sec\": %.0f, \"jobs\": %u}}",
+                 static_cast<unsigned long long>(digest(*r.stats)),
+                 r.wall_seconds,
+                 r.wall_seconds > 0 ? refs / r.wall_seconds : 0.0, jobs);
   }
   std::fprintf(f, "\n]\n");
   std::fclose(f);

@@ -21,11 +21,12 @@
 // machine size), and re-touches the re-homed pages after recovery so
 // check_coherence() sees the post-rebuild directory.
 //
-// Flags (bench_common SystemFlagParser): --nodes/--fabric pin one axis
-// value; --fault-kinds etc. shape the seeded scenarios; --json FILE
-// emits one record per cell for CI archival.
+// Flags: --nodes/--fabric pin one axis value; --dir-scheme and
+// --link-bw apply to every cell; --fault-seed re-seeds and
+// --fault-kinds masks the seeded outage scenarios, and
+// --fault-retry-base/--fault-retry-max tune recovery; --json FILE
+// emits one record per cell for CI archival. Any other flag exits 2.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -71,15 +72,11 @@ bool has_outages(Scenario s) {
 NodeId crash_a(std::uint32_t nodes) { return NodeId(1 % nodes); }
 NodeId crash_b(std::uint32_t nodes) { return NodeId(nodes - 2); }
 
-struct CellResult {
-  std::uint32_t nodes = 0;
-  FabricKind fabric = FabricKind::kNiConstant;
-  Scenario scenario = Scenario::kClean;
-  Stats stats;
-  Cycle cycles = 0;
+struct Cell {
+  Scenario scenario;
+  SystemConfig cfg;
+  Stats stats{0};
   double wall_seconds = 0;
-
-  explicit CellResult(std::uint32_t n) : stats(n) {}
 };
 
 Addr page_addr(unsigned p) { return kHeapBase + Addr(p) * kPageBytes; }
@@ -106,8 +103,12 @@ SystemConfig cell_config(const Options& opt, std::uint32_t nodes,
   // No decision policy: policy page ops would race the crash schedule
   // and blur the recovery traffic this sweep exists to measure.
   cfg.policy = PolicyKind::kNone;
+  // The scenario alone decides the fault plan: --fault-seed and
+  // --fault-kinds reach only the seeded outage draws.
+  cfg.faults = FaultConfig{};
   if (has_outages(sc)) {
     cfg.faults.seed = opt.fault_seed_set ? opt.fault_seed : 42;
+    cfg.faults.fault_kinds = opt.fault_kinds;
     cfg.faults.drop_pct = 2.0;
     cfg.faults.dup_pct = 1.0;
     cfg.faults.delay_pct = 2.0;
@@ -123,15 +124,11 @@ SystemConfig cell_config(const Options& opt, std::uint32_t nodes,
   return cfg;
 }
 
-CellResult run_cell(const SystemConfig& cfg, Scenario sc) {
-  const std::uint32_t nodes = cfg.nodes;
-  CellResult out(nodes);
-  out.nodes = nodes;
-  out.fabric = cfg.fabric;
-  out.scenario = sc;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sys = make_system(cfg, &out.stats);
+void run_cell(Cell& c) {
+  const std::uint32_t nodes = c.cfg.nodes;
+  c.stats = Stats(nodes);
+  const SweepTimer timer;
+  auto sys = make_system(c.cfg, &c.stats);
 
   const unsigned pages = kPagesPerHome * nodes;
   const NodeId ca = crash_a(nodes);
@@ -179,89 +176,34 @@ CellResult run_cell(const SystemConfig& cfg, Scenario sc) {
 
   sys->check_coherence();
   sys->parallel_end(t);
-  out.cycles = t;
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return out;
-}
-
-void write_json(const std::string& path, const std::vector<CellResult>& cells,
-                unsigned jobs) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(2);
-  }
-  std::fprintf(f, "[\n");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    const TrafficBreakdown t = c.stats.traffic_total();
-    const FaultStats& fs = c.stats.faults;
-    std::fprintf(
-        f,
-        "%s  {\"bench\": \"fault_scale\", \"nodes\": %u, \"fabric\": \"%s\", "
-        "\"scenario\": \"%s\",\n"
-        "   \"cycles\": %llu, \"data_bytes\": %llu, \"control_bytes\": %llu, "
-        "\"pageop_bytes\": %llu, \"recovery_bytes\": %llu,\n"
-        "   \"link_bytes_total\": %llu, \"link_max_queue_depth\": %u,\n"
-        "   \"drops_injected\": %llu, \"dups_injected\": %llu, "
-        "\"delays_injected\": %llu, \"retries\": %llu, \"nacks\": %llu, "
-        "\"reroutes\": %llu, \"hard_errors\": %llu,\n"
-        "   \"crash_drops\": %llu, \"rehomes\": %llu, \"dir_rebuilds\": "
-        "%llu, \"data_losses\": %llu,\n"
-        "   \"wall_seconds\": %.4f, \"jobs\": %u}",
-        i == 0 ? "" : ",\n", c.nodes, dsm::to_string(c.fabric),
-        to_string(c.scenario), static_cast<unsigned long long>(c.cycles),
-        static_cast<unsigned long long>(t.bytes_of(TrafficClass::kData)),
-        static_cast<unsigned long long>(t.bytes_of(TrafficClass::kControl)),
-        static_cast<unsigned long long>(t.bytes_of(TrafficClass::kPageOp)),
-        static_cast<unsigned long long>(t.bytes_of(TrafficClass::kRecovery)),
-        static_cast<unsigned long long>(c.stats.link_bytes_total()),
-        c.stats.link_max_queue_depth(),
-        static_cast<unsigned long long>(fs.drops_injected),
-        static_cast<unsigned long long>(fs.dups_injected),
-        static_cast<unsigned long long>(fs.delays_injected),
-        static_cast<unsigned long long>(fs.retries),
-        static_cast<unsigned long long>(fs.nacks),
-        static_cast<unsigned long long>(fs.reroutes),
-        static_cast<unsigned long long>(fs.hard_errors),
-        static_cast<unsigned long long>(fs.crash_drops),
-        static_cast<unsigned long long>(fs.rehomes),
-        static_cast<unsigned long long>(fs.dir_rebuilds),
-        static_cast<unsigned long long>(fs.data_losses), c.wall_seconds,
-        jobs);
-  }
-  std::fprintf(f, "\n]\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-bool flag_present(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
+  c.wall_seconds = timer.seconds();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
+  const std::vector<std::string_view> given = only_flags(
+      argc, argv,
+      {"--nodes", "--fabric", "--dir-scheme", "--link-bw", "--json",
+       "--fault-seed", "--fault-kinds", "--fault-retry-base",
+       "--fault-retry-max"});
+  const Options opt = parse(argc, argv);
 
   std::vector<std::uint32_t> node_counts = {8, 64, 256};
   if (opt.nodes != 0) node_counts = {opt.nodes};
   std::vector<FabricKind> fabrics = {FabricKind::kMesh2d,
                                      FabricKind::kTorus2d};
-  if (flag_present(argc, argv, "--fabric")) fabrics = {opt.fabric};
+  if (std::count(given.begin(), given.end(), "--fabric"))
+    fabrics = {opt.fabric};
 
   // Every cell's config, checked before any cell runs.
-  std::vector<std::pair<SystemConfig, Scenario>> plan;
+  std::vector<Cell> cells;
   for (std::uint32_t nodes : node_counts)
     for (FabricKind fabric : fabrics)
       for (unsigned s = 0; s < unsigned(Scenario::kCount); ++s) {
-        plan.emplace_back(cell_config(opt, nodes, fabric, Scenario(s)),
-                          Scenario(s));
-        require_valid(plan.back().first);
+        cells.push_back(
+            {Scenario(s), cell_config(opt, nodes, fabric, Scenario(s))});
+        require_valid(cells.back().cfg);
       }
 
   std::printf(
@@ -270,16 +212,15 @@ int main(int argc, char** argv) {
       kPagesPerHome, static_cast<unsigned long long>(kWindowDown),
       static_cast<unsigned long long>(kWindowUp));
 
-  std::vector<CellResult> cells;
   Table t({"nodes", "fabric", "scenario", "data KB", "ctl KB", "rcvy KB",
            "retries", "nacks", "rehomes", "rebuilds", "losses", "crash-drops",
            "hard-errs", "maxQ"});
-  for (const auto& [cfg, scenario] : plan) {
-    CellResult c = run_cell(cfg, scenario);
+  for (Cell& c : cells) {
+    run_cell(c);
     const TrafficBreakdown tr = c.stats.traffic_total();
     t.add_row()
-        .cell(std::uint64_t(c.nodes))
-        .cell(dsm::to_string(c.fabric))
+        .cell(std::uint64_t(c.cfg.nodes))
+        .cell(dsm::to_string(c.cfg.fabric))
         .cell(to_string(c.scenario))
         .cell(double(tr.bytes_of(TrafficClass::kData)) / 1024.0, 1)
         .cell(double(tr.bytes_of(TrafficClass::kControl)) / 1024.0, 1)
@@ -292,14 +233,13 @@ int main(int argc, char** argv) {
         .cell(c.stats.faults.crash_drops)
         .cell(c.stats.faults.hard_errors)
         .cell(std::uint64_t(c.stats.link_max_queue_depth()));
-    cells.push_back(std::move(c));
   }
   std::printf("%s\n", t.to_string().c_str());
 
   // Invariants the sweep exists to demonstrate. Violations fail the run
   // (and CI with it).
   bool ok = true;
-  for (const CellResult& c : cells) {
+  for (const Cell& c : cells) {
     const TrafficBreakdown tr = c.stats.traffic_total();
     const FaultStats& fs = c.stats.faults;
     if (c.scenario == Scenario::kClean) {
@@ -309,7 +249,7 @@ int main(int argc, char** argv) {
           fs.nacks != 0 || fs.rehomes != 0 || fs.crash_drops != 0 ||
           fs.hard_errors != 0) {
         std::printf("FAIL: clean cell has fault activity at %u/%s\n",
-                    c.nodes, dsm::to_string(c.fabric));
+                    c.cfg.nodes, dsm::to_string(c.cfg.fabric));
         ok = false;
       }
     }
@@ -320,7 +260,7 @@ int main(int argc, char** argv) {
       if (fs.rehomes == 0 || fs.dir_rebuilds == 0 ||
           tr.bytes_of(TrafficClass::kRecovery) == 0) {
         std::printf("FAIL: crash scenario survived nothing at %u/%s/%s\n",
-                    c.nodes, dsm::to_string(c.fabric),
+                    c.cfg.nodes, dsm::to_string(c.cfg.fabric),
                     to_string(c.scenario));
         ok = false;
       }
@@ -328,7 +268,7 @@ int main(int argc, char** argv) {
       // silently absorbed.
       if (fs.data_losses == 0) {
         std::printf("FAIL: orphaned dirty copies uncounted at %u/%s/%s\n",
-                    c.nodes, dsm::to_string(c.fabric),
+                    c.cfg.nodes, dsm::to_string(c.cfg.fabric),
                     to_string(c.scenario));
         ok = false;
       }
@@ -339,7 +279,14 @@ int main(int argc, char** argv) {
       "counted: %s\n",
       ok ? "yes" : "NO — BUG");
 
-  if (!opt.json_path.empty())
-    write_json(opt.json_path, cells, opt.resolved_jobs());
+  if (!opt.json_path.empty()) {
+    std::vector<Record> records;
+    for (const Cell& c : cells)
+      records.push_back({{{"scenario", to_string(c.scenario)}},
+                         &c.cfg,
+                         &c.stats,
+                         c.wall_seconds});
+    write_json(opt.json_path, "fault_scale", records, /*jobs=*/1);
+  }
   return ok ? 0 : 1;
 }

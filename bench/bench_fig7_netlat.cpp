@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
 
   print_throughput_summary(results, timer.seconds(), opt.jobs);
   if (!opt.json_path.empty())
-    write_traffic_json(opt.json_path, "fig7_netlat", opt.apps, columns,
-                       opt.resolved_jobs());
+    write_json(opt.json_path, "fig7_netlat", records_of(opt.apps, columns),
+               opt.resolved_jobs());
   return 0;
 }

@@ -16,7 +16,6 @@
 // models (contention changes latency, never bytes).
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -189,18 +188,8 @@ bool same_bytes(const Stats& a, const Stats& b) {
 
 int main(int argc, char** argv) {
   // The grid, home and schedule are fixed, so only the wire-model flags
-  // apply; any other flag exits 2.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fabric") != 0 &&
-        std::strcmp(argv[i], "--link-bw") != 0) {
-      std::fprintf(stderr,
-                   "%s: only --fabric and --link-bw apply to this fixed 4x4 "
-                   "experiment; got '%s'\n",
-                   argv[0], argv[i]);
-      return 2;
-    }
-    ++i;  // the value: parse() below checks it, or reports it missing
-  }
+  // apply.
+  only_flags(argc, argv, {"--fabric", "--link-bw"});
   Options opt = parse(argc, argv);
   // This bench compares wire models on a routed fabric; default to the
   // mesh when the generic default (ni-constant) is still selected.

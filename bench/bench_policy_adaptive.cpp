@@ -35,28 +35,13 @@ std::string ops_cell(const RunResult& r) {
 
 std::vector<std::uint32_t> parse_ks(int argc, char** argv) {
   std::vector<std::uint32_t> ks = {1, 4, 16};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--ks") == 0 && i + 1 < argc) {
-      ks.clear();
-      std::string list = argv[i + 1];
-      std::size_t pos = 0;
-      while (pos < list.size()) {
-        std::size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) comma = list.size();
-        const std::string tok = list.substr(pos, comma - pos);
-        char* end = nullptr;
-        const unsigned long v = std::strtoul(tok.c_str(), &end, 10);
-        if (end == tok.c_str() || *end != '\0' || v == 0 || v > 1u << 20) {
-          std::fprintf(stderr,
-                       "bad --ks element '%s' (expected positive "
-                       "competitive constants, e.g. --ks 1,4,16)\n",
-                       tok.c_str());
-          std::exit(2);
-        }
-        ks.push_back(std::uint32_t(v));
-        pos = comma + 1;
-      }
-    }
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], "--ks") != 0) continue;
+    ks.clear();
+    for (const std::string& k : split_list(argv[i + 1]))
+      ks.push_back(std::uint32_t(parse_uint(
+          "--ks", k, 1, 1u << 20,
+          "positive competitive constants, e.g. --ks 1,4,16")));
   }
   return ks;
 }
@@ -150,7 +135,7 @@ int main(int argc, char** argv) {
 
   print_throughput_summary(results, timer.seconds(), opt.jobs);
   if (!opt.json_path.empty())
-    write_traffic_json(opt.json_path, "policy_sweep", opt.apps, columns,
-                       opt.resolved_jobs());
+    write_json(opt.json_path, "policy_sweep", records_of(opt.apps, columns),
+               opt.resolved_jobs());
   return 0;
 }

@@ -19,11 +19,11 @@
 //                      traffic (data bytes stay byte-identical across
 //                      schemes — overshoot never moves block payloads).
 //
-// Flags (bench_common SystemFlagParser): --nodes/--fabric/--dir-scheme
-// pin one axis value instead of sweeping it; --json FILE emits one
-// record per cell for CI archival.
+// Flags: --nodes/--fabric/--dir-scheme pin one axis value instead of
+// sweeping it; --link-bw and the --fault-* flags apply to every cell;
+// --json FILE emits one record per cell for CI archival. Any other
+// flag exits 2.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -43,15 +43,11 @@ constexpr unsigned kPagesPerHome = 2;
 // enough to overflow the 4-slot pointer array into the coarse vector.
 constexpr unsigned kSharerPattern[] = {1, 2, 4, 13};
 
-struct CellResult {
-  std::uint32_t nodes = 0;
-  FabricKind fabric = FabricKind::kNiConstant;
-  DirScheme scheme = DirScheme::kAuto;
-  Stats stats;
-  Cycle cycles = 0;
+struct Cell {
+  SystemConfig cfg;
+  bool dump_links = false;  // print the hottest links after the run
+  Stats stats{0};
   double wall_seconds = 0;
-
-  explicit CellResult(std::uint32_t n) : stats(n) {}
 };
 
 Addr page_addr(unsigned p) { return kHeapBase + Addr(p) * kPageBytes; }
@@ -87,15 +83,11 @@ SystemConfig cell_config(const Options& opt, std::uint32_t nodes,
   return cfg;
 }
 
-CellResult run_cell(const SystemConfig& cfg, bool dump_links) {
-  const std::uint32_t nodes = cfg.nodes;
-  CellResult out(nodes);
-  out.nodes = nodes;
-  out.fabric = cfg.fabric;
-  out.scheme = cfg.dir_scheme;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  auto sys = make_system(cfg, &out.stats);
+void run_cell(Cell& c) {
+  const std::uint32_t nodes = c.cfg.nodes;
+  c.stats = Stats(nodes);
+  const SweepTimer timer;
+  auto sys = make_system(c.cfg, &c.stats);
 
   const unsigned pages = kPagesPerHome * nodes;
   Cycle t = 0;
@@ -127,12 +119,8 @@ CellResult run_cell(const SystemConfig& cfg, bool dump_links) {
 
   sys->check_coherence();
   sys->parallel_end(t);
-  out.cycles = t;
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (dump_links) print_hot_links(sys->fabric(), cfg);
-  return out;
+  c.wall_seconds = timer.seconds();
+  if (c.dump_links) print_hot_links(sys->fabric(), c.cfg);
 }
 
 // Top directed links by bytes carried — the per-link heat summary for
@@ -166,73 +154,30 @@ void print_hot_links(const Fabric& fab, const SystemConfig& cfg) {
               lt.to_string().c_str());
 }
 
-void write_json(const std::string& path, const std::vector<CellResult>& cells,
-                unsigned jobs) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::exit(2);
-  }
-  std::fprintf(f, "[\n");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    const TrafficBreakdown t = c.stats.traffic_total();
-    std::fprintf(
-        f,
-        "%s  {\"bench\": \"scaleout\", \"nodes\": %u, \"fabric\": \"%s\", "
-        "\"scheme\": \"%s\",\n"
-        "   \"cycles\": %llu, \"data_bytes\": %llu, \"control_bytes\": %llu, "
-        "\"pageop_bytes\": %llu,\n"
-        "   \"control_msgs\": %llu, \"link_bytes_total\": %llu, "
-        "\"link_max_queue_depth\": %u,\n"
-        "   \"dir_entries\": %llu, \"dir_shared_entries\": %llu, "
-        "\"dir_coarse_entries\": %llu,\n"
-        "   \"dir_sharers_measured\": %llu, \"dir_sharer_bits_used\": %llu, "
-        "\"dir_sharer_bits_full_map\": %llu,\n"
-        "   \"wall_seconds\": %.4f, \"jobs\": %u}",
-        i == 0 ? "" : ",\n", c.nodes, to_string(c.fabric),
-        to_string(c.scheme), static_cast<unsigned long long>(c.cycles),
-        static_cast<unsigned long long>(t.bytes_of(TrafficClass::kData)),
-        static_cast<unsigned long long>(t.bytes_of(TrafficClass::kControl)),
-        static_cast<unsigned long long>(t.bytes_of(TrafficClass::kPageOp)),
-        static_cast<unsigned long long>(t.msgs_of(TrafficClass::kControl)),
-        static_cast<unsigned long long>(c.stats.link_bytes_total()),
-        c.stats.link_max_queue_depth(),
-        static_cast<unsigned long long>(c.stats.dir.entries),
-        static_cast<unsigned long long>(c.stats.dir.shared_entries),
-        static_cast<unsigned long long>(c.stats.dir.coarse_entries),
-        static_cast<unsigned long long>(c.stats.dir.sharers_measured),
-        static_cast<unsigned long long>(c.stats.dir.sharer_bits_used),
-        static_cast<unsigned long long>(c.stats.dir.sharer_bits_full_map),
-        c.wall_seconds, jobs);
-  }
-  std::fprintf(f, "\n]\n");
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-bool flag_present(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  return false;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
+  const std::vector<std::string_view> given = only_flags(
+      argc, argv,
+      {"--nodes", "--fabric", "--dir-scheme", "--link-bw", "--json",
+       "--fault-seed", "--fault-drop-pct", "--fault-dup-pct",
+       "--fault-delay-pct", "--fault-delay-cycles", "--fault-link-down",
+       "--fault-link-downs", "--fault-node-down", "--fault-node-downs",
+       "--fault-kinds", "--fault-retry-base", "--fault-retry-max"});
+  const Options opt = parse(argc, argv);
 
   std::vector<std::uint32_t> node_counts = {8, 64, 256, 1024};
   if (opt.nodes != 0) node_counts = {opt.nodes};
   std::vector<FabricKind> fabrics = {FabricKind::kNiConstant,
                                      FabricKind::kMesh2d,
                                      FabricKind::kTorus2d};
-  if (flag_present(argc, argv, "--fabric")) fabrics = {opt.fabric};
+  if (std::count(given.begin(), given.end(), "--fabric"))
+    fabrics = {opt.fabric};
   const bool scheme_pinned = opt.dir_scheme != DirScheme::kAuto;
 
   // Every cell's config, checked before any cell runs; the link dump
   // goes with the last scheme of each routed fabric at the widest size.
-  std::vector<std::pair<SystemConfig, bool>> plan;
+  std::vector<Cell> cells;
   for (std::uint32_t nodes : node_counts) {
     for (FabricKind fabric : fabrics) {
       std::vector<DirScheme> schemes;
@@ -244,11 +189,11 @@ int main(int argc, char** argv) {
         schemes.push_back(DirScheme::kCoarse);
       }
       for (DirScheme scheme : schemes) {
-        plan.emplace_back(cell_config(opt, nodes, fabric, scheme),
-                          fabric != FabricKind::kNiConstant &&
-                              nodes == node_counts.back() &&
-                              scheme == schemes.back());
-        require_valid(plan.back().first);
+        cells.push_back({cell_config(opt, nodes, fabric, scheme),
+                         fabric != FabricKind::kNiConstant &&
+                             nodes == node_counts.back() &&
+                             scheme == schemes.back()});
+        require_valid(cells.back().cfg);
       }
     }
   }
@@ -258,49 +203,48 @@ int main(int argc, char** argv) {
       "{1,2,4,13} ===\n\n",
       kPagesPerHome);
 
-  std::vector<CellResult> cells;
   Table t({"nodes", "fabric", "scheme", "data KB", "ctl KB", "ctl msgs",
            "entries", "sharers", "bits/entry", "full-map b/e", "dir KB",
            "full KB", "link KB", "maxQ"});
-  for (const auto& [cfg, dump] : plan) {
-    CellResult c = run_cell(cfg, dump);
+  for (Cell& c : cells) {
+    run_cell(c);
     const TrafficBreakdown tr = c.stats.traffic_total();
     t.add_row()
-        .cell(std::uint64_t(c.nodes))
-        .cell(to_string(c.fabric))
-        .cell(to_string(c.scheme))
+        .cell(std::uint64_t(c.cfg.nodes))
+        .cell(to_string(c.cfg.fabric))
+        .cell(to_string(c.cfg.dir_scheme))
         .cell(double(tr.bytes_of(TrafficClass::kData)) / 1024.0, 1)
         .cell(double(tr.bytes_of(TrafficClass::kControl)) / 1024.0, 1)
         .cell(tr.msgs_of(TrafficClass::kControl))
         .cell(c.stats.dir.entries)
         .cell(c.stats.dir.sharers_measured)
         .cell(c.stats.dir.bits_per_entry(), 1)
-        .cell(double(c.nodes), 0)
+        .cell(double(c.cfg.nodes), 0)
         .cell(double(c.stats.dir.sharer_bits_used) / 8.0 / 1024.0, 2)
         .cell(double(c.stats.dir.sharer_bits_full_map) / 8.0 / 1024.0, 2)
         .cell(double(c.stats.link_bytes_total()) / 1024.0, 1)
         .cell(std::uint64_t(c.stats.link_max_queue_depth()));
-    cells.push_back(std::move(c));
   }
   std::printf("%s\n", t.to_string().c_str());
 
   // Invariants the sweep exists to demonstrate. Violations fail the run
   // (and CI with it).
   bool ok = true;
-  for (const CellResult& c : cells) {
+  for (const Cell& c : cells) {
+    const std::uint32_t nodes = c.cfg.nodes;
     // Full map pays machine width for every live entry.
-    if (c.scheme == DirScheme::kFullMap &&
-        c.stats.dir.sharer_bits_used != c.stats.dir.entries * c.nodes) {
+    if (c.cfg.dir_scheme == DirScheme::kFullMap &&
+        c.stats.dir.sharer_bits_used != c.stats.dir.entries * nodes) {
       std::printf("FAIL: full-map bits != entries x nodes at %u nodes\n",
-                  c.nodes);
+                  nodes);
       ok = false;
     }
     // Wide machines: compact schemes stay strictly below the full-map
     // extrapolation — directory memory tracks sharers, not node count.
-    if (c.nodes > 64 && c.scheme != DirScheme::kFullMap &&
+    if (nodes > 64 && c.cfg.dir_scheme != DirScheme::kFullMap &&
         c.stats.dir.sharer_bits_used >= c.stats.dir.sharer_bits_full_map) {
       std::printf("FAIL: %s bits >= full-map extrapolation at %u nodes\n",
-                  to_string(c.scheme), c.nodes);
+                  to_string(c.cfg.dir_scheme), nodes);
       ok = false;
     }
   }
@@ -308,19 +252,21 @@ int main(int argc, char** argv) {
   // (overshoot moves control messages, never payloads), and once
   // regions span multiple nodes the coarse scheme's conservative
   // multicast must show up as strictly more control traffic.
-  for (const CellResult& a : cells) {
-    for (const CellResult& b : cells) {
+  for (const Cell& c : cells) {
+    for (const Cell& d : cells) {
+      const SystemConfig& a = c.cfg;
+      const SystemConfig& b = d.cfg;
       if (a.nodes != b.nodes || a.fabric != b.fabric) continue;
-      const TrafficBreakdown ta = a.stats.traffic_total();
-      const TrafficBreakdown tb = b.stats.traffic_total();
+      const TrafficBreakdown ta = c.stats.traffic_total();
+      const TrafficBreakdown tb = d.stats.traffic_total();
       if (ta.bytes_of(TrafficClass::kData) !=
           tb.bytes_of(TrafficClass::kData)) {
         std::printf("FAIL: data bytes differ across schemes at %u/%s\n",
                     a.nodes, to_string(a.fabric));
         ok = false;
       }
-      if (a.scheme == DirScheme::kCoarse &&
-          b.scheme == DirScheme::kLimitedPtr &&
+      if (a.dir_scheme == DirScheme::kCoarse &&
+          b.dir_scheme == DirScheme::kLimitedPtr &&
           NodeSetLayout::make(a.nodes, DirScheme::kCoarse).region_shift > 0 &&
           ta.bytes_of(TrafficClass::kControl) <=
               tb.bytes_of(TrafficClass::kControl)) {
@@ -336,7 +282,11 @@ int main(int argc, char** argv) {
       "as control traffic: %s\n",
       ok ? "yes" : "NO — BUG");
 
-  if (!opt.json_path.empty())
-    write_json(opt.json_path, cells, opt.resolved_jobs());
+  if (!opt.json_path.empty()) {
+    std::vector<Record> records;
+    for (const Cell& c : cells)
+      records.push_back({{}, &c.cfg, &c.stats, c.wall_seconds});
+    write_json(opt.json_path, "scaleout", records, /*jobs=*/1);
+  }
   return ok ? 0 : 1;
 }

@@ -87,8 +87,8 @@ int main(int argc, char** argv) {
         rows.push_back(a * kinds.size() + k);
       columns.push_back(column_of(kinds[k].first, results, rows));
     }
-    write_traffic_json(opt.json_path, "table2_apps", opt.apps, columns,
-                       opt.resolved_jobs());
+    write_json(opt.json_path, "table2_apps", records_of(opt.apps, columns),
+               opt.resolved_jobs());
   }
   return 0;
 }

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
 
   print_throughput_summary(results, timer.seconds(), opt.jobs);
   if (!opt.json_path.empty())
-    write_traffic_json(opt.json_path, "table4_pageops", opt.apps, columns,
-                       opt.resolved_jobs());
+    write_json(opt.json_path, "table4_pageops", records_of(opt.apps, columns),
+               opt.resolved_jobs());
   return 0;
 }

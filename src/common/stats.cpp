@@ -88,4 +88,16 @@ double Stats::traffic_bytes_per_node(TrafficClass c) const {
   return double(traffic_total().bytes_of(c)) / double(node.size());
 }
 
+std::uint64_t digest(const Stats& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::string_view name, std::uint64_t value) {
+    for (const char c : name) h = (h ^ std::uint8_t(c)) * 0x100000001b3ull;
+    for (int shift = 0; shift < 64; shift += 8)
+      h = (h ^ ((value >> shift) & 0xff)) * 0x100000001b3ull;
+  };
+  s.visit(mix);
+  for (const NodeStats& n : s.node) n.visit(mix);
+  return h;
+}
+
 }  // namespace dsm

@@ -6,9 +6,11 @@
 // parallelism in the harness gives each run its own Stats.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -114,7 +116,46 @@ struct NodeStats {
 
   // Interconnect bytes/messages sent by this node, by traffic class.
   TrafficBreakdown traffic;
+
+  // Calls v(name, value) once for each counter above, always in this
+  // order. Stats::visit sums them over nodes under the same names.
+  template <class V>
+  constexpr void visit(V&& v) const {
+    v("remote_misses.cold", remote_misses.by_class[0]);
+    v("remote_misses.coherence", remote_misses.by_class[1]);
+    v("remote_misses.capacity", remote_misses.by_class[2]);
+    v("l1_misses.cold", l1_misses.by_class[0]);
+    v("l1_misses.coherence", l1_misses.by_class[1]);
+    v("l1_misses.capacity", l1_misses.by_class[2]);
+    v("local_mem_accesses", local_mem_accesses);
+    v("bc_hits", bc_hits);
+    v("pc_hits", pc_hits);
+    v("page_migrations", page_migrations);
+    v("page_replications", page_replications);
+    v("page_relocations", page_relocations);
+    v("page_cache_evictions", page_cache_evictions);
+    v("replica_collapses", replica_collapses);
+    v("soft_traps", soft_traps);
+    v("tlb_shootdowns", tlb_shootdowns);
+    v("blocks_flushed", blocks_flushed);
+    v("blocks_copied", blocks_copied);
+    v("traffic.data_bytes", traffic.bytes[0]);
+    v("traffic.control_bytes", traffic.bytes[1]);
+    v("traffic.pageop_bytes", traffic.bytes[2]);
+    v("traffic.recovery_bytes", traffic.bytes[3]);
+    v("traffic.data_msgs", traffic.msgs[0]);
+    v("traffic.control_msgs", traffic.msgs[1]);
+    v("traffic.pageop_msgs", traffic.msgs[2]);
+    v("traffic.recovery_msgs", traffic.msgs[3]);
+  }
 };
+
+// The number of counters NodeStats::visit names.
+inline constexpr std::size_t kNodeCounters = [] {
+  std::size_t n = 0;
+  NodeStats{}.visit([&n](std::string_view, std::uint64_t) { ++n; });
+  return n;
+}();
 
 // Per-policy decision counters, one record per engine attached to the
 // run's PolicyEngine (protocols/policy_engine.hpp), in attachment
@@ -150,8 +191,6 @@ struct FaultStats {
   std::uint64_t dir_rebuilds = 0;  // directory entries reconstructed from
                                    // survivor responses during a re-home
   std::uint64_t data_losses = 0;   // dirty owner crashed: no valid copy left
-
-  bool operator==(const FaultStats&) const = default;
 };
 
 // Directory-memory census (dsm/directory.hpp::usage), snapshotted at
@@ -231,6 +270,66 @@ struct Stats {
   std::uint64_t link_bytes_total() const { return links.bytes; }
   Cycle link_busy_total() const { return links.busy; }
   std::uint32_t link_max_queue_depth() const { return links.max_queue_depth; }
+
+  // The counter schema: calls v(name, value) exactly once for each
+  // counter, in this order. The run-level counters; the NodeStats
+  // counters summed over nodes; FaultStats, DirUsage and LinkUsage;
+  // then each attached policy's PolicyCounters. Every --json record
+  // key and digest() come from here, so a new counter is named here
+  // (or in NodeStats::visit) and nowhere else.
+  template <class V>
+  void visit(V&& v) const {
+    v("execution_cycles", execution_cycles);
+    v("total_cycles", total_cycles);
+    v("shared_reads", shared_reads);
+    v("shared_writes", shared_writes);
+    v("barriers", barriers);
+    v("lock_acquires", lock_acquires);
+    std::array<std::uint64_t, kNodeCounters> sum{};
+    for (const NodeStats& n : node) {
+      std::size_t i = 0;
+      n.visit([&](std::string_view, std::uint64_t x) { sum[i++] += x; });
+    }
+    std::size_t i = 0;
+    NodeStats{}.visit(
+        [&](std::string_view name, std::uint64_t) { v(name, sum[i++]); });
+    v("faults.drops_injected", faults.drops_injected);
+    v("faults.dups_injected", faults.dups_injected);
+    v("faults.delays_injected", faults.delays_injected);
+    v("faults.retries", faults.retries);
+    v("faults.nacks", faults.nacks);
+    v("faults.reroutes", faults.reroutes);
+    v("faults.aborted_page_ops", faults.aborted_page_ops);
+    v("faults.hard_errors", faults.hard_errors);
+    v("faults.crash_drops", faults.crash_drops);
+    v("faults.rehomes", faults.rehomes);
+    v("faults.dir_rebuilds", faults.dir_rebuilds);
+    v("faults.data_losses", faults.data_losses);
+    v("dir.nodes", dir.nodes);
+    v("dir.entries", dir.entries);
+    v("dir.shared_entries", dir.shared_entries);
+    v("dir.coarse_entries", dir.coarse_entries);
+    v("dir.sharers_measured", dir.sharers_measured);
+    v("dir.sharer_bits_used", dir.sharer_bits_used);
+    v("dir.sharer_bits_full_map", dir.sharer_bits_full_map);
+    v("links.bytes", links.bytes);
+    v("links.busy", links.busy);
+    v("links.max_queue_depth", links.max_queue_depth);
+    for (const PolicyCounters& p : policy) {
+      const std::string k = "policy." + p.name + ".";
+      v(k + "events", p.events);
+      v(k + "migrations", p.migrations);
+      v(k + "replications", p.replications);
+      v(k + "relocations", p.relocations);
+      v(k + "suppressed", p.suppressed);
+    }
+  }
 };
+
+// A 64-bit FNV-1a hash of every counter: each name and value that
+// Stats::visit gives, then each node's NodeStats::visit in node order.
+// Two runs whose digests are equal agree, up to a hash collision, on
+// every counter of every node.
+std::uint64_t digest(const Stats& s);
 
 }  // namespace dsm

@@ -34,10 +34,16 @@ std::string validate(const SystemConfig& cfg) {
         "--fault-drop-pct, --fault-dup-pct and --fault-delay-pct sum to "
         "%g, past 100",
         f.drop_pct + f.dup_pct + f.delay_pct);
-  for (const FaultConfig::NodeDown& nd : f.node_downs)
+  for (const FaultConfig::NodeDown& nd : f.node_downs) {
     if (nd.node >= cfg.nodes)
       return format("--fault-node-down: node %u is out of range for %u nodes",
                     nd.node, cfg.nodes);
+    if (nd.down >= nd.up)
+      return format("--fault-node-down %u@%llu: the crash window is empty",
+                    nd.node, static_cast<unsigned long long>(nd.down));
+  }
+  if (f.rand_node_downs > 0 && f.rand_node_down_len == 0)
+    return "--fault-node-downs: the seeded crash windows are empty";
   if (cfg.fabric == FabricKind::kNiConstant)
     return f.has_link_outages()
                ? "--fault-link-down and --fault-link-downs need --fabric "
@@ -48,6 +54,10 @@ std::string validate(const SystemConfig& cfg) {
                   cfg.nodes);
   const Grid grid(cfg);
   for (const FaultConfig::NodeLinkDown& nl : f.node_link_downs) {
+    if (nl.len == 0 || nl.down > kNeverCycle - nl.len)
+      return format("--fault-link-down %u:%u: the outage window is empty or "
+                    "wraps",
+                    nl.a, nl.b);
     if (nl.a >= cfg.nodes || nl.b >= cfg.nodes)
       return format("--fault-link-down %u:%u: node out of range for %u nodes",
                     nl.a, nl.b, cfg.nodes);

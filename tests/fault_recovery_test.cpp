@@ -540,17 +540,10 @@ TEST(CrashRecovery, CrashWindowEndsSuspicion) {
 // Chaos soak
 // ---------------------------------------------------------------------------
 
-struct ChaosResult {
-  Cycle cycles = 0;
-  std::uint64_t bytes = 0;
-  FaultStats faults;
-  bool operator==(const ChaosResult&) const = default;
-};
-
 // run_one() with the two extra assertions the harness cannot make:
 // workload verification runs inside (spec.verify), and the global
 // coherence invariant is checked on the final state.
-ChaosResult run_chaos(const RunSpec& spec) {
+Stats run_chaos(const RunSpec& spec) {
   Stats stats(spec.system.nodes);
   auto system = make_system(spec.system, &stats);
   Engine engine(spec.system, system.get(), &stats);
@@ -573,12 +566,7 @@ ChaosResult run_chaos(const RunSpec& spec) {
 
   workload->verify();          // data correctness under faults
   system->check_coherence();   // protocol invariant on the final state
-
-  ChaosResult r;
-  r.cycles = engine.finish_time();
-  r.bytes = stats.traffic_total().total_bytes();
-  r.faults = stats.faults;
-  return r;
+  return stats;
 }
 
 RunSpec chaos_spec(double drop_pct) {
@@ -631,12 +619,12 @@ RunSpec crash_spec() {
 TEST(ChaosSoak, SurvivesEscalatingRatesReproducibly) {
   std::uint64_t last_drops = 0;
   for (const double rate : {0.5, 2.0, 10.0, 30.0}) {
-    const ChaosResult a = run_chaos(chaos_spec(rate));
-    const ChaosResult b = run_chaos(chaos_spec(rate));
+    const Stats a = run_chaos(chaos_spec(rate));
+    const Stats b = run_chaos(chaos_spec(rate));
     // The fault schedule keys off per-source streams, so a rerun
     // replays the exact same faults — and must land on the exact same
     // recovered state and costs.
-    EXPECT_TRUE(a == b) << "rate " << rate;
+    EXPECT_EQ(digest(a), digest(b)) << "rate " << rate;
     EXPECT_GT(a.faults.drops_injected, 0u) << "rate " << rate;
     EXPECT_GE(a.faults.drops_injected, last_drops);
     last_drops = a.faults.drops_injected;
@@ -644,24 +632,24 @@ TEST(ChaosSoak, SurvivesEscalatingRatesReproducibly) {
 }
 
 TEST(ChaosSoak, FixedSeedIsBitReproducible) {
-  const ChaosResult a = run_chaos(chaos_spec(10.0));
-  const ChaosResult b = run_chaos(chaos_spec(10.0));
-  EXPECT_TRUE(a == b);
+  const Stats a = run_chaos(chaos_spec(10.0));
+  const Stats b = run_chaos(chaos_spec(10.0));
+  EXPECT_EQ(digest(a), digest(b));
   EXPECT_GT(a.faults.retries, 0u);
 }
 
 TEST(ChaosSoak, LinkOutagesRerouteUnderLoad) {
-  const ChaosResult a = run_chaos(link_outage_spec());
-  const ChaosResult b = run_chaos(link_outage_spec());
-  EXPECT_TRUE(a == b);  // outage schedule is part of the seed
+  const Stats a = run_chaos(link_outage_spec());
+  const Stats b = run_chaos(link_outage_spec());
+  EXPECT_EQ(digest(a), digest(b));  // outage schedule is part of the seed
 }
 
 TEST(ChaosSoak, CoarseVectorSoakBeyondThe32NodeBoundary) {
   // The recovery ledger (retries, NACKs, reroutes) must stay
   // reproducible out here too.
-  const ChaosResult a = run_chaos(coarse_mesh_spec());
-  const ChaosResult b = run_chaos(coarse_mesh_spec());
-  EXPECT_TRUE(a == b);
+  const Stats a = run_chaos(coarse_mesh_spec());
+  const Stats b = run_chaos(coarse_mesh_spec());
+  EXPECT_EQ(digest(a), digest(b));
   EXPECT_GT(a.faults.drops_injected, 0u);
   EXPECT_GT(a.faults.retries, 0u);
 }
@@ -672,11 +660,11 @@ TEST(ChaosSoak, CrashSchedulesAreReproducible) {
   // fault/recovery ledger — including the four crash counters — must
   // be identical run after run, with workload verification and the
   // coherence invariant green inside run_chaos() each time.
-  const ChaosResult a = run_chaos(crash_spec());
+  const Stats a = run_chaos(crash_spec());
   EXPECT_GT(a.faults.crash_drops + a.faults.rehomes, 0u)
       << "crash windows missed the run entirely";
-  const ChaosResult b = run_chaos(crash_spec());
-  EXPECT_TRUE(a == b);
+  const Stats b = run_chaos(crash_spec());
+  EXPECT_EQ(digest(a), digest(b));
 }
 
 TEST(ChaosSoak, RunMatrixIsJobCountInvariant) {
@@ -708,7 +696,7 @@ TEST(ChaosSoak, RunMatrixIsJobCountInvariant) {
     EXPECT_EQ(a.stats.page_relocations_total(),
               b.stats.page_relocations_total())
         << "spec " << i;
-    EXPECT_TRUE(a.stats.faults == b.stats.faults) << "spec " << i;
+    EXPECT_EQ(digest(a.stats), digest(b.stats)) << "spec " << i;
   }
 }
 

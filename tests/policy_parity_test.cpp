@@ -8,6 +8,12 @@
 // byte totals, and — since decisions at identical cycles imply
 // identical timing — the same execution cycle count.
 //
+// Each golden also pins digest(Stats), a hash of every counter of every
+// node, so a run that keeps these seven numbers but moves any other
+// counter fails too. A failing digest check prints the new digest in
+// hex; replace a digest only for an intended change, and say which
+// counters moved.
+//
 // If an intentional policy change ever breaks these numbers, regenerate
 // them with a before/after pair of runs and say so in the commit.
 #include <gtest/gtest.h>
@@ -30,6 +36,7 @@ struct Golden {
   std::uint64_t replications;
   std::uint64_t relocations;
   Cycle cycles;
+  std::uint64_t digest;  // digest(Stats): every counter of every node
 };
 
 // Captured from the pre-refactor tree (see header comment), Release
@@ -40,37 +47,37 @@ struct Golden {
 // only the page-op-enabled rows moved, by under 0.3% in bytes/cycles.
 const Golden kGolden[] = {
     {SystemKind::kCcNuma, "raytrace", 5911520ull, 1743408ull, 0ull, 0ull,
-     0ull, 0ull, 36811152ull},
+     0ull, 0ull, 36811152ull, 0x682ec87aa65dc2f9ull},
     {SystemKind::kPerfectCcNuma, "raytrace", 375120ull, 76080ull, 0ull, 0ull,
-     0ull, 0ull, 20832124ull},
+     0ull, 0ull, 20832124ull, 0x3e6232b204aae3bbull},
     {SystemKind::kCcNumaRep, "raytrace", 2041440ull, 571520ull, 49344ull,
-     0ull, 12ull, 0ull, 25321762ull},
+     0ull, 12ull, 0ull, 25321762ull, 0xa9660b6f226839b1ull},
     {SystemKind::kCcNumaMig, "raytrace", 2871600ull, 897136ull, 28784ull,
-     7ull, 0ull, 0ull, 27124227ull},
+     7ull, 0ull, 0ull, 27124227ull, 0xa18a746642dc66e7ull},
     {SystemKind::kCcNumaMigRep, "raytrace", 2041440ull, 571520ull, 49344ull,
-     0ull, 12ull, 0ull, 25321762ull},
+     0ull, 12ull, 0ull, 25321762ull, 0xa9660b6f226839b1ull},
     {SystemKind::kRNuma, "raytrace", 660560ull, 144112ull, 0ull, 0ull, 0ull,
-     42ull, 21339930ull},
+     42ull, 21339930ull, 0x7bd6de07ed8e0cecull},
     {SystemKind::kRNumaInf, "raytrace", 660560ull, 144112ull, 0ull, 0ull,
-     0ull, 42ull, 21339930ull},
+     0ull, 42ull, 21339930ull, 0x7bd6de07ed8e0cecull},
     {SystemKind::kRNumaMigRep, "raytrace", 2041440ull, 571520ull, 49344ull,
-     0ull, 12ull, 0ull, 25321762ull},
+     0ull, 12ull, 0ull, 25321762ull, 0x8d24082670704bccull},
     {SystemKind::kCcNuma, "radix", 66968400ull, 8635904ull, 0ull, 0ull, 0ull,
-     0ull, 132443491ull},
+     0ull, 132443491ull, 0xb654cd38f29b6d31ull},
     {SystemKind::kPerfectCcNuma, "radix", 14098400ull, 2991712ull, 0ull, 0ull,
-     0ull, 0ull, 51450028ull},
+     0ull, 0ull, 51450028ull, 0xb724d81edb683a9bull},
     {SystemKind::kCcNumaRep, "radix", 66968400ull, 8635904ull, 0ull, 0ull,
-     0ull, 0ull, 132443491ull},
+     0ull, 0ull, 132443491ull, 0x6e97a94976f1d026ull},
     {SystemKind::kCcNumaMig, "radix", 64309680ull, 7811328ull, 168592ull,
-     41ull, 0ull, 0ull, 125607277ull},
+     41ull, 0ull, 0ull, 125607277ull, 0x4831a0ede61022c7ull},
     {SystemKind::kCcNumaMigRep, "radix", 64309680ull, 7811328ull, 168592ull,
-     41ull, 0ull, 0ull, 125607277ull},
+     41ull, 0ull, 0ull, 125607277ull, 0x4831a0ede61022c7ull},
     {SystemKind::kRNuma, "radix", 32138160ull, 4618912ull, 0ull, 0ull, 0ull,
-     2868ull, 83910551ull},
+     2868ull, 83910551ull, 0xdc7d7a3f69d7326full},
     {SystemKind::kRNumaInf, "radix", 32138160ull, 4618912ull, 0ull, 0ull,
-     0ull, 2868ull, 83910551ull},
+     0ull, 2868ull, 83910551ull, 0xdc7d7a3f69d7326full},
     {SystemKind::kRNumaMigRep, "radix", 64309680ull, 7811328ull, 168592ull,
-     41ull, 0ull, 0ull, 125607277ull},
+     41ull, 0ull, 0ull, 125607277ull, 0x16b717205db219adull},
 };
 
 class PolicyParity : public ::testing::TestWithParam<Golden> {};
@@ -86,6 +93,7 @@ TEST_P(PolicyParity, MatchesPreRefactorDecisions) {
   EXPECT_EQ(r.stats.page_replications_total(), g.replications);
   EXPECT_EQ(r.stats.page_relocations_total(), g.relocations);
   EXPECT_EQ(r.cycles, g.cycles);
+  EXPECT_EQ(digest(r.stats), g.digest) << std::hex << digest(r.stats);
 }
 
 std::string param_name(const ::testing::TestParamInfo<Golden>& info) {

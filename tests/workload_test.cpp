@@ -84,6 +84,7 @@ TEST_P(DeterminismTest, TwoRunsBitIdentical) {
             b.stats.remote_misses_total().total());
   EXPECT_EQ(a.stats.page_relocations_total(),
             b.stats.page_relocations_total());
+  EXPECT_EQ(digest(a.stats), digest(b.stats));
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, DeterminismTest,
@@ -101,6 +102,7 @@ TEST(Harness, MatrixMatchesSequentialRuns) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     auto seq = run_one(specs[i]);
     EXPECT_EQ(par[i].cycles, seq.cycles) << "spec " << i;
+    EXPECT_EQ(digest(par[i].stats), digest(seq.stats)) << "spec " << i;
   }
 }
 
@@ -207,6 +209,30 @@ TEST(Validate, FaultRatesSumToAtMost100) {
   EXPECT_EQ(validate(cfg), "");
   cfg.faults.delay_pct = 1;
   expect_refused(cfg, "--fault-delay-pct");
+}
+
+TEST(Validate, CrashWindowsAreNotEmpty) {
+  SystemConfig cfg = machine(FabricKind::kNiConstant, 8);
+  cfg.faults.node_downs.push_back({1, 100, 101});
+  EXPECT_EQ(validate(cfg), "");
+  cfg.faults.node_downs.push_back({2, 100, 100});
+  expect_refused(cfg, "--fault-node-down 2@100");
+  SystemConfig seeded = machine(FabricKind::kNiConstant, 8);
+  seeded.faults.seed = 1;
+  seeded.faults.rand_node_downs = 2;
+  EXPECT_EQ(validate(seeded), "");
+  seeded.faults.rand_node_down_len = 0;
+  expect_refused(seeded, "--fault-node-downs");
+}
+
+TEST(Validate, LinkOutageWindowsAreNotEmptyAndDoNotWrap) {
+  SystemConfig cfg = machine(FabricKind::kMesh2d, 8);
+  cfg.faults.node_link_downs = {{0, 1, kNeverCycle - 1, 1}};
+  EXPECT_EQ(validate(cfg), "");
+  cfg.faults.node_link_downs = {{0, 1, 100, 0}};
+  expect_refused(cfg, "--fault-link-down 0:1");
+  cfg.faults.node_link_downs = {{0, 1, kNeverCycle - 1, 2}};
+  expect_refused(cfg, "--fault-link-down 0:1");
 }
 
 TEST(Validate, MeshWidthDividesTheNodeCount) {
