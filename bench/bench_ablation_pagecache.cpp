@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   std::printf(
       "=== Ablation: page-cache size sweep (normalized to perfect CC-NUMA) "
       "===\nscale: %s\n\n",
-      opt.scale == Scale::kPaper ? "paper (Table 2)" : "default (reduced)");
+      scale_name(opt.scale));
 
   const std::vector<std::pair<std::string, std::uint64_t>> sizes = {
       {"0.3MB", 300 * 1024},   {"0.6MB", 600 * 1024},

@@ -76,8 +76,8 @@ struct Options {
   // model); kLinkBwUnset keeps the TimingConfig default.
   std::uint32_t link_bw = kLinkBwUnset;
   std::string json_path;  // --json FILE: machine-readable per-class bytes
-  // Decision-engine override (--policy none|migrep|rnuma|adaptive);
-  // kDefault keeps the paper's SystemKind pairing.
+  // Decision engine (--policy default|adaptive): kDefault keeps the
+  // paper's SystemKind pairing, kAdaptive replaces it.
   PolicyKind policy = PolicyKind::kDefault;
   // Competitive constant override for the adaptive engine (--adaptive-k
   // N; 0 keeps the TimingConfig default).
@@ -225,16 +225,10 @@ class SystemFlagParser {
     } else if (std::strcmp(flag, "--policy") == 0) {
       if (std::strcmp(arg, "default") == 0) {
         o_->policy = PolicyKind::kDefault;
-      } else if (std::strcmp(arg, "none") == 0) {
-        o_->policy = PolicyKind::kNone;
-      } else if (std::strcmp(arg, "migrep") == 0) {
-        o_->policy = PolicyKind::kMigRep;
-      } else if (std::strcmp(arg, "rnuma") == 0) {
-        o_->policy = PolicyKind::kRNuma;
       } else if (std::strcmp(arg, "adaptive") == 0) {
         o_->policy = PolicyKind::kAdaptive;
       } else {
-        bad_value(flag, arg, "default|none|migrep|rnuma|adaptive");
+        bad_value(flag, arg, "default|adaptive");
       }
     } else if (std::strcmp(flag, "--adaptive-k") == 0) {
       o_->adaptive_k = std::uint32_t(parse_uint(

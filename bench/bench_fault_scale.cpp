@@ -95,14 +95,13 @@ std::vector<NodeId> readers_of(unsigned p, std::uint32_t nodes, NodeId home) {
 
 SystemConfig cell_config(const Options& opt, std::uint32_t nodes,
                          FabricKind fabric, Scenario sc) {
+  // CC-NUMA attaches no decision policy: policy page ops would race the
+  // crash schedule and blur the recovery traffic this sweep measures.
   SystemConfig cfg = SystemConfig::base(SystemKind::kCcNuma);
   opt.apply(cfg);
   cfg.nodes = nodes;
   cfg.cpus_per_node = 1;
   cfg.fabric = fabric;
-  // No decision policy: policy page ops would race the crash schedule
-  // and blur the recovery traffic this sweep exists to measure.
-  cfg.policy = PolicyKind::kNone;
   // The scenario alone decides the fault plan: --fault-seed and
   // --fault-kinds reach only the seeded outage draws.
   cfg.faults = FaultConfig{};

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   std::printf(
       "=== Figure 5: normalized execution time (vs perfect CC-NUMA) ===\n"
       "scale: %s\n\n",
-      opt.scale == Scale::kPaper ? "paper (Table 2)" : "default (reduced)");
+      scale_name(opt.scale));
 
   const std::vector<std::pair<std::string, RunSpec>> systems = {
       {"CC-NUMA", paper_spec(SystemKind::kCcNuma, "")},

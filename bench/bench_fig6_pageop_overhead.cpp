@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   std::printf(
       "=== Figure 6: fast vs slow page operations (normalized to perfect "
       "CC-NUMA) ===\nscale: %s\n\n",
-      opt.scale == Scale::kPaper ? "paper (Table 2)" : "default (reduced)");
+      scale_name(opt.scale));
 
   RunSpec migrep_fast = paper_spec(SystemKind::kCcNumaMigRep, "");
   RunSpec migrep_slow = migrep_fast;

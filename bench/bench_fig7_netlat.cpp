@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   std::printf(
       "=== Figure 7: 4x network latency (remote:local = 16), normalized to "
       "perfect CC-NUMA at the same latency ===\nscale: %s   fabric: %s\n\n",
-      opt.scale == Scale::kPaper ? "paper (Table 2)" : "default (reduced)",
+      scale_name(opt.scale),
       to_string(opt.fabric));
 
   const TimingConfig slow_net = TimingConfig::long_latency();

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   std::printf(
       "=== Figure 8: R-NUMA + MigRep integration (normalized to perfect "
       "CC-NUMA) ===\nscale: %s\n\n",
-      opt.scale == Scale::kPaper ? "paper (Table 2)" : "default (reduced)");
+      scale_name(opt.scale));
 
   RunSpec half = paper_spec(SystemKind::kRNuma, "");
   half.system.page_cache_bytes = 1200 * 1024;  // 1.2 MB

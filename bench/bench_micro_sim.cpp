@@ -143,7 +143,6 @@ BENCHMARK(BM_CounterCacheDisplace);
 // decision policies attached — the fixed per-event engine overhead.
 void BM_PolicyEventDispatch(benchmark::State& state) {
   SystemConfig cfg = SystemConfig::base(SystemKind::kCcNuma);
-  cfg.policy = PolicyKind::kNone;
   cfg.migrep_counter_cache_pages = 1024;
   Stats stats(cfg.nodes);
   auto sys = make_system(cfg, &stats);
@@ -161,7 +160,6 @@ void BM_PolicyEventDispatch(benchmark::State& state) {
               : pick == 1 ? PolicyEventKind::kEviction
                           : PolicyEventKind::kMiss;
     ev.page = page;
-    ev.blk = page << (kPageBits - kBlockBits);
     ev.node = NodeId(rng.next_below(cfg.nodes));
     ev.is_write = (pick & 1) != 0;
     ev.bytes = 80;

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   std::printf(
       "=== Policy sweep: MigRep vs. R-NUMA vs. traffic-competitive "
       "adaptive ===\nscale: %s   fabric: %s   page-move cost: %u bytes\n\n",
-      opt.scale == Scale::kPaper ? "paper (Table 2)" : "default (reduced)",
+      scale_name(opt.scale),
       to_string(opt.fabric),
       unsigned(Message::page_bulk(0, 0, 0, kBlocksPerPage).total_bytes()));
 

@@ -71,15 +71,15 @@ void print_hot_links(const Fabric& fab, const SystemConfig& cfg);
 
 SystemConfig cell_config(const Options& opt, std::uint32_t nodes,
                          FabricKind fabric, DirScheme scheme) {
+  // CC-NUMA attaches no decision policy: page migration/replication
+  // would perturb the fixed sharing pattern and hide the scheme-only
+  // traffic delta.
   SystemConfig cfg = SystemConfig::base(SystemKind::kCcNuma);
   opt.apply(cfg);
   cfg.nodes = nodes;
   cfg.cpus_per_node = 1;
   cfg.fabric = fabric;
   cfg.dir_scheme = scheme;
-  // No decision policy: page migration/replication would perturb the
-  // fixed sharing pattern and hide the scheme-only traffic delta.
-  cfg.policy = PolicyKind::kNone;
   return cfg;
 }
 

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
       "=== Table 4: per-node page operations and remote misses ===\n"
       "scale: %s   fabric: %s\n"
       "(misses reported x1000, capacity/conflict in parens)\n\n",
-      opt.scale == Scale::kPaper ? "paper (Table 2)" : "default (reduced)",
+      scale_name(opt.scale),
       to_string(opt.fabric));
 
   std::vector<RunSpec> specs;

@@ -48,15 +48,7 @@ class Arena final : public std::pmr::memory_resource {
     }
     chunks_ = nullptr;
     cur_ = end_ = nullptr;
-    bytes_reserved_ = 0;
-    bytes_used_ = 0;
-    chunk_count_ = 0;
   }
-
-  // --- introspection (tests, reports) --------------------------------------
-  std::size_t bytes_reserved() const { return bytes_reserved_; }
-  std::size_t bytes_used() const { return bytes_used_; }
-  std::size_t chunk_count() const { return chunk_count_; }
 
  private:
   struct Chunk {
@@ -75,7 +67,6 @@ class Arena final : public std::pmr::memory_resource {
       p = align_up(cur_, align);
     }
     cur_ = p + bytes;
-    bytes_used_ += bytes;
     return p;
   }
 
@@ -105,17 +96,12 @@ class Arena final : public std::pmr::memory_resource {
     chunks_ = c;
     cur_ = static_cast<char*>(raw) + kHeaderBytes;
     end_ = cur_ + payload;
-    bytes_reserved_ += payload;
-    chunk_count_++;
   }
 
   Chunk* chunks_ = nullptr;
   char* cur_ = nullptr;
   char* end_ = nullptr;
   std::size_t next_chunk_bytes_;
-  std::size_t bytes_reserved_ = 0;
-  std::size_t bytes_used_ = 0;
-  std::size_t chunk_count_ = 0;
 };
 
 }  // namespace dsm

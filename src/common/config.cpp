@@ -18,11 +18,6 @@ const char* to_string(SystemKind k) {
   return "?";
 }
 
-bool uses_migrep(SystemKind k) {
-  return k == SystemKind::kCcNumaRep || k == SystemKind::kCcNumaMig ||
-         k == SystemKind::kCcNumaMigRep || k == SystemKind::kRNumaMigRep;
-}
-
 bool uses_page_cache(SystemKind k) {
   return k == SystemKind::kRNuma || k == SystemKind::kRNumaInf ||
          k == SystemKind::kRNumaMigRep;
@@ -31,9 +26,6 @@ bool uses_page_cache(SystemKind k) {
 const char* to_string(PolicyKind k) {
   switch (k) {
     case PolicyKind::kDefault: return "default";
-    case PolicyKind::kNone: return "none";
-    case PolicyKind::kMigRep: return "migrep";
-    case PolicyKind::kRNuma: return "rnuma";
     case PolicyKind::kAdaptive: return "adaptive";
   }
   return "?";

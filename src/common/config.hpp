@@ -33,21 +33,17 @@ enum class SystemKind {
 
 const char* to_string(SystemKind k);
 
-// True for systems that include the MigRep monitoring/movement machinery.
-bool uses_migrep(SystemKind k);
 // True for systems that include the S-COMA page cache machinery.
 bool uses_page_cache(SystemKind k);
 
 // Which decision engines to attach to the policy-event layer
 // (protocols/policy_engine.hpp). kDefault derives the paper's pairing
 // from SystemKind (MigRep rules for the +Rep/+Mig/+MigRep systems,
-// reactive relocation for the R-NUMA systems); the explicit values
-// override it, so any engine can be studied on any substrate.
+// reactive relocation for the R-NUMA systems); kAdaptive attaches the
+// adaptive engine instead, on any substrate (it relocates only where
+// the SystemKind has a page cache).
 enum class PolicyKind : std::uint8_t {
   kDefault = 0,  // derive from SystemKind (the paper's pairing)
-  kNone,         // substrate only: no decision engine
-  kMigRep,       // migration + replication rules (Section 3.1)
-  kRNuma,        // reactive relocation (Section 3.2)
   kAdaptive,     // traffic-competitive adaptive engine (byte-threshold)
 };
 

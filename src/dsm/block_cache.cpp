@@ -140,12 +140,6 @@ void BlockCache::invalidate(Addr blk) {
   size_--;
 }
 
-void BlockCache::set_state(Addr blk, NodeState st) {
-  Entry* e = probe(blk);
-  DSM_ASSERT(e != nullptr, "set_state on absent block-cache entry");
-  e->state = st;
-}
-
 void BlockCache::touch(Addr blk) {
   Entry* e = probe(blk);
   if (e) e->lru = ++lru_clock_;

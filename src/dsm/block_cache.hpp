@@ -65,35 +65,9 @@ class BlockCache {
   Victim install(Addr blk, NodeState st);
 
   void invalidate(Addr blk);
-  void set_state(Addr blk, NodeState st);
   void touch(Addr blk);  // LRU update on hit
 
   std::uint64_t occupancy() const { return size_; }
-
-  // Visit every resident block of `page`. Page-aligned blocks map to
-  // consecutive sets, so this walks one contiguous slot range (wrapping
-  // at the slot count) instead of issuing kBlocksPerPage independent
-  // probes; on the infinite shape the walk continues through the spill
-  // run past the window until a never-used slot (every entry homed in
-  // the window lives before that point). Visits each resident block of
-  // the page exactly once, in slot order.
-  template <typename Fn>
-  void for_each_block_of_page(Addr page, Fn&& fn) {
-    const Addr first = page << (kPageBits - kBlockBits);
-    const std::uint32_t span =
-        std::uint32_t(kBlocksPerPage) < n_sets_ ? kBlocksPerPage : n_sets_;
-    const std::size_t total = slots_.size();
-    const std::size_t window = std::size_t(span) * ways_;
-    std::size_t pos = std::size_t(set_of(first)) * ways_;
-    for (std::size_t i = 0; i < total; ++i) {
-      Entry& e = slots_[pos];
-      if (i >= window && (!infinite_ || e.lru == 0)) break;
-      if (e.lru != 0 && e.state != NodeState::kInvalid && e.blk >= first &&
-          e.blk < first + kBlocksPerPage)
-        fn(e);
-      if (++pos == total) pos = 0;
-    }
-  }
 
  private:
   std::uint32_t set_of(Addr blk) const {

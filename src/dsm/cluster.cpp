@@ -120,9 +120,7 @@ Cycle DsmSystem::access(const MemAccess& a) {
   stats_->node[a.node].l1_misses.record(l1.classify_miss(blk));
   t += cfg_.timing.l1_miss_detect;
 
-  // Bus request phase (arbitration + address).
-  t = bus_[a.node].reserve(t, cfg_.timing.bus_arb + cfg_.timing.bus_addr) +
-      cfg_.timing.bus_arb + cfg_.timing.bus_addr;
+  t = bus_request(a.node, t);
 
   // Within-node snoop: a peer L1 may supply or we may satisfy a write
   // locally when the node already has exclusivity.
@@ -131,12 +129,12 @@ Cycle DsmSystem::access(const MemAccess& a) {
   switch (pi.mode[a.node]) {
     case PageMode::kCcNuma:
       if (pi.home == a.node) return access_local(a, pi, blk, t);
-      return access_remote_ccnuma(a, pi, blk, t);
+      [[fallthrough]];
     case PageMode::kScoma:
-      return access_scoma(a, pi, blk, t);
+      return access_remote(a, pi, blk, t);
     case PageMode::kReplica:
       DSM_ASSERT(!a.write, "write reached replica path without collapse");
-      return access_replica(a, pi, blk, t);
+      return access_replica(a, blk, t);
     case PageMode::kUnmapped:
       break;
   }
@@ -162,36 +160,19 @@ Cycle DsmSystem::map_page(const MemAccess& a, PageInfo& pi, Addr page,
 void DsmSystem::check_coherence() const {
   auto* self = const_cast<DsmSystem*>(this);
   self->dir_.for_each([&](Addr blk, DirEntry& e) {
-    const Addr page = page_of(blk << kBlockBits);
-    const PageInfo* pi = pt_.find(page);
+    const PageInfo* pi = pt_.find(page_of(blk << kBlockBits));
     DSM_ASSERT(pi != nullptr);
     for (NodeId n = 0; n < cfg_.nodes; ++n) {
-      bool node_has = false;
-      bool node_dirty = false;
-      const CpuId first = n * cfg_.cpus_per_node;
-      for (CpuId c = first; c < first + cfg_.cpus_per_node; ++c) {
-        if (const L1Cache::Line* ln = self->l1_[c]->probe(blk)) {
-          node_has = true;
-          if (ln->state != L1State::kS) node_dirty = true;
-        }
-      }
-      if (const BlockCache::Entry* be = self->bc_[n]->probe(blk)) {
-        node_has = true;
-        if (be->state == NodeState::kModified) node_dirty = true;
-      }
-      if (const PageCache::Frame* f = self->pc_[n]->find(page)) {
-        const unsigned bix = block_index_in_page(blk << kBlockBits);
-        if (f->has(bix)) {
-          node_has = true;
-          if (f->tag[bix] == NodeState::kModified) node_dirty = true;
-        }
-      }
+      const NodeCopies h = self->walk_copies(n, blk);
+      const bool node_has = h.any();
+      // An E line counts: a shared block may have no exclusive copy.
+      const bool node_excl = h.l1_exclusive || h.node_modified;
       switch (e.state) {
         case DirState::kUncached:
           DSM_ASSERT(!node_has, "copy of an uncached block");
           break;
         case DirState::kShared:
-          DSM_ASSERT(!node_dirty, "dirty copy of a shared block");
+          DSM_ASSERT(!node_excl, "dirty copy of a shared block");
           // Conservative supersets are valid: every actual holder must
           // be covered by the sharer set (inexact schemes may cover
           // non-holders too — that is their contract, not a bug).

@@ -52,6 +52,7 @@ namespace dsm {
 class DsmSystem;
 class PolicyEngine;
 struct PolicyEvent;
+enum class PageOpKind : std::uint8_t;
 
 // Per-node miss-class history at node (cluster-device) level.
 //
@@ -145,10 +146,8 @@ class DsmSystem : public MemorySystem {
   PageCache& page_cache(NodeId n) { return *pc_[n]; }
   Resource& node_bus(NodeId n) { return bus_[n]; }
   Resource& node_device(NodeId n) { return device_[n]; }
-  NodeHistory& node_history(NodeId n) { return history_[n]; }
 
   std::uint32_t nodes() const { return cfg_.nodes; }
-  NodeId node_of_cpu(CpuId c) const { return c / cfg_.cpus_per_node; }
 
   // Resolved sharer-set geometry (scheme, node count, coarse regions)
   // shared by the directory, the page table and every protocol path.
@@ -169,10 +168,26 @@ class DsmSystem : public MemorySystem {
   Cycle access_hit_or_upgrade(const MemAccess& a, PageInfo& pi, Addr blk,
                               L1Cache::Line* ln, Cycle t);
   Cycle access_local(const MemAccess& a, PageInfo& pi, Addr blk, Cycle t);
-  Cycle access_remote_ccnuma(const MemAccess& a, PageInfo& pi, Addr blk,
-                             Cycle t);
-  Cycle access_scoma(const MemAccess& a, PageInfo& pi, Addr blk, Cycle t);
-  Cycle access_replica(const MemAccess& a, PageInfo& pi, Addr blk, Cycle t);
+  // A remote page: the node's copy lives in the block cache (CC-NUMA) or
+  // in the page's S-COMA frame.
+  Cycle access_remote(const MemAccess& a, PageInfo& pi, Addr blk, Cycle t);
+  Cycle access_replica(const MemAccess& a, Addr blk, Cycle t);
+
+  // Steps the access paths share. restart() re-issues `a` at `t`
+  // against the page's current mapping after a page op moved it under
+  // the access (the poison-bit fault-and-retry the page-op machinery
+  // models; the op window stalls the retry). bus_request() is the bus
+  // arbitration + address phase; bus_fill() occupies the bus `occ`
+  // cycles and adds the L1 fill. upgrade_at_home() is the UPGRADE round
+  // trip at the home plus its counted-upgrade event.
+  Cycle restart(const MemAccess& a, Cycle t);
+  Cycle bus_request(NodeId n, Cycle t);
+  Cycle bus_fill(NodeId n, Cycle t, Cycle occ);
+  Cycle upgrade_at_home(const MemAccess& a, PageInfo& pi, Addr blk, Cycle t);
+  // The node-level state of `blk` at node `n`: the frame's tag when the
+  // page is mapped S-COMA there, else the block-cache entry's. Null when
+  // the node holds no copy.
+  NodeState* node_copy(NodeId n, bool scoma, Addr blk);
 
   // Within-node snoop: if another L1 on the node can supply/upgrade
   // without leaving the node, handle it. Returns true + updates t.
@@ -199,6 +214,10 @@ class DsmSystem : public MemorySystem {
   // shared at the owner.
   Cycle recall_from_owner(NodeId home, NodeId owner, Addr blk,
                           bool invalidate, Cycle t);
+  // The recalled node answers the INVAL order `inv` with `reply` once
+  // its copy is gone (`ready`); reports the recall as a kInvalidation
+  // event charged both messages. Returns when the reply reaches home.
+  Cycle recall_reply(const Message& inv, const Message& reply, Cycle ready);
 
   // ---- reliable-transaction layer (dsm/recovery.cpp) ----------------------
   // With the fault layer off, every call below collapses to a plain
@@ -252,14 +271,51 @@ class DsmSystem : public MemorySystem {
   // node's copies (a dirty one counts a distinct data loss). Idempotent
   // when the page already moved. Returns the time the new mapping is
   // usable.
-  Cycle emergency_rehome(Addr page, NodeId dead_home, NodeId requester,
-                         Cycle t);
+  Cycle emergency_rehome(Addr page, NodeId dead_home, Cycle t);
+
+  // ---- page-op steps (dsm/page_ops.cpp) ------------------------------------
+  // Gather: flush every node's copies of `page` (dirty data goes home)
+  // and occupy `at`'s device for it. Returns when the gather is done.
+  Cycle gather_page(Addr page, NodeId at, Cycle t);
+  // Ship the bulk copy `bulk` and occupy its destination's device for
+  // the copy. After retry exhaustion the op aborts cleanly instead: the
+  // gather already emptied every cache (demand fetches refill them) and
+  // no mapping has changed yet, so only the op window and a failed
+  // completion event remain. `ok` is false then.
+  SendOutcome ship_page(const Message& bulk, PageOpKind op, PageInfo& pi,
+                        Cycle t);
+  // Make `home` the page's home and only mapper after a gather: its
+  // directory entries start clean, S-COMA frames holding it go back to
+  // their mappers, every other node refaults it, and accesses stall
+  // until `until`.
+  void remap_page(PageInfo& pi, Addr page, NodeId home, Cycle until);
+  // Report a page op on `page` at `node` as finished (or aborted).
+  void emit_page_op(PageOpKind op, Addr page, PageInfo& pi, NodeId node,
+                    std::uint64_t bytes, Cycle now, bool failed = false);
 
   // ---- node-level helpers ---------------------------------------------------
-  // Invalidate/downgrade every copy of `blk` at node `n` (L1s + BC/PC).
-  // Marks node history with `reason` when invalidating. Returns whether
-  // the node held a modified copy in any container — the recall paths
-  // use this to decide between a writeback and a plain ack.
+  // What one node holds of a block: its L1s' lines and the node-level
+  // copy in the block cache or the page's S-COMA frame.
+  struct NodeCopies {
+    bool l1 = false;             // some L1 holds it
+    bool l1_exclusive = false;   // ... in E, O or M
+    bool l1_dirty = false;       // ... in O or M
+    bool node = false;           // a node-level copy exists
+    bool node_modified = false;  // ... in kModified
+    bool any() const { return l1 || node; }
+    bool dirty() const { return l1_dirty || node_modified; }
+  };
+  enum class CopyAction : std::uint8_t { kKeep, kDowngrade, kInvalidate };
+  // The one walk over a node's copies of `blk`: reports what the node
+  // held, and leaves the copies as they were (kKeep), downgrades them to
+  // shared, or invalidates them (L1 lines record `reason`).
+  NodeCopies walk_copies(NodeId n, Addr blk,
+                         CopyAction act = CopyAction::kKeep,
+                         MissClass reason = MissClass::kCoherence);
+  // Invalidate/downgrade every copy of `blk` at node `n`. Marks node
+  // history with `reason` when invalidating a node-level copy. Returns
+  // whether the node held a modified copy in any container — the recall
+  // paths use this to decide between a writeback and a plain ack.
   bool flush_block_at_node(NodeId n, Addr blk, bool invalidate,
                            MissClass reason);
   // L1 install with victim writeback handling.
@@ -272,7 +328,8 @@ class DsmSystem : public MemorySystem {
   void emit_counted(bool upgrade, Addr page, PageInfo& pi, NodeId requester,
                     bool is_write, std::uint64_t bytes, Cycle now);
   // Flush all blocks of `page` cached at node `n`; dirty data goes home
-  // asynchronously. Returns the number of (node-level) blocks flushed.
+  // asynchronously. Returns the number of blocks the node held in any
+  // container (an L1 line alone counts).
   unsigned flush_page_at_node(NodeId n, Addr page, MissClass reason);
   // Record a node-level remote miss.
   void record_remote_miss(NodeId n, MissClass c) {

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 #include "common/addr_map.hpp"
@@ -56,6 +57,24 @@ struct DirEntry {
   void remove_sharer(NodeId n, const NodeSetLayout& l) { sharers.remove(n, l); }
   std::uint32_t sharer_count(const NodeSetLayout& l) const {
     return sharers.count(l);
+  }
+
+  // `n` becomes the only holder, free to modify the block.
+  void grant_exclusive(NodeId n) {
+    state = DirState::kExclusive;
+    owner = n;
+    sharers.clear();
+  }
+  // `n` no longer caches the block.
+  void drop(NodeId n, const NodeSetLayout& l) {
+    if (state == DirState::kExclusive && owner == n) {
+      state = DirState::kUncached;
+      owner = kNoNode;
+      sharers.clear();
+    } else if (state == DirState::kShared) {
+      remove_sharer(n, l);
+      if (sharers.empty()) state = DirState::kUncached;
+    }
   }
 };
 
@@ -95,9 +114,7 @@ class Directory {
     return &pd->entries[slot_of(blk)];
   }
 
-  // Drop the entry (page migration moves directory state to the new
-  // home after flushing everything; the fresh home starts kUncached).
-  // The page record goes with its last live entry.
+  // Drop the entry. The page record goes with its last live entry.
   void erase(Addr blk) {
     const Addr page = blk >> kPageShift;
     PageDir* pd = pages_.find(page);
@@ -105,6 +122,14 @@ class Directory {
     pd->live &= ~bit_of(blk);
     size_--;
     if (pd->live == 0) pages_.erase(page);
+  }
+  // Drop every entry of `page` (a page operation gathers every copy
+  // first; the page's blocks then start kUncached at the home).
+  void erase_page(Addr page) {
+    const PageDir* pd = pages_.find(page);
+    if (pd == nullptr) return;
+    size_ -= std::size_t(std::popcount(pd->live));
+    pages_.erase(page);
   }
 
   // Live entries.

@@ -34,7 +34,7 @@ Cycle DsmSystem::remote_fetch(NodeId requester, Addr page, Addr blk,
     // successor, rebuild the directory from the survivors, and restart
     // the access against the new mapping (kInvalid is the restart
     // signal, exactly like the page-op race below).
-    const Cycle ready = emergency_rehome(page, home, requester, ho.at);
+    const Cycle ready = emergency_rehome(page, home, ho.at);
     *granted = NodeState::kInvalid;
     return ready;
   }
@@ -45,10 +45,9 @@ Cycle DsmSystem::remote_fetch(NodeId requester, Addr page, Addr blk,
   // Counted miss at the home: the event carries the transaction's
   // request + data-reply byte charge (recall/invalidation rounds are
   // reported as their own kInvalidation events).
+  const Message reply = Message::data(home, requester, blk);
   emit_counted(/*upgrade=*/false, page, pi, requester, write,
-               req.total_bytes() +
-                   Message::data(home, requester, blk).total_bytes(),
-               th);
+               req.total_bytes() + reply.total_bytes(), th);
 
   // A policy page op fired off that event may have moved the page — a
   // migration re-homing it or a relocation/replication remapping it at
@@ -66,9 +65,7 @@ Cycle DsmSystem::remote_fetch(NodeId requester, Addr page, Addr blk,
   if (write) {
     data_ready = home_service_exclusive(home, requester, blk, th);
     data_ready += cfg_.timing.mem_access;
-    e.state = DirState::kExclusive;
-    e.owner = requester;
-    e.sharers.clear();
+    e.grant_exclusive(requester);
     *granted = NodeState::kModified;
   } else {
     if (e.state == DirState::kExclusive && e.owner != requester) {
@@ -82,9 +79,7 @@ Cycle DsmSystem::remote_fetch(NodeId requester, Addr page, Addr blk,
       data_ready = th + cfg_.timing.mem_access;
       // Exclusive-clean grant: no other cached copies exist. Never
       // granted on a replicated page — those are read-only everywhere.
-      e.state = DirState::kExclusive;
-      e.owner = requester;
-      e.sharers.clear();
+      e.grant_exclusive(requester);
       *granted = NodeState::kModified;
     } else {
       DSM_ASSERT(e.state == DirState::kShared ||
@@ -105,7 +100,7 @@ Cycle DsmSystem::remote_fetch(NodeId requester, Addr page, Addr blk,
 
   // Reply with data (a lost reply is recovered by a request
   // retransmission hitting the home's duplicate table).
-  return reply_reliable(Message::data(home, requester, blk), req, data_ready);
+  return reply_reliable(reply, req, data_ready);
 }
 
 Cycle DsmSystem::remote_upgrade(NodeId requester, Addr page, Addr blk,
@@ -117,9 +112,7 @@ Cycle DsmSystem::remote_upgrade(NodeId requester, Addr page, Addr blk,
   if (home == requester) {
     // Upgrade of a local block: invalidate remote sharers from home.
     const Cycle done = home_service_exclusive(home, requester, blk, t);
-    e.state = DirState::kExclusive;
-    e.owner = requester;
-    e.sharers.clear();
+    e.grant_exclusive(requester);
     return done;
   }
 
@@ -130,15 +123,13 @@ Cycle DsmSystem::remote_upgrade(NodeId requester, Addr page, Addr blk,
     // Dead home: re-home the page and return without the grant. The
     // requester's L1 line was not upgraded, so the access path's
     // re-probe restarts the transaction against the new home.
-    return emergency_rehome(page, home, requester, ho.at);
+    return emergency_rehome(page, home, ho.at);
   }
   Cycle th = ho.at;
   const Cycle dir_occ = cfg_.timing.dir_lookup + cfg_.timing.protocol_fsm;
   th = device_[home].reserve(th, dir_occ) + dir_occ;
   const Cycle done = home_service_exclusive(home, requester, blk, th);
-  e.state = DirState::kExclusive;
-  e.owner = requester;
-  e.sharers.clear();
+  e.grant_exclusive(requester);
   return reply_reliable(Message::control(MsgKind::kAck, home, requester, blk),
                         up, done);
 }
@@ -172,28 +163,9 @@ Cycle DsmSystem::home_service_exclusive(NodeId home, NodeId requester,
       const Cycle occ = cfg_.timing.bc_lookup + cfg_.timing.protocol_fsm;
       ts = device_[s].reserve(ts, occ) + occ;
       flush_block_at_node(s, blk, /*invalidate=*/true, MissClass::kCoherence);
-      const Cycle ack =
-          (s == home)
-              ? ts
-              : reply_reliable(Message::control(MsgKind::kAck, s, home, blk),
-                               inv, ts);
-      done = std::max(done, ack);
-      // Event: `s` lost its copy; charged the inval + ack pair (zero
-      // when the sharer is the home itself — no wire messages).
-      const Addr page = page_of(blk << kBlockBits);
-      PolicyEvent ev;
-      ev.kind = PolicyEventKind::kInvalidation;
-      ev.page = page;
-      ev.blk = blk;
-      ev.node = s;
-      ev.peer = requester;
-      ev.bytes =
-          (s == home)
-              ? 0
-              : Message::control(MsgKind::kInval, home, s, blk).total_bytes() +
-                    Message::control(MsgKind::kAck, s, home, blk).total_bytes();
-      ev.now = ack;
-      engine_->dispatch(ev, &pt_.info(page));
+      done = std::max(
+          done,
+          recall_reply(inv, Message::control(MsgKind::kAck, s, home, blk), ts));
     });
   } else if (e.state == DirState::kExclusive && e.owner != requester) {
     done = recall_from_owner(home, e.owner, blk, /*invalidate=*/true, t);
@@ -234,33 +206,28 @@ Cycle DsmSystem::recall_from_owner(NodeId home, NodeId owner, Addr blk,
   // invalidation/downgrade. The flush walk itself reports dirtiness.
   const bool dirty =
       flush_block_at_node(owner, blk, invalidate, MissClass::kCoherence);
-  const Cycle end =
-      (owner == home)
-          ? ts
-          : reply_reliable(dirty ? Message::writeback(owner, home, blk)
-                                 : Message::control(MsgKind::kAck, owner,
-                                                    home, blk),
-                           inv, ts);
-  // Event: the owner's copy was recalled (invalidated or downgraded);
-  // charged the inval order plus the writeback-or-ack reply.
-  const Addr page = page_of(blk << kBlockBits);
+  return recall_reply(inv,
+                      dirty ? Message::writeback(owner, home, blk)
+                            : Message::control(MsgKind::kAck, owner, home, blk),
+                      ts);
+}
+
+Cycle DsmSystem::recall_reply(const Message& inv, const Message& reply,
+                              Cycle ready) {
+  // Event: the recalled node's copy was invalidated or downgraded,
+  // charged the order and the reply (zero when the home recalled its own
+  // copy — no wire messages exist).
   PolicyEvent ev;
   ev.kind = PolicyEventKind::kInvalidation;
-  ev.page = page;
-  ev.blk = blk;
-  ev.node = owner;
-  ev.peer = home;
-  ev.is_write = dirty;
-  ev.bytes =
-      (owner == home)
-          ? 0
-          : Message::control(MsgKind::kInval, home, owner, blk).total_bytes() +
-                (dirty ? Message::writeback(owner, home, blk).total_bytes()
-                       : Message::control(MsgKind::kAck, owner, home, blk)
-                             .total_bytes());
-  ev.now = end;
-  engine_->dispatch(ev, &pt_.info(page));
-  return end;
+  ev.page = page_of(inv.addr << kBlockBits);
+  ev.node = inv.dst;
+  ev.now = ready;
+  if (inv.dst != inv.src) {
+    ev.now = reply_reliable(reply, inv, ready);
+    ev.bytes = inv.total_bytes() + reply.total_bytes();
+  }
+  engine_->dispatch(ev, &pt_.info(ev.page));
+  return ev.now;
 }
 
 void DsmSystem::emit_counted(bool upgrade, Addr page, PageInfo& pi,
@@ -270,7 +237,6 @@ void DsmSystem::emit_counted(bool upgrade, Addr page, PageInfo& pi,
   ev.kind = upgrade ? PolicyEventKind::kUpgrade : PolicyEventKind::kMiss;
   ev.page = page;
   ev.node = requester;
-  ev.peer = pi.home;
   ev.is_write = is_write;
   ev.bytes = bytes;
   ev.now = now;

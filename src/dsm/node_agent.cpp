@@ -6,8 +6,6 @@
 // interconnect activity initiated here is the off-critical-path victim
 // notification on a block-cache eviction, sent as a typed writeback or
 // replacement-hint message.
-#include <algorithm>
-
 #include "dsm/cluster.hpp"
 #include "protocols/policy_engine.hpp"
 
@@ -22,7 +20,54 @@ std::uint64_t upgrade_bytes(NodeId requester, NodeId home, Addr blk) {
              .total_bytes() +
          Message::control(MsgKind::kAck, home, requester, blk).total_bytes();
 }
+
+// The L1 state a fill grants: M for a write, E when the node holds the
+// block exclusively, S otherwise.
+L1State l1_fill_state(bool write, NodeState node) {
+  if (write) return L1State::kM;
+  return node == NodeState::kModified ? L1State::kE : L1State::kS;
+}
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Steps every access path shares
+// ---------------------------------------------------------------------------
+
+Cycle DsmSystem::restart(const MemAccess& a, Cycle t) {
+  MemAccess retry = a;
+  retry.start = t;
+  return access(retry);
+}
+
+Cycle DsmSystem::bus_request(NodeId n, Cycle t) {
+  const Cycle occ = cfg_.timing.bus_arb + cfg_.timing.bus_addr;
+  return bus_[n].reserve(t, occ) + occ;
+}
+
+Cycle DsmSystem::bus_fill(NodeId n, Cycle t, Cycle occ) {
+  return bus_[n].reserve(t, occ) + occ + cfg_.timing.fill;
+}
+
+Cycle DsmSystem::upgrade_at_home(const MemAccess& a, PageInfo& pi, Addr blk,
+                                 Cycle t) {
+  const Addr page = page_of(a.addr);
+  t = remote_upgrade(a.node, page, blk, t);
+  // Priced at the page's home after the round trip, which re-homes the
+  // page when the old home is dead.
+  emit_counted(/*upgrade=*/true, page, pi, a.node, /*is_write=*/true,
+               upgrade_bytes(a.node, pi.home, blk), t);
+  return t;
+}
+
+NodeState* DsmSystem::node_copy(NodeId n, bool scoma, Addr blk) {
+  if (!scoma) {
+    BlockCache::Entry* be = bc_[n]->probe(blk);
+    return be ? &be->state : nullptr;
+  }
+  PageCache::Frame* f = pc_[n]->find(page_of(blk << kBlockBits));
+  const unsigned bix = block_index_in_page(blk << kBlockBits);
+  return f && f->has(bix) ? &f->tag[bix] : nullptr;
+}
 
 // ---------------------------------------------------------------------------
 // L1 hit / upgrade
@@ -37,27 +82,15 @@ Cycle DsmSystem::access_hit_or_upgrade(const MemAccess& a, PageInfo& pi,
   }
 
   // Write hit on S or O: need exclusivity.
-  t += cfg_.timing.l1_miss_detect;
-  t = bus_[a.node].reserve(t, cfg_.timing.bus_arb + cfg_.timing.bus_addr) +
-      cfg_.timing.bus_arb + cfg_.timing.bus_addr;
+  t = bus_request(a.node, t + cfg_.timing.l1_miss_detect);
 
   // Does the node already own the block cluster-wide?
-  DirEntry& e = dir_.entry(blk);
-  const bool node_exclusive =
-      e.state == DirState::kExclusive && e.owner == a.node;
-  if (!node_exclusive) {
-    t = remote_upgrade(a.node, page_of(a.addr), blk, t);
-    emit_counted(/*upgrade=*/true, page_of(a.addr), pi, a.node,
-                 /*is_write=*/true, upgrade_bytes(a.node, pi.home, blk), t);
-    if (l1_[a.cpu]->probe(blk) == nullptr) {
-      // A policy fired a page op off this event and its gather flushed
-      // our own copies: the mapping changed under the access. Restart
-      // against the new mapping (the poison-bit fault-and-retry the
-      // page-op machinery models; the op window stalls the retry).
-      MemAccess retry = a;
-      retry.start = t;
-      return access(retry);
-    }
+  const DirEntry& e = dir_.entry(blk);
+  if (!(e.state == DirState::kExclusive && e.owner == a.node)) {
+    t = upgrade_at_home(a, pi, blk, t);
+    // A policy fired a page op off this event and its gather flushed
+    // our own copies: the mapping changed under the access.
+    if (l1_[a.cpu]->probe(blk) == nullptr) return restart(a, t);
   }
   // Invalidate peer L1 copies on this node.
   for (CpuId c = a.node * cfg_.cpus_per_node;
@@ -65,13 +98,11 @@ Cycle DsmSystem::access_hit_or_upgrade(const MemAccess& a, PageInfo& pi,
     if (c != a.cpu) l1_[c]->invalidate(blk, MissClass::kCoherence);
   }
   // Node-level state -> modified.
-  if (pi.mode[a.node] == PageMode::kScoma) {
-    PageCache::Frame* f = pc_[a.node]->find(page_of(a.addr));
-    DSM_ASSERT(f && f->has(block_index_in_page(a.addr)));
-    f->tag[block_index_in_page(a.addr)] = NodeState::kModified;
-  } else if (pi.home != a.node) {
-    if (BlockCache::Entry* be = bc_[a.node]->probe(blk))
-      be->state = NodeState::kModified;
+  const bool scoma = pi.mode[a.node] == PageMode::kScoma;
+  if (scoma || pi.home != a.node) {
+    NodeState* held = node_copy(a.node, scoma, blk);
+    DSM_ASSERT(held || !scoma, "S-COMA L1 copy outside its frame");
+    if (held) *held = NodeState::kModified;
   }
   l1_[a.cpu]->set_state(blk, L1State::kM);
   return t + cfg_.timing.fill;
@@ -85,14 +116,10 @@ bool DsmSystem::snoop_node(const MemAccess& a, Addr blk, Cycle& t) {
   const CpuId first = a.node * cfg_.cpus_per_node;
   const CpuId last = first + cfg_.cpus_per_node;
   L1Cache::Line* supplier = nullptr;
-  CpuId supplier_cpu = 0;
   for (CpuId c = first; c < last; ++c) {
     if (c == a.cpu) continue;
     if (L1Cache::Line* ln = l1_[c]->probe(blk)) {
-      if (!supplier || int(ln->state) > int(supplier->state)) {
-        supplier = ln;
-        supplier_cpu = c;
-      }
+      if (!supplier || int(ln->state) > int(supplier->state)) supplier = ln;
     }
   }
   if (!supplier) return false;
@@ -102,24 +129,20 @@ bool DsmSystem::snoop_node(const MemAccess& a, Addr blk, Cycle& t) {
     if (supplier->state == L1State::kM) supplier->state = L1State::kO;
     if (supplier->state == L1State::kE) supplier->state = L1State::kS;
     l1_install(a, blk, L1State::kS);
-    t = bus_[a.node].reserve(t, cfg_.timing.bus_data) + cfg_.timing.bus_data +
-        cfg_.timing.fill;
+    t = bus_fill(a.node, t, cfg_.timing.bus_data);
     return true;
   }
 
   // Write: only resolvable within the node if the node is exclusive
   // cluster-wide (peer holding M/E/O implies node-level kModified, or a
   // local page with directory exclusivity at this node).
-  DirEntry& e = dir_.entry(blk);
-  const bool node_exclusive =
-      e.state == DirState::kExclusive && e.owner == a.node;
-  if (!node_exclusive) return false;  // fall through to upgrade paths
-  (void)supplier_cpu;
+  const DirEntry& e = dir_.entry(blk);
+  if (!(e.state == DirState::kExclusive && e.owner == a.node))
+    return false;  // fall through to upgrade paths
   for (CpuId c = first; c < last; ++c)
     if (c != a.cpu) l1_[c]->invalidate(blk, MissClass::kCoherence);
   l1_install(a, blk, L1State::kM);
-  t = bus_[a.node].reserve(t, cfg_.timing.bus_data) + cfg_.timing.bus_data +
-      cfg_.timing.fill;
+  t = bus_fill(a.node, t, cfg_.timing.bus_data);
   return true;
 }
 
@@ -146,9 +169,7 @@ Cycle DsmSystem::access_local(const MemAccess& a, PageInfo& pi, Addr blk,
       record_remote_miss(home, MissClass::kCoherence);
     }
     t += cfg_.timing.mem_access;
-    e.state = DirState::kExclusive;
-    e.owner = home;
-    e.sharers.clear();
+    e.grant_exclusive(home);
     l1_install(a, blk, L1State::kM);
   } else {
     if (e.state == DirState::kExclusive && e.owner != home) {
@@ -161,9 +182,7 @@ Cycle DsmSystem::access_local(const MemAccess& a, PageInfo& pi, Addr blk,
          (e.state == DirState::kExclusive && e.owner == home))) {
       // Exclusive-clean grant: the home may silently modify. Never
       // granted while replicas exist (the page is read-only).
-      e.state = DirState::kExclusive;
-      e.owner = home;
-      e.sharers.clear();
+      e.grant_exclusive(home);
       l1_install(a, blk, L1State::kE);
     } else {
       if (e.state == DirState::kExclusive) {
@@ -178,179 +197,95 @@ Cycle DsmSystem::access_local(const MemAccess& a, PageInfo& pi, Addr blk,
     }
   }
   stats_->node[home].local_mem_accesses++;
-  t = bus_[a.node].reserve(t, cfg_.timing.bus_data) + cfg_.timing.bus_data +
-      cfg_.timing.fill;
-  return t;
+  return bus_fill(a.node, t, cfg_.timing.bus_data);
 }
 
 // ---------------------------------------------------------------------------
-// Remote CC-NUMA (block cache) path
+// Remote page path: the node's copy lives in its block cache (CC-NUMA) or,
+// once R-NUMA relocated the page, in the page's S-COMA frame
 // ---------------------------------------------------------------------------
 
-Cycle DsmSystem::access_remote_ccnuma(const MemAccess& a, PageInfo& pi,
-                                      Addr blk, Cycle t) {
-  BlockCache& bc = *bc_[a.node];
+Cycle DsmSystem::access_remote(const MemAccess& a, PageInfo& pi, Addr blk,
+                               Cycle t) {
   const Addr page = page_of(a.addr);
+  const bool scoma = pi.mode[a.node] == PageMode::kScoma;
+  if (scoma) {
+    DSM_ASSERT(pc_[a.node]->find(page) != nullptr,
+               "S-COMA mapped page has no frame");
+    pc_[a.node]->touch(page);
+  }
+  // Block-cache probe, or the frame's fine-grain tag lookup (memory
+  // inhibit check).
   t += cfg_.timing.bc_lookup;
 
-  if (BlockCache::Entry* be = bc.probe(blk)) {
-    const bool writable = be->state == NodeState::kModified;
-    if (!a.write || writable) {
-      // Block-cache hit. The paper keeps block-cache and page-cache
-      // supply latencies/occupancies comparable (Section 2), so this
-      // path costs the same as a local memory / S-COMA page-cache fill.
-      bc.touch(blk);
-      stats_->node[a.node].bc_hits++;
-      l1_install(a, blk,
-                 a.write ? L1State::kM
-                         : (writable ? L1State::kE : L1State::kS));
-      t += cfg_.timing.mem_access;
-      t = bus_[a.node].reserve(t, cfg_.timing.bus_data) +
-          cfg_.timing.bus_data + cfg_.timing.fill;
-      return t;
+  if (NodeState* held = node_copy(a.node, scoma, blk)) {
+    if (!a.write || *held == NodeState::kModified) {
+      // Node-level hit. The paper keeps block-cache and page-cache
+      // supply latencies/occupancies comparable (Section 2), so both
+      // cost the same as a local memory fill.
+      if (scoma) {
+        stats_->node[a.node].pc_hits++;
+      } else {
+        bc_[a.node]->touch(blk);
+        stats_->node[a.node].bc_hits++;
+      }
+      l1_install(a, blk, l1_fill_state(a.write, *held));
+      return bus_fill(a.node, t + cfg_.timing.mem_access,
+                      cfg_.timing.bus_data);
     }
-    // Write to a node-shared block: upgrade at home.
-    t = remote_upgrade(a.node, page, blk, t);
-    emit_counted(/*upgrade=*/true, page, pi, a.node, /*is_write=*/true,
-                 upgrade_bytes(a.node, pi.home, blk), t);
-    // Re-probe: a policy page op may have flushed this node's copies
-    // (and remapped the page) while the event dispatched.
-    be = bc.probe(blk);
-    if (be == nullptr) {
-      MemAccess retry = a;
-      retry.start = t;
-      return access(retry);
-    }
+    // Write to a node-shared block: upgrade at home. Re-probe after: a
+    // policy page op may have flushed this node's copies, or released
+    // the frame outright, while the event dispatched.
+    t = upgrade_at_home(a, pi, blk, t);
+    held = node_copy(a.node, scoma, blk);
+    if (held == nullptr) return restart(a, t);
     record_remote_miss(a.node, MissClass::kCoherence);
-    be->state = NodeState::kModified;
-    bc.touch(blk);
+    *held = NodeState::kModified;
+    if (!scoma) bc_[a.node]->touch(blk);
     l1_install(a, blk, L1State::kM);
-    t = bus_[a.node].reserve(t, cfg_.timing.bus_data) + cfg_.timing.bus_data +
-        cfg_.timing.fill;
-    return t;
+    return bus_fill(a.node, t, cfg_.timing.bus_data);
   }
 
-  // Block-cache miss: remote fetch required. The event reaches the
+  // Miss: fetch the block from home. Under CC-NUMA the event reaches the
   // requester-side policies (R-NUMA relocation, adaptive) before the
-  // fetch leaves the node; a policy may relocate the page to S-COMA
-  // and/or delay the fetch by returning a later cycle.
+  // fetch leaves the node; a policy may relocate the page to S-COMA —
+  // the access then continues on the S-COMA path — and/or delay the
+  // fetch by returning a later cycle.
   const MissClass node_class = history_[a.node].classify(blk);
-  {
+  if (!scoma) {
     PolicyEvent ev;
     ev.kind = PolicyEventKind::kRemoteFetch;
     ev.page = page;
-    ev.blk = blk;
     ev.node = a.node;
-    ev.peer = pi.home;
-    ev.is_write = a.write;
     ev.miss_class = node_class;
     ev.now = t;
-    const Cycle t2 = engine_->dispatch(ev, &pi);
-    if (pi.mode[a.node] == PageMode::kScoma) {
-      // Relocated: service this access through the S-COMA path.
-      return access_scoma(a, pi, blk, t2);
-    }
-    t = t2;
+    t = engine_->dispatch(ev, &pi);
+    if (pi.mode[a.node] == PageMode::kScoma)
+      return access_remote(a, pi, blk, t);
   }
-
   record_remote_miss(a.node, node_class);
   NodeState granted = NodeState::kShared;
   t = remote_fetch(a.node, page, blk, a.write, t, &granted);
-  if (granted == NodeState::kInvalid) {
-    // The fetch aborted: a page op moved the mapping mid-transaction.
-    // Restart the whole access against the post-op mapping.
-    MemAccess retry = a;
-    retry.start = t;
-    return access(retry);
+  // The fetch aborted: a page op moved the mapping mid-transaction (the
+  // frame may be flushed or released).
+  if (granted == NodeState::kInvalid) return restart(a, t);
+  if (scoma) {
+    PageCache::Frame* f = pc_[a.node]->find(page);
+    const unsigned bix = block_index_in_page(a.addr);
+    if (!f->has(bix)) f->valid_blocks++;
+    f->tag[bix] = granted;
+  } else {
+    bc_install(a.node, blk, granted, t);
   }
-  bc_install(a.node, blk, granted, t);
-  l1_install(a, blk,
-             a.write ? L1State::kM
-                     : (granted == NodeState::kModified ? L1State::kE
-                                                        : L1State::kS));
-  t = bus_[a.node].reserve(t, cfg_.timing.bus_arb + cfg_.timing.bus_data) +
-      cfg_.timing.bus_arb + cfg_.timing.bus_data + cfg_.timing.fill;
-  return t;
-}
-
-// ---------------------------------------------------------------------------
-// S-COMA (page cache) path
-// ---------------------------------------------------------------------------
-
-Cycle DsmSystem::access_scoma(const MemAccess& a, PageInfo& pi, Addr blk,
-                              Cycle t) {
-  const Addr page = page_of(a.addr);
-  const unsigned bix = block_index_in_page(a.addr);
-  PageCache& pc = *pc_[a.node];
-  PageCache::Frame* f = pc.find(page);
-  DSM_ASSERT(f != nullptr, "S-COMA mapped page has no frame");
-  pc.touch(page);
-
-  // Fine-grain tag lookup (memory inhibit check).
-  t += cfg_.timing.bc_lookup;
-
-  if (f->has(bix)) {
-    const bool writable = f->tag[bix] == NodeState::kModified;
-    if (!a.write || writable) {
-      // Local page-cache hit: the node's own memory supplies.
-      stats_->node[a.node].pc_hits++;
-      l1_install(a, blk,
-                 a.write ? L1State::kM
-                         : (writable ? L1State::kE : L1State::kS));
-      t += cfg_.timing.mem_access;
-      t = bus_[a.node].reserve(t, cfg_.timing.bus_data) +
-          cfg_.timing.bus_data + cfg_.timing.fill;
-      return t;
-    }
-    // Write to a shared tag: upgrade at home.
-    t = remote_upgrade(a.node, page, blk, t);
-    emit_counted(/*upgrade=*/true, page, pi, a.node, /*is_write=*/true,
-                 upgrade_bytes(a.node, pi.home, blk), t);
-    // Re-find the frame: a policy page op may have flushed it — or
-    // released it outright — while the event dispatched.
-    f = pc.find(page);
-    if (f == nullptr || !f->has(bix)) {
-      MemAccess retry = a;
-      retry.start = t;
-      return access(retry);
-    }
-    record_remote_miss(a.node, MissClass::kCoherence);
-    f->tag[bix] = NodeState::kModified;
-    l1_install(a, blk, L1State::kM);
-    t = bus_[a.node].reserve(t, cfg_.timing.bus_data) + cfg_.timing.bus_data +
-        cfg_.timing.fill;
-    return t;
-  }
-
-  // Tag miss: fetch the block from home into the page-cache frame.
-  const MissClass node_class = history_[a.node].classify(blk);
-  record_remote_miss(a.node, node_class);
-  NodeState granted = NodeState::kShared;
-  t = remote_fetch(a.node, page, blk, a.write, t, &granted);
-  if (granted == NodeState::kInvalid) {
-    // The fetch aborted: a page op moved the mapping mid-transaction
-    // (the frame `f` may be flushed or released). Restart the access.
-    MemAccess retry = a;
-    retry.start = t;
-    return access(retry);
-  }
-  if (!f->has(bix)) f->valid_blocks++;
-  f->tag[bix] = a.write ? NodeState::kModified : granted;
-  l1_install(a, blk,
-             a.write ? L1State::kM
-                     : (granted == NodeState::kModified ? L1State::kE
-                                                        : L1State::kS));
-  t = bus_[a.node].reserve(t, cfg_.timing.bus_arb + cfg_.timing.bus_data) +
-      cfg_.timing.bus_arb + cfg_.timing.bus_data + cfg_.timing.fill;
-  return t;
+  l1_install(a, blk, l1_fill_state(a.write, granted));
+  return bus_fill(a.node, t, cfg_.timing.bus_arb + cfg_.timing.bus_data);
 }
 
 // ---------------------------------------------------------------------------
 // Replica path (read-only local copy)
 // ---------------------------------------------------------------------------
 
-Cycle DsmSystem::access_replica(const MemAccess& a, PageInfo& pi, Addr blk,
-                                Cycle t) {
+Cycle DsmSystem::access_replica(const MemAccess& a, Addr blk, Cycle t) {
   // Local memory supplies; coherence is trivial (page is read-only
   // cluster-wide while replicated). Track the node as a sharer so the
   // collapse path and the checker see the L1 copies.
@@ -359,55 +294,72 @@ Cycle DsmSystem::access_replica(const MemAccess& a, PageInfo& pi, Addr blk,
   DSM_ASSERT(e.state == DirState::kShared,
              "replicated page block held exclusive");
   e.add_sharer(a.node, nsl_);
-  (void)pi;
   l1_install(a, blk, L1State::kS);
   stats_->node[a.node].local_mem_accesses++;
-  t += cfg_.timing.mem_access;
-  t = bus_[a.node].reserve(t, cfg_.timing.bus_data) + cfg_.timing.bus_data +
-      cfg_.timing.fill;
-  return t;
+  return bus_fill(a.node, t + cfg_.timing.mem_access, cfg_.timing.bus_data);
 }
 
 // ---------------------------------------------------------------------------
 // Node-level helpers
 // ---------------------------------------------------------------------------
 
-bool DsmSystem::flush_block_at_node(NodeId n, Addr blk, bool invalidate,
-                                    MissClass reason) {
-  bool dirty = false;
+DsmSystem::NodeCopies DsmSystem::walk_copies(NodeId n, Addr blk,
+                                             CopyAction act,
+                                             MissClass reason) {
+  NodeCopies h;
   const CpuId first = n * cfg_.cpus_per_node;
   for (CpuId c = first; c < first + cfg_.cpus_per_node; ++c) {
-    if (const L1Cache::Line* ln = l1_[c]->probe(blk))
-      dirty = dirty || l1_dirty(ln->state);
-    if (invalidate)
-      l1_[c]->invalidate(blk, reason);
-    else
-      l1_[c]->downgrade_to_shared(blk);
+    L1Cache::Line* ln = l1_[c]->probe(blk);
+    if (!ln) continue;
+    h.l1 = true;
+    h.l1_exclusive = h.l1_exclusive || ln->state != L1State::kS;
+    h.l1_dirty = h.l1_dirty || l1_dirty(ln->state);
+    if (act == CopyAction::kInvalidate) l1_[c]->invalidate(blk, reason);
+    if (act == CopyAction::kDowngrade) ln->state = L1State::kS;
   }
+  // The block cache and the page's frame: whichever holds a node copy.
+  auto visit = [&](NodeState& s) {
+    h.node = true;
+    h.node_modified = h.node_modified || s == NodeState::kModified;
+    if (act == CopyAction::kDowngrade) s = NodeState::kShared;
+  };
   if (BlockCache::Entry* be = bc_[n]->probe(blk)) {
-    dirty = dirty || be->state == NodeState::kModified;
-    if (invalidate) {
-      bc_[n]->invalidate(blk);
-      history_[n].mark(blk, reason);
-    } else {
-      be->state = NodeState::kShared;
-    }
+    visit(be->state);
+    if (act == CopyAction::kInvalidate) bc_[n]->invalidate(blk);
   }
-  const Addr page = page_of(blk << kBlockBits);
-  if (PageCache::Frame* f = pc_[n]->find(page)) {
+  if (PageCache::Frame* f = pc_[n]->find(page_of(blk << kBlockBits))) {
     const unsigned bix = block_index_in_page(blk << kBlockBits);
     if (f->has(bix)) {
-      dirty = dirty || f->tag[bix] == NodeState::kModified;
-      if (invalidate) {
+      visit(f->tag[bix]);
+      if (act == CopyAction::kInvalidate) {
         f->tag[bix] = NodeState::kInvalid;
         f->valid_blocks--;
-        history_[n].mark(blk, reason);
-      } else {
-        f->tag[bix] = NodeState::kShared;
       }
     }
   }
-  return dirty;
+  return h;
+}
+
+bool DsmSystem::flush_block_at_node(NodeId n, Addr blk, bool invalidate,
+                                    MissClass reason) {
+  const NodeCopies h = walk_copies(
+      n, blk, invalidate ? CopyAction::kInvalidate : CopyAction::kDowngrade,
+      reason);
+  if (invalidate && h.node) history_[n].mark(blk, reason);
+  return h.dirty();
+}
+
+unsigned DsmSystem::flush_page_at_node(NodeId n, Addr page, MissClass reason) {
+  unsigned flushed = 0;
+  const Addr first_blk = page << (kPageBits - kBlockBits);
+  for (Addr blk = first_blk; blk < first_blk + kBlocksPerPage; ++blk) {
+    if (!walk_copies(n, blk, CopyAction::kInvalidate, reason).any()) continue;
+    history_[n].mark(blk, reason);
+    flushed++;
+    dir_.entry(blk).drop(n, nsl_);  // the node no longer caches the block
+  }
+  stats_->node[n].blocks_flushed += flushed;
+  return flushed;
 }
 
 void DsmSystem::l1_install(const MemAccess& a, Addr blk, L1State st) {
@@ -432,106 +384,35 @@ void DsmSystem::bc_install(NodeId n, Addr blk, NodeState st, Cycle t) {
   BlockCache::Victim v = bc_[n]->install(blk, st);
   if (!v.valid) return;
   // Inclusion: L1 copies of the victim must go.
-  const CpuId first = n * cfg_.cpus_per_node;
-  bool dirty = v.state == NodeState::kModified;
-  for (CpuId c = first; c < first + cfg_.cpus_per_node; ++c) {
-    if (L1Cache::Line* ln = l1_[c]->probe(v.blk)) {
-      dirty = dirty || l1_dirty(ln->state);
-      l1_[c]->invalidate(v.blk, MissClass::kCapacity);
-    }
-  }
+  const NodeCopies l1s =
+      walk_copies(n, v.blk, CopyAction::kInvalidate, MissClass::kCapacity);
+  const bool dirty = v.state == NodeState::kModified || l1s.dirty();
   history_[n].mark(v.blk, MissClass::kCapacity);
   // Victim leaves the node: tell the home — a dirty block travels as a
   // writeback (data), a clean one as a replacement hint (control). If a
   // mid-transaction migration just re-homed the page to this very node,
   // the victim's memory is local and no interconnect message exists.
+  // The event reports the block leaving, charged that message.
   const Addr vpage = page_of(v.blk << kBlockBits);
-  const PageInfo* vpi = pt_.find(vpage);
+  PageInfo* vpi = pt_.find(vpage);
   DSM_ASSERT(vpi && vpi->home != kNoNode);
-  if (vpi->home != n)
-    net_.post(dirty ? Message::writeback(n, vpi->home, v.blk)
-                    : Message::control(MsgKind::kHint, n, vpi->home, v.blk),
-              t);
-  // Event: a block of `vpage` left this node's block cache; charged the
-  // writeback or replacement hint the home just received (zero when the
-  // victim's memory is local and no message exists).
-  {
-    PolicyEvent ev;
-    ev.kind = PolicyEventKind::kEviction;
-    ev.page = vpage;
-    ev.blk = v.blk;
-    ev.node = n;
-    ev.peer = vpi->home;
-    ev.is_write = dirty;
-    ev.bytes =
-        (vpi->home == n)
-            ? 0
-            : (dirty
-                   ? Message::writeback(n, vpi->home, v.blk).total_bytes()
-                   : Message::control(MsgKind::kHint, n, vpi->home, v.blk)
-                         .total_bytes());
-    ev.now = t;
-    engine_->dispatch(ev, &pt_.info(vpage));
+  PolicyEvent ev;
+  ev.kind = PolicyEventKind::kEviction;
+  ev.page = vpage;
+  ev.node = n;
+  ev.now = t;
+  if (vpi->home != n) {
+    const Message m =
+        dirty ? Message::writeback(n, vpi->home, v.blk)
+              : Message::control(MsgKind::kHint, n, vpi->home, v.blk);
+    net_.post(m, t);
+    ev.bytes = m.total_bytes();
   }
+  engine_->dispatch(ev, vpi);
   DirEntry& e = dir_.entry(v.blk);
-  if (dirty) {
-    DSM_DEBUG_ASSERT(e.state == DirState::kExclusive && e.owner == n);
-    e.state = DirState::kUncached;
-    e.owner = kNoNode;
-    e.sharers.clear();
-  } else {
-    if (e.state == DirState::kShared) {
-      e.remove_sharer(n, nsl_);
-      if (e.sharers.empty()) e.state = DirState::kUncached;
-    } else if (e.state == DirState::kExclusive && e.owner == n) {
-      // Clean-exclusive eviction.
-      e.state = DirState::kUncached;
-      e.owner = kNoNode;
-    }
-  }
-}
-
-unsigned DsmSystem::flush_page_at_node(NodeId n, Addr page, MissClass reason) {
-  unsigned flushed = 0;
-  const Addr first_blk = page << (kPageBits - kBlockBits);
-  const CpuId first_cpu = n * cfg_.cpus_per_node;
-  for (unsigned i = 0; i < kBlocksPerPage; ++i) {
-    const Addr blk = first_blk + i;
-    bool present = false;
-    for (CpuId c = first_cpu; c < first_cpu + cfg_.cpus_per_node; ++c) {
-      if (l1_[c]->probe(blk)) {
-        l1_[c]->invalidate(blk, reason);
-        present = true;
-      }
-    }
-    if (bc_[n]->probe(blk)) {
-      bc_[n]->invalidate(blk);
-      present = true;
-    }
-    if (PageCache::Frame* f = pc_[n]->find(page)) {
-      if (f->has(i)) {
-        f->tag[i] = NodeState::kInvalid;
-        f->valid_blocks--;
-        present = true;
-      }
-    }
-    if (present) {
-      history_[n].mark(blk, reason);
-      flushed++;
-      // Directory: the node no longer caches the block.
-      DirEntry& e = dir_.entry(blk);
-      if (e.state == DirState::kExclusive && e.owner == n) {
-        e.state = DirState::kUncached;
-        e.owner = kNoNode;
-        e.sharers.clear();
-      } else if (e.state == DirState::kShared) {
-        e.remove_sharer(n, nsl_);
-        if (e.sharers.empty()) e.state = DirState::kUncached;
-      }
-    }
-  }
-  stats_->node[n].blocks_flushed += flushed;
-  return flushed;
+  DSM_DEBUG_ASSERT(!dirty ||
+                   (e.state == DirState::kExclusive && e.owner == n));
+  e.drop(n, nsl_);
 }
 
 }  // namespace dsm

@@ -15,61 +15,92 @@
 
 namespace dsm {
 
-namespace {
-// Byte charge of the bulk copy a migration/replication ships.
-std::uint64_t page_bulk_bytes(NodeId src, NodeId dst, Addr page) {
-  return Message::page_bulk(src, dst, page, kBlocksPerPage).total_bytes();
+// ---------------------------------------------------------------------------
+// Steps the page ops share
+// ---------------------------------------------------------------------------
+
+Cycle DsmSystem::gather_page(Addr page, NodeId at, Cycle t) {
+  unsigned flushed = 0;
+  for (NodeId s = 0; s < cfg_.nodes; ++s)
+    flushed += flush_page_at_node(s, page, MissClass::kCoherence);
+  const Cycle occ = cfg_.timing.page_op_cost(flushed);
+  return device_[at].reserve(t, occ) + occ;
 }
-}  // namespace
+
+DsmSystem::SendOutcome DsmSystem::ship_page(const Message& bulk,
+                                            PageOpKind op, PageInfo& pi,
+                                            Cycle t) {
+  const SendOutcome sent = send_reliable(bulk, t, /*nack_dup=*/false);
+  if (!sent.ok) {
+    stats_->faults.aborted_page_ops++;
+    pi.op_pending_until = sent.at;
+    emit_page_op(op, bulk.addr, pi, bulk.dst, /*bytes=*/0, sent.at,
+                 /*failed=*/true);
+    return sent;
+  }
+  const Cycle occ = cfg_.timing.page_copy_cost(kBlocksPerPage);
+  return {device_[bulk.dst].reserve(sent.at, occ) + occ, true};
+}
+
+void DsmSystem::remap_page(PageInfo& pi, Addr page, NodeId home,
+                           Cycle until) {
+  dir_.erase_page(page);
+  // Dead frames go back to the mapper, or a later relocation would find
+  // a ghost frame already allocated.
+  for (NodeId s = 0; s < cfg_.nodes; ++s) {
+    if (PageCache::Frame* f = pc_[s]->find(page)) {
+      DSM_DEBUG_ASSERT(f->valid_blocks == 0, "gather left blocks in frame");
+      pc_[s]->release(page);
+    }
+  }
+  pi.home = home;
+  pi.replicated = false;
+  pi.replicas.clear();
+  for (NodeId s = 0; s < cfg_.nodes; ++s)
+    pi.mode[s] = (s == home) ? PageMode::kCcNuma : PageMode::kUnmapped;
+  pi.op_pending_until = until;
+}
+
+void DsmSystem::emit_page_op(PageOpKind op, Addr page, PageInfo& pi,
+                             NodeId node, std::uint64_t bytes, Cycle now,
+                             bool failed) {
+  PolicyEvent ev;
+  ev.kind = PolicyEventKind::kPageOpComplete;
+  ev.op = op;
+  ev.page = page;
+  ev.node = node;
+  ev.failed = failed;
+  ev.bytes = bytes;
+  ev.now = now;
+  engine_->dispatch(ev, &pi);
+}
+
+// ---------------------------------------------------------------------------
+// Page ops
+// ---------------------------------------------------------------------------
 
 Cycle DsmSystem::replicate_page(Addr page, NodeId node, Cycle now) {
   PageInfo& pi = pt_.info(page);
   const NodeId home = pi.home;
   DSM_ASSERT(node != home && pi.mode[node] != PageMode::kReplica);
-  Cycle t = std::max(now, pi.op_pending_until);
 
   // Gather: make the home copy current. Dirty copies anywhere are
   // written back; every cacher's copy of the page is flushed (poison
   // bits allow lazy TLB invalidation, so only the home takes a trap).
-  unsigned flushed = 0;
-  for (NodeId s = 0; s < cfg_.nodes; ++s)
-    flushed += flush_page_at_node(s, page, MissClass::kCoherence);
   stats_->node[home].soft_traps++;
-  const Cycle gather_occ = cfg_.timing.page_op_cost(flushed);
-  t = device_[home].reserve(t, gather_occ) + gather_occ;
+  Cycle t = gather_page(page, home, std::max(now, pi.op_pending_until));
 
   // After the gather no node caches any block of the page; entries that
   // still read kExclusive are stale left-overs of silent clean-exclusive
   // L1 drops. Normalize them so replica reads see a consistent state.
-  const Addr first_blk_rep = page << (kPageBits - kBlockBits);
-  for (unsigned i = 0; i < kBlocksPerPage; ++i)
-    dir_.erase(first_blk_rep + i);
+  dir_.erase_page(page);
 
-  // Copy the page to the replica node. After retry exhaustion the op
-  // aborts cleanly: the gather already emptied every cache (demand
-  // fetches repopulate them) and no mapping was touched yet, so the
-  // rolled-back state is simply "not replicated".
-  const SendOutcome bulk = send_reliable(
-      Message::page_bulk(home, node, page, kBlocksPerPage), t,
-      /*nack_dup=*/false);
-  if (!bulk.ok) {
-    stats_->faults.aborted_page_ops++;
-    pi.op_pending_until = bulk.at;
-    PolicyEvent ev;
-    ev.kind = PolicyEventKind::kPageOpComplete;
-    ev.op = PageOpKind::kReplicate;
-    ev.page = page;
-    ev.node = node;
-    ev.peer = home;
-    ev.failed = true;
-    ev.now = bulk.at;
-    engine_->dispatch(ev, &pi);
-    return bulk.at;
-  }
-  t = bulk.at;
-  const Cycle copy_occ = cfg_.timing.page_copy_cost(kBlocksPerPage);
-  t = device_[node].reserve(t, copy_occ) + copy_occ;
-  t += cfg_.timing.tlb_shootdown;  // map the replica read-only at `node`
+  // Copy the page to the replica node; an aborted copy leaves it
+  // unreplicated.
+  const Message bulk = Message::page_bulk(home, node, page, kBlocksPerPage);
+  const SendOutcome copied = ship_page(bulk, PageOpKind::kReplicate, pi, t);
+  if (!copied.ok) return copied.at;
+  t = copied.at + cfg_.timing.tlb_shootdown;  // map it read-only at `node`
   stats_->node[node].tlb_shootdowns++;
 
   // The replica supersedes any S-COMA mapping the target held: return
@@ -86,16 +117,7 @@ Cycle DsmSystem::replicate_page(Addr page, NodeId node, Cycle now) {
   pi.op_pending_until = t;
   stats_->node[node].page_replications++;
   stats_->node[node].blocks_copied += kBlocksPerPage;
-
-  PolicyEvent ev;
-  ev.kind = PolicyEventKind::kPageOpComplete;
-  ev.op = PageOpKind::kReplicate;
-  ev.page = page;
-  ev.node = node;
-  ev.peer = home;
-  ev.bytes = page_bulk_bytes(home, node, page);
-  ev.now = t;
-  engine_->dispatch(ev, &pi);
+  emit_page_op(PageOpKind::kReplicate, page, pi, node, bulk.total_bytes(), t);
   return t;
 }
 
@@ -104,75 +126,28 @@ Cycle DsmSystem::migrate_page(Addr page, NodeId node, Cycle now) {
   const NodeId old_home = pi.home;
   DSM_ASSERT(node != old_home);
   DSM_ASSERT(!pi.replicated, "migrating a replicated page");
-  Cycle t = std::max(now, pi.op_pending_until);
 
   // Gather and poison: flush every cached copy cluster-wide, set poison
   // bits for lazy TLB invalidation, lock the mapper.
-  unsigned flushed = 0;
-  for (NodeId s = 0; s < cfg_.nodes; ++s)
-    flushed += flush_page_at_node(s, page, MissClass::kCoherence);
   stats_->node[old_home].soft_traps++;
-  const Cycle gather_occ = cfg_.timing.page_op_cost(flushed);
-  t = device_[old_home].reserve(t, gather_occ) + gather_occ;
+  Cycle t = gather_page(page, old_home, std::max(now, pi.op_pending_until));
   t += cfg_.timing.tlb_shootdown;  // home shootdown (others are lazy)
   stats_->node[old_home].tlb_shootdowns++;
 
-  // Move the page to the new home. After retry exhaustion the op aborts
-  // cleanly: caches are already gathered (refilled on demand), the
-  // directory and every mapping still name the old home.
-  const SendOutcome bulk = send_reliable(
-      Message::page_bulk(old_home, node, page, kBlocksPerPage), t,
-      /*nack_dup=*/false);
-  if (!bulk.ok) {
-    stats_->faults.aborted_page_ops++;
-    pi.op_pending_until = bulk.at;
-    PolicyEvent ev;
-    ev.kind = PolicyEventKind::kPageOpComplete;
-    ev.op = PageOpKind::kMigrate;
-    ev.page = page;
-    ev.node = node;
-    ev.peer = old_home;
-    ev.failed = true;
-    ev.now = bulk.at;
-    engine_->dispatch(ev, &pi);
-    return bulk.at;
-  }
-  t = bulk.at;
-  const Cycle copy_occ = cfg_.timing.page_copy_cost(kBlocksPerPage);
-  t = device_[node].reserve(t, copy_occ) + copy_occ;
-
-  // Directory state for the page's blocks starts clean at the new home.
-  const Addr first_blk = page << (kPageBits - kBlockBits);
-  for (unsigned i = 0; i < kBlocksPerPage; ++i) dir_.erase(first_blk + i);
-
-  // Every node's mapping is torn down below: S-COMA frames holding the
-  // page are dead and must be returned to the mapper, or a later
-  // re-relocation would find a ghost frame already allocated.
-  for (NodeId s = 0; s < cfg_.nodes; ++s) {
-    if (PageCache::Frame* f = pc_[s]->find(page)) {
-      DSM_DEBUG_ASSERT(f->valid_blocks == 0, "gather left blocks in frame");
-      pc_[s]->release(page);
-    }
-  }
-
-  pi.home = node;
-  for (NodeId s = 0; s < cfg_.nodes; ++s)
-    pi.mode[s] = (s == node) ? PageMode::kCcNuma : PageMode::kUnmapped;
-  pi.op_pending_until = t;
+  // Move the page to the new home; an aborted move leaves the directory
+  // and every mapping naming the old home.
+  const Message bulk =
+      Message::page_bulk(old_home, node, page, kBlocksPerPage);
+  const SendOutcome moved = ship_page(bulk, PageOpKind::kMigrate, pi, t);
+  if (!moved.ok) return moved.at;
+  t = moved.at;
+  remap_page(pi, page, node, t);
   stats_->node[node].page_migrations++;
   stats_->node[node].blocks_copied += kBlocksPerPage;
 
   // The completion event also resets the page's observation counters
   // (the engine clears the miss history a migration invalidates).
-  PolicyEvent ev;
-  ev.kind = PolicyEventKind::kPageOpComplete;
-  ev.op = PageOpKind::kMigrate;
-  ev.page = page;
-  ev.node = node;
-  ev.peer = old_home;
-  ev.bytes = page_bulk_bytes(old_home, node, page);
-  ev.now = t;
-  engine_->dispatch(ev, &pi);
+  emit_page_op(PageOpKind::kMigrate, page, pi, node, bulk.total_bytes(), t);
   return t;
 }
 
@@ -200,7 +175,7 @@ Cycle DsmSystem::collapse_replicas(Addr page, NodeId writer_node, Cycle now) {
       // Dead home: the emergency re-home tears down every replica and
       // mapping, which *is* the collapse — the page comes back
       // read-write at the successor and the write refaults it.
-      return emergency_rehome(page, home, writer_node, ho.at);
+      return emergency_rehome(page, home, ho.at);
     }
     th = ho.at;
   }
@@ -252,8 +227,6 @@ Cycle DsmSystem::collapse_replicas(Addr page, NodeId writer_node, Cycle now) {
   ev.kind = PolicyEventKind::kReplicaCollapse;
   ev.page = page;
   ev.node = writer_node;
-  ev.peer = home;
-  ev.is_write = true;
   ev.bytes = wire_bytes;
   ev.now = back;
   engine_->dispatch(ev, &pi);
@@ -273,16 +246,16 @@ Cycle DsmSystem::collapse_replicas(Addr page, NodeId writer_node, Cycle now) {
 //      traffic riding the sequence-numbered transaction machinery);
 //      dirty survivor copies ship recovery-flagged writebacks so the
 //      successor's memory is current before the teardown discards them.
-//   3. Re-home — migrate-style teardown: every cached copy flushed,
-//      directory entries erased (they start clean at the successor),
-//      S-COMA frames released, all mappings torn down, pi.home moved.
-//      Survivors refault the page against the new home on demand.
+//   3. Re-home — migration's teardown: the gather flushes every cached
+//      copy, and the re-map erases the directory entries (they start
+//      clean at the successor), releases S-COMA frames, tears down every
+//      mapping and moves pi.home. Survivors refault the page against
+//      the new home on demand.
 //
 // The dead home's own cached copies die with it: a dirty one means the
 // last write survives nowhere — counted as a distinct data loss, the
 // one irrecoverable crash outcome.
-Cycle DsmSystem::emergency_rehome(Addr page, NodeId dead_home,
-                                  NodeId requester, Cycle t) {
+Cycle DsmSystem::emergency_rehome(Addr page, NodeId dead_home, Cycle t) {
   PageInfo& pi = pt_.info(page);
   // Another requester may already have re-homed the page while this one
   // sat in its timeout storm; the new mapping is simply usable.
@@ -312,35 +285,8 @@ Cycle DsmSystem::emergency_rehome(Addr page, NodeId dead_home,
       if (e->state != DirState::kUncached) rebuilt++;
   stats_->faults.dir_rebuilds += rebuilt;
 
-  // Non-destructive block probe at a node: present anywhere / dirty.
-  auto probe_block = [&](NodeId n, Addr blk, bool* dirty) {
-    bool has = false;
-    *dirty = false;
-    const CpuId first_cpu = n * cfg_.cpus_per_node;
-    for (CpuId c = first_cpu; c < first_cpu + cfg_.cpus_per_node; ++c)
-      if (const L1Cache::Line* ln = l1_[c]->probe(blk)) {
-        has = true;
-        if (l1_dirty(ln->state)) *dirty = true;
-      }
-    if (const BlockCache::Entry* be = bc_[n]->probe(blk)) {
-      has = true;
-      if (be->state == NodeState::kModified) *dirty = true;
-    }
-    if (const PageCache::Frame* f = pc_[n]->find(page)) {
-      const unsigned bix = unsigned(blk - first_blk);
-      if (f->has(bix)) {
-        has = true;
-        if (f->tag[bix] == NodeState::kModified) *dirty = true;
-      }
-    }
-    return has;
-  };
-
-  for (unsigned i = 0; i < kBlocksPerPage; ++i) {
-    bool dirty = false;
-    if (probe_block(dead_home, first_blk + i, &dirty) && dirty)
-      stats_->faults.data_losses++;
-  }
+  for (Addr blk = first_blk; blk < first_blk + kBlocksPerPage; ++blk)
+    if (walk_copies(dead_home, blk).dirty()) stats_->faults.data_losses++;
 
   // Survivor census (parallel round trips from the successor).
   Cycle census_done = ready;
@@ -353,53 +299,25 @@ Cycle DsmSystem::emergency_rehome(Addr page, NodeId dead_home,
     Cycle ts = device_[s].reserve(qo.at, occ) + occ;
     // Dirty survivor copies ship home-of-record updates so the
     // successor's memory is current before the teardown discards them.
-    for (unsigned i = 0; i < kBlocksPerPage; ++i) {
-      bool dirty = false;
-      if (probe_block(s, first_blk + i, &dirty) && dirty) {
-        Message wb = Message::writeback(s, succ, first_blk + i);
-        wb.recovery = true;
-        net_.post(wb, ts);
-      }
+    for (Addr blk = first_blk; blk < first_blk + kBlocksPerPage; ++blk) {
+      if (!walk_copies(s, blk).dirty()) continue;
+      Message wb = Message::writeback(s, succ, blk);
+      wb.recovery = true;
+      net_.post(wb, ts);
     }
     Message rep = Message::control(MsgKind::kAck, s, succ, page);
     rep.recovery = true;
     census_done = std::max(census_done, reply_reliable(rep, q, ts));
   }
 
-  // Migrate-style teardown: flush every cached copy, erase the page's
-  // directory entries, release S-COMA frames, tear down every mapping.
-  unsigned flushed = 0;
-  for (NodeId s = 0; s < cfg_.nodes; ++s)
-    flushed += flush_page_at_node(s, page, MissClass::kCoherence);
-  const Cycle rebuild_occ = cfg_.timing.page_op_cost(flushed);
-  ready = device_[succ].reserve(census_done, rebuild_occ) + rebuild_occ;
-  ready += cfg_.timing.tlb_shootdown;
+  // Migration's teardown, with the successor as the new home.
+  ready = gather_page(page, succ, census_done) + cfg_.timing.tlb_shootdown;
   stats_->node[succ].tlb_shootdowns++;
-  for (unsigned i = 0; i < kBlocksPerPage; ++i) dir_.erase(first_blk + i);
-  for (NodeId s = 0; s < cfg_.nodes; ++s) {
-    if (PageCache::Frame* f = pc_[s]->find(page)) {
-      DSM_DEBUG_ASSERT(f->valid_blocks == 0, "teardown left blocks in frame");
-      pc_[s]->release(page);
-    }
-  }
-  pi.home = succ;
-  pi.replicated = false;
-  pi.replicas.clear();
-  for (NodeId s = 0; s < cfg_.nodes; ++s)
-    pi.mode[s] = (s == succ) ? PageMode::kCcNuma : PageMode::kUnmapped;
-  pi.op_pending_until = ready;
+  remap_page(pi, page, succ, ready);
 
   // Completion event: like a migration, the new home's monitoring
   // counters start fresh (the old home's died with it).
-  PolicyEvent ev;
-  ev.kind = PolicyEventKind::kPageOpComplete;
-  ev.op = PageOpKind::kRehome;
-  ev.page = page;
-  ev.node = succ;
-  ev.peer = dead_home;
-  ev.now = ready;
-  engine_->dispatch(ev, &pi);
-  (void)requester;
+  emit_page_op(PageOpKind::kRehome, page, pi, succ, /*bytes=*/0, ready);
   return ready;
 }
 
@@ -438,15 +356,8 @@ Cycle DsmSystem::relocate_to_scoma(NodeId node, Addr page, Cycle now) {
   pi.mode[node] = PageMode::kScoma;
   stats_->node[node].page_relocations++;
 
-  PolicyEvent ev;
-  ev.kind = PolicyEventKind::kPageOpComplete;
-  ev.op = PageOpKind::kRelocate;
-  ev.page = page;
-  ev.node = node;
-  ev.peer = pi.home;
-  ev.bytes = 0;  // no bulk copy: the frame fills by demand fetches
-  ev.now = t;
-  engine_->dispatch(ev, &pi);
+  // No bulk copy: the frame fills by demand fetches.
+  emit_page_op(PageOpKind::kRelocate, page, pi, node, /*bytes=*/0, t);
   return t;
 }
 

@@ -85,19 +85,6 @@ class L1Cache {
   MissClass classify_miss(Addr blk);
 
   std::uint32_t n_sets() const { return n_sets_; }
-  const Line& line_at(std::uint32_t set) const { return lines_[set]; }
-
-  // Enumerate valid resident blocks of a given page (page flushes).
-  template <typename Fn>
-  void for_each_line_of_page(Addr page, Fn&& fn) {
-    // Blocks of one page map to kBlocksPerPage consecutive sets.
-    const Addr first_blk = page << (kPageBits - kBlockBits);
-    for (unsigned i = 0; i < kBlocksPerPage; ++i) {
-      const Addr blk = first_blk + i;
-      Line& ln = lines_[set_of(blk)];
-      if (ln.state != L1State::kI && ln.blk == blk) fn(ln);
-    }
-  }
 
  private:
   using HistoryPage = std::array<std::uint64_t, kHistoryBlocks * 2 / 64>;

@@ -75,9 +75,7 @@ enum class PageOpKind : std::uint8_t {
 struct PolicyEvent {
   PolicyEventKind kind = PolicyEventKind::kMiss;
   Addr page = 0;
-  Addr blk = 0;                  // block number, where meaningful
   NodeId node = kNoNode;         // acting node (requester / evictor / victim)
-  NodeId peer = kNoNode;         // other party (home, invalidated sharer...)
   bool is_write = false;         // kMiss / kUpgrade
   MissClass miss_class = MissClass::kCold;  // kRemoteFetch
   PageOpKind op = PageOpKind::kMigrate;     // kPageOpComplete
@@ -370,7 +368,6 @@ class PolicyEngine {
 
   // Ordered attachment: events visit policies in attachment order.
   void add_policy(std::unique_ptr<Policy> p);
-  std::size_t policy_count() const { return policies_.size(); }
 
   // Absorb `ev` into the observation state, then dispatch it through
   // the policy list. Returns the (possibly delayed) time the triggering

@@ -48,15 +48,6 @@ std::unique_ptr<DsmSystem> make_system(const SystemConfig& cfg, Stats* stats) {
     case PolicyKind::kDefault:
       attach_default(*sys, eng, cfg.kind);
       break;
-    case PolicyKind::kNone:
-      break;
-    case PolicyKind::kMigRep:
-      eng.add_policy(std::make_unique<MigRepPolicy>(
-          *sys, /*enable_migration=*/true, /*enable_replication=*/true));
-      break;
-    case PolicyKind::kRNuma:
-      eng.add_policy(std::make_unique<RNumaPolicy>(*sys));
-      break;
     case PolicyKind::kAdaptive:
       eng.add_policy(std::make_unique<AdaptivePolicy>(*sys));
       break;

@@ -8,10 +8,9 @@
 //   R-NUMA / R-NUMA-Inf      + RNumaPolicy (finite / infinite page cache)
 //   R-NUMA+MigRep            + both policies, delayed relocation
 //
-// SystemConfig::policy != kDefault swaps the engine list: kNone strips
-// all policies, kMigRep/kRNuma force one of the paper's engines, and
-// kAdaptive attaches the traffic-competitive adaptive engine — on any
-// substrate (it relocates only when the substrate has a page cache).
+// SystemConfig::policy == kAdaptive attaches the traffic-competitive
+// adaptive engine instead, on any substrate (it relocates only when the
+// substrate has a page cache).
 #pragma once
 
 #include <memory>

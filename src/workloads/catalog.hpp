@@ -1,8 +1,9 @@
-// Workload catalog: construct any workload by name at one of two input
+// Workload catalog: construct any workload by name at one of three input
 // scales. `kPaper` matches Table 2 of the paper; `kDefault` is reduced
 // so the full bench suite completes in minutes while preserving each
 // application's sharing pattern and cache-pressure regime (L1s and
-// block caches are unchanged, so working sets still overflow them).
+// block caches are unchanged, so working sets still overflow them);
+// `kTiny` is a seconds-long smoke run.
 #pragma once
 
 #include <memory>
@@ -20,7 +21,8 @@ const std::vector<std::string>& paper_apps();
 // Those plus the synthetic sharing-pattern micro-workloads.
 const std::vector<std::string>& all_workloads();
 
-// Human-readable input description for Table 2 output.
+// Human-readable input description for Table 2 output, written from the
+// parameters make_workload() builds the workload with.
 std::string workload_input_description(const std::string& name, Scale scale);
 
 std::unique_ptr<Workload> make_workload(const std::string& name, Scale scale);

@@ -24,7 +24,7 @@
 namespace dsm {
 
 struct LuParams {
-  std::uint32_t n = 256;   // matrix dimension (paper: 512)
+  std::uint32_t n = 384;   // matrix dimension (paper: 512)
   std::uint32_t block = 16;
 };
 

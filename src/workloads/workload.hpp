@@ -116,8 +116,6 @@ class SharedSpace {
     return SharedArray<T>(base, host, n);
   }
 
-  Addr bytes_allocated() const { return next_ - kPageBytes; }
-
  private:
   Addr next_ = kPageBytes;  // skip page 0
   std::vector<std::unique_ptr<std::byte[]>> buffers_;

@@ -333,6 +333,33 @@ TEST_F(ClusterTest, PageCacheEvictionUnderPressure) {
   sys_->check_coherence();
 }
 
+TEST_F(ClusterTest, ReplicaReplacesPageCacheFrame) {
+  // Replicating a page at a node that maps it S-COMA gathers the
+  // frame's blocks home and returns the emptied frame to the mapper:
+  // the replica supersedes it.
+  build(SystemKind::kRNumaMigRep);
+  const Addr a = 0x68000;
+  bind(a, 0);
+  go(1, 0, a, false, 10000);
+  Cycle t = sys_->relocate_to_scoma(1, page_of(a), 20000);
+  go(1, 0, a, false, t + 100);                // refill into the frame
+  go(1, 0, a + kBlockBytes, false, t + 2000);
+  ASSERT_EQ(sys_->page_cache(1).find(page_of(a))->valid_blocks, 2u);
+  t = sys_->replicate_page(page_of(a), 1, t + 10000);
+  const PageInfo* pi = sys_->page_table().find(page_of(a));
+  EXPECT_EQ(pi->mode[1], PageMode::kReplica);
+  EXPECT_TRUE(pi->replicated);
+  EXPECT_EQ(sys_->page_cache(1).frames_in_use(), 0u);
+  EXPECT_EQ(stats_.node[1].page_replications, 1u);
+  // One block at the relocation, both frame blocks at the gather.
+  EXPECT_EQ(stats_.node[1].blocks_flushed, 3u);
+  // The replica now supplies node 1 from local memory.
+  const std::uint64_t local = stats_.node[1].local_mem_accesses;
+  go(1, 0, a, false, t + 100);
+  EXPECT_EQ(stats_.node[1].local_mem_accesses, local + 1);
+  sys_->check_coherence();
+}
+
 TEST_F(ClusterTest, ScomaDirtyBlockServedToOtherNode) {
   build(SystemKind::kRNuma);
   const Addr a = 0x60000;

@@ -88,12 +88,6 @@ TEST(SystemConfig, RNumaMigRepGetsRelocationDelay) {
 }
 
 TEST(SystemKind, Predicates) {
-  EXPECT_TRUE(uses_migrep(SystemKind::kCcNumaMigRep));
-  EXPECT_TRUE(uses_migrep(SystemKind::kCcNumaRep));
-  EXPECT_TRUE(uses_migrep(SystemKind::kCcNumaMig));
-  EXPECT_TRUE(uses_migrep(SystemKind::kRNumaMigRep));
-  EXPECT_FALSE(uses_migrep(SystemKind::kCcNuma));
-  EXPECT_FALSE(uses_migrep(SystemKind::kRNuma));
   EXPECT_TRUE(uses_page_cache(SystemKind::kRNuma));
   EXPECT_TRUE(uses_page_cache(SystemKind::kRNumaInf));
   EXPECT_TRUE(uses_page_cache(SystemKind::kRNumaMigRep));

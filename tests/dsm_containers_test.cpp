@@ -3,7 +3,6 @@
 // (Interconnect fabric timing and accounting live in fabric_test.cpp.)
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -73,36 +72,6 @@ TEST(BlockCache, ReuseInvalidFrame) {
   bc.invalidate(5);
   auto v = bc.install(5 + 1024, NodeState::kShared);
   EXPECT_FALSE(v.valid);  // took the invalid frame, no eviction
-}
-
-TEST(BlockCache, ForEachBlockOfPage) {
-  BlockCache bc(64 * 1024, 4);
-  const Addr page = 3;
-  bc.install(block_of(block_addr_of_page_block(page, 1)), NodeState::kShared);
-  bc.install(block_of(block_addr_of_page_block(page, 63)), NodeState::kModified);
-  bc.install(block_of(block_addr_of_page_block(page + 1, 1)), NodeState::kShared);
-  int n = 0;
-  bc.for_each_block_of_page(page, [&](BlockCache::Entry&) { n++; });
-  EXPECT_EQ(n, 2);
-}
-
-TEST(BlockCache, ForEachBlockOfPageTinyCache) {
-  // Fewer sets than blocks per page: the set-localized walk must wrap
-  // and still visit each resident block exactly once.
-  BlockCache bc(2 * 1024, 2);  // 16 sets, 2 ways
-  const Addr page = 5;
-  bc.install(block_of(block_addr_of_page_block(page, 0)), NodeState::kShared);
-  bc.install(block_of(block_addr_of_page_block(page, 17)), NodeState::kShared);
-  bc.install(block_of(block_addr_of_page_block(page + 2, 3)),
-             NodeState::kShared);
-  std::vector<Addr> seen;
-  bc.for_each_block_of_page(page, [&](BlockCache::Entry& e) {
-    seen.push_back(e.blk);
-  });
-  ASSERT_EQ(seen.size(), 2u);
-  std::sort(seen.begin(), seen.end());
-  EXPECT_EQ(seen[0], block_of(block_addr_of_page_block(page, 0)));
-  EXPECT_EQ(seen[1], block_of(block_addr_of_page_block(page, 17)));
 }
 
 TEST(BlockCache, InfiniteCongruentAddressesStayBounded) {
@@ -195,6 +164,41 @@ TEST(Directory, EntryLifecycle) {
   EXPECT_EQ(d.find(9)->sharer_count(l), 1u);
   d.erase(9);
   EXPECT_EQ(d.find(9), nullptr);
+}
+
+TEST(Directory, GrantAndDropTransitions) {
+  const NodeSetLayout l = layout8();
+  DirEntry e;
+  e.state = DirState::kShared;
+  e.add_sharer(2, l);
+  e.add_sharer(6, l);
+  e.drop(2, l);  // one sharer left: still shared
+  EXPECT_EQ(e.state, DirState::kShared);
+  EXPECT_EQ(e.sharer_count(l), 1u);
+  e.drop(6, l);  // last sharer gone
+  EXPECT_EQ(e.state, DirState::kUncached);
+  e.add_sharer(1, l);
+  e.grant_exclusive(4);
+  EXPECT_EQ(e.state, DirState::kExclusive);
+  EXPECT_EQ(e.owner, 4u);
+  EXPECT_EQ(e.sharer_count(l), 0u);
+  e.drop(5, l);  // not the owner: unchanged
+  EXPECT_EQ(e.owner, 4u);
+  e.drop(4, l);
+  EXPECT_EQ(e.state, DirState::kUncached);
+  EXPECT_EQ(e.owner, kNoNode);
+}
+
+TEST(Directory, ErasePageDropsEveryEntryOfThePage) {
+  Directory d(layout8());
+  for (Addr b : {Addr(64), Addr(65), Addr(127), Addr(128)})
+    d.entry(b).state = DirState::kShared;
+  d.erase_page(1);  // blocks 64..127
+  EXPECT_EQ(d.size(), 1u);
+  EXPECT_EQ(d.find(65), nullptr);
+  EXPECT_NE(d.find(128), nullptr);
+  d.erase_page(1);  // already gone: no-op
+  EXPECT_EQ(d.size(), 1u);
 }
 
 // Regression: sharer ids past bit 31 must not alias low nodes. The old

@@ -536,6 +536,115 @@ TEST(CrashRecovery, CrashWindowEndsSuspicion) {
   s.sys->check_coherence();
 }
 
+// Node 3 maps the page at 0x90000 (home 1) S-COMA and holds block `a`
+// clean in its page-cache frame only: its L1 copy was displaced by a
+// conflicting block on a page node 3 homes. Node 1 crashes for good at
+// cycle 50000. Returns the cycle the setup finished.
+Cycle scoma_frame_behind_dead_home(FaultySystem& s, Addr a) {
+  const Addr page = page_of(a);
+  Cycle t = s.go(1, a, false, 0);  // home = 1, E in node 1's L1
+  t = s.go(3, a, false, t + 10);   // recall: shared by nodes 1 and 3
+  t = s.sys->relocate_to_scoma(3, page, t + 10);
+  t = s.go(3, a, false, t + 10);   // refill into the frame, kShared
+  t = s.go(3, a + 16 * 1024, false, t + 10);  // same L1 set: displaces a
+  EXPECT_LT(t, 50000u) << "setup ran into the crash window";
+  const PageCache::Frame* f = s.sys->page_cache(3).find(page);
+  EXPECT_TRUE(f != nullptr && f->has(block_index_in_page(a)));
+  EXPECT_EQ(s.sys->l1(3).probe(block_of(a)), nullptr);
+  return t;
+}
+
+TEST(CrashRecovery, ScomaUpgradeTowardDeadHomeRestarts) {
+  // A write to the frame's shared block upgrades at the dead home. The
+  // re-home onto node 2 finds the block in node 3's frame during the
+  // census, releases the frame in the teardown, and the write restarts
+  // against the new home as a plain CC-NUMA miss.
+  FaultySystem s(SystemKind::kRNuma, crash_cfg({{1, 50000, kNeverCycle}}));
+  const Addr a = 0x90000;
+  Cycle t = scoma_frame_behind_dead_home(s, a);
+  t = s.go(3, a, true, std::max<Cycle>(t + 10, 60000));
+  EXPECT_EQ(s.stats.faults.rehomes, 1u);
+  EXPECT_EQ(s.stats.faults.data_losses, 0u);  // the frame copy was clean
+  const PageInfo* pi = s.sys->page_table().find(page_of(a));
+  EXPECT_EQ(pi->home, 2u);
+  EXPECT_EQ(pi->mode[3], PageMode::kCcNuma);  // refaulted by the restart
+  EXPECT_EQ(s.sys->page_cache(3).frames_in_use(), 0u);
+  EXPECT_EQ(s.stats.node[3].page_relocations, 1u);
+  // First touch, the relocation trap, its own page, and the refault.
+  EXPECT_EQ(s.stats.node[3].soft_traps, 4u);
+  const DirEntry* e = s.sys->directory().find(block_of(a));
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->state, DirState::kExclusive);
+  EXPECT_EQ(e->owner, 3u);
+  s.sys->check_coherence();
+}
+
+TEST(CrashRecovery, CollapseTowardDeadHomeRehomes) {
+  // A write to a replicated page asks the dead home to collapse the
+  // replicas. The re-home tears every replica down instead, and the
+  // write lands at the successor, node 2 — itself a replica holder.
+  FaultySystem s(SystemKind::kCcNumaRep, crash_cfg({{1, 200000, kNeverCycle}}));
+  const Addr a = 0xA0000;
+  const Addr page = page_of(a);
+  Cycle t = s.go(1, a, false, 0);  // home = 1
+  t = s.sys->replicate_page(page, 2, t + 10);
+  t = s.sys->replicate_page(page, 3, t + 10);
+  ASSERT_LT(t, 200000u) << "setup ran into the crash window";
+  t = s.go(2, a, true, 250000);
+  const PageInfo* pi = s.sys->page_table().find(page);
+  EXPECT_EQ(s.stats.faults.rehomes, 1u);
+  EXPECT_EQ(pi->home, 2u);
+  EXPECT_FALSE(pi->replicated);
+  EXPECT_EQ(pi->mode[3], PageMode::kUnmapped);
+  EXPECT_EQ(s.stats.node[2].replica_collapses, 0u);  // the re-home did it
+  EXPECT_EQ(s.stats.node[2].local_mem_accesses, 1u);
+  s.sys->check_coherence();
+}
+
+TEST(CrashRecovery, CollapseDropsADeadReplica) {
+  // Node 3 holds a replica and is down when the home writes: its copy
+  // dies with it, clean, and the collapse remaps it without wire traffic.
+  FaultySystem s(SystemKind::kCcNumaRep, crash_cfg({{3, 200000, kNeverCycle}}));
+  const Addr a = 0xB0000;
+  const Addr page = page_of(a);
+  Cycle t = s.go(0, a, false, 0);  // home = 0
+  t = s.sys->replicate_page(page, 2, t + 10);
+  t = s.sys->replicate_page(page, 3, t + 10);
+  t = s.go(3, a, false, t + 10);  // a replica read fills node 3's L1
+  ASSERT_LT(t, 200000u) << "setup ran into the crash window";
+  t = s.go(0, a, true, 250000);
+  const PageInfo* pi = s.sys->page_table().find(page);
+  EXPECT_FALSE(pi->replicated);
+  EXPECT_EQ(pi->mode[2], PageMode::kCcNuma);
+  EXPECT_EQ(pi->mode[3], PageMode::kCcNuma);
+  EXPECT_EQ(s.sys->l1(3).probe(block_of(a)), nullptr);
+  EXPECT_EQ(s.stats.node[0].replica_collapses, 1u);
+  EXPECT_EQ(s.stats.node[3].tlb_shootdowns, 1u);  // its replica mapping only
+  EXPECT_EQ(s.stats.faults.rehomes, 0u);
+  EXPECT_EQ(s.stats.faults.data_losses, 0u);
+  s.sys->check_coherence();
+}
+
+TEST(CrashRecovery, ScomaFetchTowardDeadHomeRestarts) {
+  // A read of a block the frame lacks fetches from the dead home. The
+  // fetch aborts into the re-home, and the read restarts against node 2.
+  FaultySystem s(SystemKind::kRNuma, crash_cfg({{1, 50000, kNeverCycle}}));
+  const Addr a = 0x90000;
+  Cycle t = scoma_frame_behind_dead_home(s, a);
+  t = s.go(3, a + kBlockBytes, false, std::max<Cycle>(t + 10, 60000));
+  EXPECT_EQ(s.stats.faults.rehomes, 1u);
+  EXPECT_EQ(s.stats.faults.data_losses, 0u);
+  const PageInfo* pi = s.sys->page_table().find(page_of(a));
+  EXPECT_EQ(pi->home, 2u);
+  EXPECT_EQ(pi->mode[3], PageMode::kCcNuma);
+  EXPECT_EQ(s.sys->page_cache(3).frames_in_use(), 0u);
+  // Node 3's remote misses: the two setup reads, the aborted fetch and
+  // the restarted one.
+  EXPECT_EQ(s.stats.node[3].remote_misses.total(), 4u);
+  ASSERT_NE(s.sys->block_cache(3).probe(block_of(a + kBlockBytes)), nullptr);
+  s.sys->check_coherence();
+}
+
 // ---------------------------------------------------------------------------
 // Chaos soak
 // ---------------------------------------------------------------------------

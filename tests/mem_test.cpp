@@ -117,17 +117,6 @@ TEST(L1Cache, DowngradeKeepsLine) {
   EXPECT_EQ(c.probe(3)->state, L1State::kS);
 }
 
-TEST(L1Cache, ForEachLineOfPage) {
-  L1Cache c(16 * 1024);
-  const Addr page = 5;
-  c.install(block_of(block_addr_of_page_block(page, 0)), L1State::kS);
-  c.install(block_of(block_addr_of_page_block(page, 7)), L1State::kM);
-  c.install(block_of(block_addr_of_page_block(page + 1, 3)), L1State::kS);
-  int count = 0;
-  c.for_each_line_of_page(page, [&](L1Cache::Line&) { count++; });
-  EXPECT_EQ(count, 2);
-}
-
 TEST(L1Cache, StateHelpers) {
   EXPECT_TRUE(l1_dirty(L1State::kM));
   EXPECT_TRUE(l1_dirty(L1State::kO));

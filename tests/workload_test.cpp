@@ -32,6 +32,16 @@ TEST(Catalog, InputDescriptionsExist) {
   }
 }
 
+TEST(Catalog, InputDescriptionNamesTheBuiltInput) {
+  // The default lu run factors a 384x384 matrix; Table 2 must say so.
+  EXPECT_EQ(workload_input_description("lu", Scale::kDefault),
+            "384x384 matrix, 16x16 blocks (reduced)");
+  EXPECT_EQ(workload_input_description("lu", Scale::kPaper),
+            "512x512 matrix, 16x16 blocks");
+  EXPECT_EQ(workload_input_description("radix", Scale::kPaper),
+            "1M integers, radix 1024");
+}
+
 TEST(Catalog, ScalesDiffer) {
   // Paper scale must be at least as large as default (checked indirectly
   // through the run: more references).
