@@ -200,7 +200,7 @@ class SystemFlagParser {
       }
     } else if (std::strcmp(flag, "--nodes") == 0) {
       o_->nodes = std::uint32_t(
-          parse_uint(flag, arg, 1, 1u << 16, "a node count (1..65536)"));
+          parse_uint(flag, arg, 1, 1u << 16, "a node count"));
     } else if (std::strcmp(flag, "--cpus-per-node") == 0) {
       o_->cpus_per_node = std::uint32_t(
           parse_uint(flag, arg, 1, 1u << 10, "a per-node cpu count"));

@@ -315,8 +315,9 @@ struct SystemConfig {
   // counters are lost. 0 = unlimited (the paper's base assumption).
   std::uint32_t migrep_counter_cache_pages = 0;
 
-  // Scheduling quantum for the execution-driven engine; bounded by the
-  // network latency as in the Wisconsin Wind Tunnel.
+  // Scheduling quantum for the execution-driven engine. The default
+  // equals the ni-constant wire latency, as the Wisconsin Wind Tunnel's
+  // quantum does; a mesh/torus hop (mesh_hop_latency) is shorter.
   Cycle quantum = 80;
 
   std::uint64_t seed = 0x5eed5eedULL;

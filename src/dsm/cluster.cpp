@@ -91,6 +91,20 @@ Cycle DsmSystem::access(const MemAccess& a) {
   Cycle t = a.start;
 
   PageInfo& pi = pt_.info(page);
+  L1Cache& l1 = *l1_[a.cpu];
+
+  // The facts that make the engine's hit path exact (op_horizon_): no
+  // window is pending at or after the horizon, and a line of this L1
+  // belongs to a page bound and mapped at this node, never E or M on a
+  // replicated one.
+  DSM_DEBUG_ASSERT(t < op_horizon_ || pi.op_pending_until <= t,
+                   "page-op window past the horizon");
+  DSM_DEBUG_ASSERT(!l1.probe(blk) || (pi.home != kNoNode &&
+                                      pi.mode[a.node] != PageMode::kUnmapped),
+                   "L1 line of a page not mapped at its node");
+  DSM_DEBUG_ASSERT(!l1.probe(blk) || !pi.replicated ||
+                       !l1_writable(l1.probe(blk)->state),
+                   "E/M L1 line of a replicated page");
 
   // First-touch home binding: the first node to request the page
   // becomes its home (the baseline placement policy in every system).
@@ -111,10 +125,9 @@ Cycle DsmSystem::access(const MemAccess& a) {
     if (pi.mode[a.node] == PageMode::kUnmapped) t = map_page(a, pi, page, t);
   }
 
-  // L1 lookup.
-  L1Cache& l1 = *l1_[a.cpu];
-  if (L1Cache::Line* ln = l1.probe(blk))
-    return access_hit_or_upgrade(a, pi, blk, ln, t);
+  // L1 lookup: a hit, or a write to an S/O line that needs exclusivity.
+  if (l1.hit(blk, a.write)) return t + cfg_.timing.l1_hit;
+  if (l1.probe(blk)) return access_upgrade(a, pi, blk, t);
 
   // L1 miss.
   stats_->node[a.node].l1_misses.record(l1.classify_miss(blk));

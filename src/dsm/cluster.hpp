@@ -29,6 +29,7 @@
 // calibrated to the paper's Table 3 (local 104 / remote clean 418).
 #pragma once
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <vector>
@@ -113,6 +114,10 @@ class DsmSystem : public MemorySystem {
 
   // ---- MemorySystem ------------------------------------------------------
   Cycle access(const MemAccess& a) override;
+  // `cpu`'s L1, gated by the page-op horizon (see op_horizon_).
+  HitPath hit_path(CpuId cpu) override {
+    return {l1_[cpu].get(), &op_horizon_, cfg_.timing.l1_hit};
+  }
   void parallel_begin(Cycle now) override;
   void parallel_end(Cycle now) override;
 
@@ -165,8 +170,8 @@ class DsmSystem : public MemorySystem {
 
  private:
   // ---- access paths --------------------------------------------------------
-  Cycle access_hit_or_upgrade(const MemAccess& a, PageInfo& pi, Addr blk,
-                              L1Cache::Line* ln, Cycle t);
+  // A write to this CPU's S or O line: obtain exclusivity.
+  Cycle access_upgrade(const MemAccess& a, PageInfo& pi, Addr blk, Cycle t);
   Cycle access_local(const MemAccess& a, PageInfo& pi, Addr blk, Cycle t);
   // A remote page: the node's copy lives in the block cache (CC-NUMA) or
   // in the page's S-COMA frame.
@@ -284,6 +289,12 @@ class DsmSystem : public MemorySystem {
   // completion event remain. `ok` is false then.
   SendOutcome ship_page(const Message& bulk, PageOpKind op, PageInfo& pi,
                         Cycle t);
+  // Stall accesses to the page until `until` (the only writer of
+  // PageInfo::op_pending_until), raising the page-op horizon with it.
+  void open_op_window(PageInfo& pi, Cycle until) {
+    pi.op_pending_until = until;
+    op_horizon_ = std::max(op_horizon_, until);
+  }
   // Make `home` the page's home and only mapper after a gather: its
   // directory entries start clean, S-COMA frames holding it go back to
   // their mappers, every other node refaults it, and accesses stall
@@ -366,6 +377,23 @@ class DsmSystem : public MemorySystem {
   // Failure detector: end of the detected crash window per node (0 =
   // no crash detected). Sized only when the fault layer is on.
   std::vector<Cycle> crash_detected_until_;
+
+  // The page-op horizon: the latest end of any page-op window opened so
+  // far, so no page has a window pending at or after it (the page-op
+  // analogue of the fabric's outage horizon). The engine completes a
+  // CPU's L1 hit by itself at or after the horizon (hit_path). That is
+  // exact because access() would return t + l1_hit for it too:
+  //   - at or after the horizon no op_pending_until stalls the access;
+  //   - an L1 line exists only for a page that is bound and mapped at its
+  //     node, so neither the first-touch binding nor the soft fault
+  //     fires: every unmap (remap_page, a page-cache victim) follows a
+  //     flush of that node's copies;
+  //   - no E or M line exists on a replicated page, so a write hit never
+  //     collapses replicas: replication gathers every copy first, and
+  //     nothing grants exclusivity while replicas exist;
+  // and L1Cache::hit, the same call access() makes, changes nothing but
+  // E to M. access() checks the two line facts in debug builds.
+  Cycle op_horizon_ = 0;
 
   Cycle parallel_begin_at_ = 0;
 };

@@ -88,9 +88,8 @@ class Directory {
   const NodeSetLayout& layout() const { return layout_; }
 
   // Find-or-insert; a new entry starts kUncached. References stay valid
-  // across later inserts and across erases of *other* blocks: page
-  // records are chunk-stable in the AddrMap, and a record is only
-  // dropped once none of its blocks has a live entry.
+  // across later inserts and across erases of *other* pages: page
+  // records are chunk-stable in the AddrMap.
   DirEntry& entry(Addr blk) {
     PageDir& pd = pages_[blk >> kPageShift];
     const std::uint64_t bit = bit_of(blk);
@@ -114,15 +113,6 @@ class Directory {
     return &pd->entries[slot_of(blk)];
   }
 
-  // Drop the entry. The page record goes with its last live entry.
-  void erase(Addr blk) {
-    const Addr page = blk >> kPageShift;
-    PageDir* pd = pages_.find(page);
-    if (pd == nullptr || !(pd->live & bit_of(blk))) return;
-    pd->live &= ~bit_of(blk);
-    size_--;
-    if (pd->live == 0) pages_.erase(page);
-  }
   // Drop every entry of `page` (a page operation gathers every copy
   // first; the page's blocks then start kUncached at the home).
   void erase_page(Addr page) {

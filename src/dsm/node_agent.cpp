@@ -70,18 +70,11 @@ NodeState* DsmSystem::node_copy(NodeId n, bool scoma, Addr blk) {
 }
 
 // ---------------------------------------------------------------------------
-// L1 hit / upgrade
+// L1 upgrade
 // ---------------------------------------------------------------------------
 
-Cycle DsmSystem::access_hit_or_upgrade(const MemAccess& a, PageInfo& pi,
-                                       Addr blk, L1Cache::Line* ln, Cycle t) {
-  if (!a.write) return t + cfg_.timing.l1_hit;
-  if (l1_writable(ln->state)) {
-    ln->state = L1State::kM;  // E -> M silent upgrade
-    return t + cfg_.timing.l1_hit;
-  }
-
-  // Write hit on S or O: need exclusivity.
+Cycle DsmSystem::access_upgrade(const MemAccess& a, PageInfo& pi, Addr blk,
+                                Cycle t) {
   t = bus_request(a.node, t + cfg_.timing.l1_miss_detect);
 
   // Does the node already own the block cluster-wide?

@@ -33,7 +33,7 @@ DsmSystem::SendOutcome DsmSystem::ship_page(const Message& bulk,
   const SendOutcome sent = send_reliable(bulk, t, /*nack_dup=*/false);
   if (!sent.ok) {
     stats_->faults.aborted_page_ops++;
-    pi.op_pending_until = sent.at;
+    open_op_window(pi, sent.at);
     emit_page_op(op, bulk.addr, pi, bulk.dst, /*bytes=*/0, sent.at,
                  /*failed=*/true);
     return sent;
@@ -58,7 +58,7 @@ void DsmSystem::remap_page(PageInfo& pi, Addr page, NodeId home,
   pi.replicas.clear();
   for (NodeId s = 0; s < cfg_.nodes; ++s)
     pi.mode[s] = (s == home) ? PageMode::kCcNuma : PageMode::kUnmapped;
-  pi.op_pending_until = until;
+  open_op_window(pi, until);
 }
 
 void DsmSystem::emit_page_op(PageOpKind op, Addr page, PageInfo& pi,
@@ -114,7 +114,7 @@ Cycle DsmSystem::replicate_page(Addr page, NodeId node, Cycle now) {
   pi.replicated = true;
   pi.replicas.add(node, nsl_);
   pi.mode[node] = PageMode::kReplica;
-  pi.op_pending_until = t;
+  open_op_window(pi, t);
   stats_->node[node].page_replications++;
   stats_->node[node].blocks_copied += kBlocksPerPage;
   emit_page_op(PageOpKind::kReplicate, page, pi, node, bulk.total_bytes(), t);
@@ -213,7 +213,7 @@ Cycle DsmSystem::collapse_replicas(Addr page, NodeId writer_node, Cycle now) {
   });
   pi.replicated = false;
   pi.replicas.clear();
-  pi.op_pending_until = done;
+  open_op_window(pi, done);
   stats_->node[writer_node].replica_collapses++;
   Cycle back = done;
   if (writer_node != home) {

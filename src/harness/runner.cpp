@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/log.hpp"
+#include "dsm/page_table.hpp"
 #include "harness/parallel.hpp"
 #include "net/fabric.hpp"
 #include "protocols/system_factory.hpp"
@@ -26,6 +27,9 @@ namespace {
 
 std::string validate(const SystemConfig& cfg) {
   const FaultConfig& f = cfg.faults;
+  if (cfg.nodes > kMaxNodes)
+    return format("--nodes: the page table holds at most %u nodes, not %u",
+                  kMaxNodes, cfg.nodes);
   if (cfg.dir_scheme == DirScheme::kFullMap && cfg.nodes > 64)
     return format("--dir-scheme full holds at most 64 nodes, not %u",
                   cfg.nodes);
@@ -53,6 +57,14 @@ std::string validate(const SystemConfig& cfg) {
     return format("mesh width %u does not divide %u nodes", cfg.mesh_width,
                   cfg.nodes);
   const Grid grid(cfg);
+  // The router+direction form has no flag: only a hand-built config
+  // sets it.
+  for (const FaultConfig::LinkDown& ld : f.link_downs)
+    if (ld.router >= grid.routers() || ld.dir >= std::uint8_t(LinkDir::kCount))
+      return format("link outage at router %u, direction %u: off the %ux%u "
+                    "%s grid",
+                    ld.router, unsigned(ld.dir), grid.width, grid.height,
+                    to_string(cfg.fabric));
   for (const FaultConfig::NodeLinkDown& nl : f.node_link_downs) {
     if (nl.len == 0 || nl.down > kNeverCycle - nl.len)
       return format("--fault-link-down %u:%u: the outage window is empty or "

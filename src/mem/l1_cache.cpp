@@ -29,16 +29,6 @@ L1Cache::L1Cache(std::uint64_t bytes) {
   lines_.resize(n_sets_);
 }
 
-L1Cache::Line* L1Cache::probe(Addr blk) {
-  Line& ln = lines_[set_of(blk)];
-  return (ln.state != L1State::kI && ln.blk == blk) ? &ln : nullptr;
-}
-
-const L1Cache::Line* L1Cache::probe(Addr blk) const {
-  const Line& ln = lines_[set_of(blk)];
-  return (ln.state != L1State::kI && ln.blk == blk) ? &ln : nullptr;
-}
-
 L1Cache::Victim L1Cache::install(Addr blk, L1State state) {
   DSM_DEBUG_ASSERT(state != L1State::kI);
   Line& ln = lines_[set_of(blk)];
@@ -59,12 +49,6 @@ void L1Cache::invalidate(Addr blk, MissClass reason) {
   if (!ln) return;
   ln->state = L1State::kI;
   record(blk, reason);
-}
-
-void L1Cache::downgrade_to_shared(Addr blk) {
-  Line* ln = probe(blk);
-  if (!ln) return;
-  ln->state = L1State::kS;
 }
 
 void L1Cache::set_state(Addr blk, L1State s) {

@@ -64,8 +64,27 @@ class L1Cache {
   explicit L1Cache(std::uint64_t bytes);
 
   // Tag probe: returns the resident line if it holds `blk`, else nullptr.
-  Line* probe(Addr blk);
-  const Line* probe(Addr blk) const;
+  Line* probe(Addr blk) {
+    Line& ln = lines_[set_of(blk)];
+    return (ln.state != L1State::kI && ln.blk == blk) ? &ln : nullptr;
+  }
+  const Line* probe(Addr blk) const {
+    const Line& ln = lines_[set_of(blk)];
+    return (ln.state != L1State::kI && ln.blk == blk) ? &ln : nullptr;
+  }
+
+  // The one definition of an L1 hit: a read of a valid line, or a write
+  // to an E or M line (E silently becomes M). Anything else — a miss, or
+  // a write to an S or O line, which needs exclusivity — returns false
+  // and leaves the line untouched.
+  bool hit(Addr blk, bool write) {
+    Line& ln = lines_[set_of(blk)];
+    if (ln.blk != blk || ln.state == L1State::kI) return false;
+    if (!write) return true;
+    if (!l1_writable(ln.state)) return false;
+    ln.state = L1State::kM;
+    return true;
+  }
 
   // Install `blk` in `state`, returning the replaced victim (if any).
   // The victim's miss history is marked capacity/conflict.
@@ -75,8 +94,6 @@ class L1Cache {
   // how the block was lost for the next miss's classification
   // (coherence invalidation vs. inclusion-driven replacement).
   void invalidate(Addr blk, MissClass reason = MissClass::kCoherence);
-  void downgrade_to_shared(Addr blk);    // M/E/O -> S; ownership moves to
-                                         // the node-level container
   void set_state(Addr blk, L1State s);
 
   // Classify the miss on `blk`: kCold on first touch (which records the

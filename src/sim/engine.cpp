@@ -13,6 +13,7 @@ Engine::Engine(const SystemConfig& cfg, MemorySystem* mem, Stats* stats)
     cpus_[i].id = i;
     cpus_[i].node = i / cfg.cpus_per_node;
     cpus_[i].engine = this;
+    cpus_[i].hits = mem->hit_path(i);
   }
 }
 

@@ -4,6 +4,8 @@
 // CPUs free-run inside a scheduling window of `quantum` cycles; memory
 // and compute awaitables only suspend when the CPU's local clock crosses
 // the window end, so L1 hits cost a function call, not a context switch.
+// An L1 hit the memory system lets the CPU complete by itself
+// (MemorySystem::hit_path) does not even cost that call.
 // Synchronization objects (sim/sync.hpp) block CPUs and wake them with
 // explicit release timestamps.
 #pragma once
@@ -16,6 +18,7 @@
 #include "common/log.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
+#include "mem/l1_cache.hpp"
 #include "sim/memory_if.hpp"
 #include "sim/task.hpp"
 
@@ -35,6 +38,7 @@ class Cpu {
   State state = State::kDone;                // until a body is spawned
   std::coroutine_handle<> current = nullptr; // innermost suspended coroutine
   Engine* engine = nullptr;
+  HitPath hits;                              // the memory system's, per CPU
 
   // ---- awaitables --------------------------------------------------------
   struct ComputeAwait {
@@ -107,8 +111,11 @@ class Engine {
 };
 
 inline Cpu::MemAwait Cpu::mem_op(Addr a, bool write) noexcept {
-  MemAccess acc{id, node, a, write, clock};
-  clock = engine->memory()->access(acc);
+  if (hits.l1 != nullptr && clock >= *hits.open_until &&
+      hits.l1->hit(block_of(a), write))
+    clock += hits.latency;
+  else
+    clock = engine->memory()->access(MemAccess{id, node, a, write, clock});
   Stats* st = engine->stats();
   if (write)
     st->shared_writes++;

@@ -6,13 +6,24 @@
 // synchronously — and the returned completion time folds in queueing
 // delay at shared resources (bus, NIs, directory, page-op engine) via
 // busy-until reservations. Processor interleaving is bounded by the
-// Engine's scheduling quantum (<= the network latency), the same skew
-// guarantee the Wisconsin Wind Tunnel's quantum gives.
+// Engine's scheduling quantum, the same skew guarantee the Wisconsin
+// Wind Tunnel's quantum gives. The default quantum (80 cycles) equals
+// the ni-constant wire latency; a mesh or torus hop (40 cycles) is
+// shorter, so on those fabrics the skew may exceed one hop.
+//
+// L1 hits stay on the CPU, as in the Wind Tunnel, where an access to a
+// valid local copy runs without entering the protocol layer: a memory
+// system may expose each CPU's L1 through hit_path(), and the engine
+// then completes a hit there without calling access(). Only misses,
+// upgrades and hits issued while the memory system says its state may
+// still stall them reach access().
 #pragma once
 
 #include "common/types.hpp"
 
 namespace dsm {
+
+class L1Cache;
 
 struct MemAccess {
   CpuId cpu = 0;
@@ -22,6 +33,20 @@ struct MemAccess {
   Cycle start = 0;  // CPU-local issue time
 };
 
+// What the engine needs to complete a CPU's L1 hits by itself. An access
+// at CPU-local time `t` for which `t >= *open_until` and
+// `l1->hit(block_of(addr), write)` holds takes `latency` cycles and
+// never reaches access(); every other access calls access(). The memory
+// system promises that access() would then also have returned
+// `t + latency` and changed nothing but the line's E -> M, and may move
+// `*open_until` later at any time. A null `l1` sends every access
+// through access().
+struct HitPath {
+  L1Cache* l1 = nullptr;
+  const Cycle* open_until = nullptr;
+  Cycle latency = 0;
+};
+
 class MemorySystem {
  public:
   virtual ~MemorySystem() = default;
@@ -29,6 +54,13 @@ class MemorySystem {
   // Process the access and return its absolute completion time
   // (>= a.start). Must be deterministic given the access sequence.
   virtual Cycle access(const MemAccess& a) = 0;
+
+  // The hit path of `cpu`, read once when the Engine is built. The
+  // default exposes no L1, so fakes and decorators see every access.
+  virtual HitPath hit_path(CpuId cpu) {
+    (void)cpu;
+    return {};
+  }
 
   // Called once when the parallel phase begins (first-touch binding
   // starts here) and once when it ends.

@@ -162,8 +162,9 @@ TEST(Directory, EntryLifecycle) {
   EXPECT_EQ(d.find(9)->sharer_count(l), 2u);
   e.remove_sharer(3, l);
   EXPECT_EQ(d.find(9)->sharer_count(l), 1u);
-  d.erase(9);
+  d.erase_page(0);  // blocks 0..63
   EXPECT_EQ(d.find(9), nullptr);
+  EXPECT_EQ(d.size(), 0u);
 }
 
 TEST(Directory, GrantAndDropTransitions) {
@@ -262,9 +263,9 @@ TEST(PageTable, ForEachIsSortedByPage) {
 
 TEST(Directory, ForEachIsSortedByBlock) {
   Directory d(layout8());
-  for (Addr b : {Addr(900), Addr(2), Addr(64), Addr(33)})
+  for (Addr b : {Addr(900), Addr(2), Addr(64), Addr(100), Addr(33)})
     d.entry(b).state = DirState::kShared;
-  d.erase(64);
+  d.erase_page(1);  // blocks 64..127
   std::vector<Addr> order;
   d.for_each([&](Addr b, DirEntry&) { order.push_back(b); });
   EXPECT_EQ(order, (std::vector<Addr>{2, 33, 900}));
@@ -281,10 +282,11 @@ bool same_entry(const DirEntry& a, const DirEntry& b, const NodeSetLayout& l) {
 }
 
 // Seeded differential test of the page-grained directory against a
-// block-keyed std::map: entry (with mutation), find, erase and re-entry
-// over blocks on both sides of page boundaries and past 2^40. size(),
-// the for_each sequence and the usage() census must match throughout,
-// and a held reference must survive other blocks' inserts and erases.
+// block-keyed std::map: entry (with mutation), find, page erase and
+// re-entry over blocks on both sides of page boundaries and past 2^40.
+// size(), the for_each sequence and the usage() census must match
+// throughout, and a held reference must survive other blocks' inserts
+// and other pages' erases.
 TEST(Directory, DifferentialVsBlockMap) {
   const NodeSetLayout l = NodeSetLayout::make(64, DirScheme::kLimitedPtr);
   Directory d(l);
@@ -350,11 +352,14 @@ TEST(Directory, DifferentialVsBlockMap) {
         }
         break;
       }
-      case 1:  // erase (the pinned block stays live)
-        if (blk == pinned) break;
-        d.erase(blk);
-        ref.erase(blk);
+      case 1: {  // erase the block's page (the pinned page stays live)
+        const Addr page = blk / kBlocksPerPage;
+        if (page == pinned / kBlocksPerPage) break;
+        d.erase_page(page);
+        ref.erase(ref.lower_bound(page * kBlocksPerPage),
+                  ref.lower_bound((page + 1) * kBlocksPerPage));
         break;
+      }
       default: {  // probe
         const DirEntry* e = d.find(blk);
         auto it = ref.find(blk);
@@ -369,8 +374,8 @@ TEST(Directory, DifferentialVsBlockMap) {
     if (i % 10'000 == 0) check_all(i);
   }
   check_all(-1);
-  // Erasing every entry empties the directory; re-entry starts fresh.
-  for (Addr blk : pool) d.erase(blk);
+  // Erasing every page empties the directory; re-entry starts fresh.
+  for (Addr blk : pool) d.erase_page(blk / kBlocksPerPage);
   EXPECT_EQ(d.size(), 0u);
   EXPECT_EQ(d.entry(pool[0]).state, DirState::kUncached);
   EXPECT_TRUE(d.entry(pool[0]).sharers.empty());

@@ -109,12 +109,40 @@ TEST(L1Cache, InclusionInvalidateWithCapacityReason) {
   EXPECT_EQ(c.classify_miss(9), MissClass::kCapacity);
 }
 
-TEST(L1Cache, DowngradeKeepsLine) {
+// hit() is the one definition of an L1 hit: a read of any valid line,
+// a write to an E or M line (E becomes M); a write to S or O needs an
+// upgrade and a miss needs a fill, and both leave the line untouched.
+TEST(L1Cache, HitReadsValidLinesAndWritesExclusiveOnes) {
   L1Cache c(16 * 1024);
+  for (L1State s : {L1State::kS, L1State::kE, L1State::kO, L1State::kM}) {
+    c.install(3, s);
+    EXPECT_TRUE(c.hit(3, /*write=*/false)) << to_string(s);
+    EXPECT_EQ(c.probe(3)->state, s) << to_string(s);
+  }
+  for (L1State s : {L1State::kE, L1State::kM}) {
+    c.install(3, s);
+    EXPECT_TRUE(c.hit(3, /*write=*/true)) << to_string(s);
+    EXPECT_EQ(c.probe(3)->state, L1State::kM) << to_string(s);
+  }
+  for (L1State s : {L1State::kS, L1State::kO}) {
+    c.install(3, s);
+    EXPECT_FALSE(c.hit(3, /*write=*/true)) << to_string(s);
+    EXPECT_EQ(c.probe(3)->state, s) << to_string(s);
+  }
+}
+
+TEST(L1Cache, HitMissesAbsentAndInvalidatedBlocks) {
+  L1Cache c(16 * 1024);
+  EXPECT_FALSE(c.hit(3, false));
+  EXPECT_FALSE(c.hit(3, true));
   c.install(3, L1State::kM);
-  c.downgrade_to_shared(3);
-  ASSERT_NE(c.probe(3), nullptr);
-  EXPECT_EQ(c.probe(3)->state, L1State::kS);
+  EXPECT_FALSE(c.hit(3 + c.n_sets(), false));  // same set, other tag
+  EXPECT_FALSE(c.hit(3 + c.n_sets(), true));
+  EXPECT_EQ(c.probe(3)->state, L1State::kM);
+  c.invalidate(3);
+  EXPECT_FALSE(c.hit(3, false));
+  EXPECT_FALSE(c.hit(3, true));
+  EXPECT_EQ(c.probe(3), nullptr);
 }
 
 TEST(L1Cache, StateHelpers) {

@@ -78,6 +78,65 @@ TEST(Engine, MemoryAccessUsesMemorySystem) {
   EXPECT_EQ(stats.shared_writes, 1u);
 }
 
+// A memory system exposing an L1 through hit_path(): hits at or after
+// `open_until` must complete in the engine without reaching access().
+class HitPathMemory final : public MemorySystem {
+ public:
+  Cycle access(const MemAccess& a) override {
+    accesses.push_back(a);
+    return a.start + 50;
+  }
+  HitPath hit_path(CpuId) override { return {&l1, &open_until, 3}; }
+  void parallel_begin(Cycle) override {}
+  void parallel_end(Cycle) override {}
+  L1Cache l1{16 * 1024};
+  Cycle open_until = 100;
+  std::vector<MemAccess> accesses;
+};
+
+TEST(Engine, HitPathCompletesHitsOnlyFromOpenUntilOn) {
+  Stats stats(2);
+  HitPathMemory mem;
+  mem.l1.install(block_of(0x1000), L1State::kS);
+  mem.l1.install(block_of(0x2000), L1State::kE);
+  Engine eng(small_config(1, 1), &mem, &stats);
+  auto body = [](Cpu& cpu) -> SimCall<> {
+    co_await cpu.read(0x1000);   // 0: before open_until -> access()
+    co_await cpu.compute(49);    // 99
+    co_await cpu.read(0x1000);   // 99: still before -> access()
+    co_await cpu.read(0x1000);   // 149: hit, +3
+    co_await cpu.write(0x2000);  // 152: E hit, +3; the line becomes M
+    co_await cpu.write(0x1000);  // 155: S line needs an upgrade -> access()
+    co_await cpu.read(0x3000);   // 205: miss -> access()
+  };
+  eng.spawn(0, body(eng.cpu(0)));
+  eng.run();
+  ASSERT_EQ(mem.accesses.size(), 4u);
+  EXPECT_EQ(mem.accesses[0].start, 0u);
+  EXPECT_EQ(mem.accesses[1].start, 99u);
+  EXPECT_EQ(mem.accesses[2].start, 155u);
+  EXPECT_TRUE(mem.accesses[2].write);
+  EXPECT_EQ(mem.accesses[3].addr, 0x3000u);
+  EXPECT_EQ(eng.cpu(0).clock, 255u);
+  EXPECT_EQ(mem.l1.probe(block_of(0x2000))->state, L1State::kM);
+  EXPECT_EQ(stats.shared_reads, 4u);
+  EXPECT_EQ(stats.shared_writes, 2u);
+}
+
+// The default hit path exposes no L1: every access reaches access().
+TEST(Engine, DefaultHitPathSendsEveryAccessToTheMemorySystem) {
+  Stats stats(2);
+  FixedLatencyMemory mem(1);
+  EXPECT_EQ(mem.hit_path(0).l1, nullptr);
+  Engine eng(small_config(), &mem, &stats);
+  auto body = [](Cpu& cpu) -> SimCall<> {
+    for (int i = 0; i < 10; ++i) co_await cpu.read(0x1000);
+  };
+  eng.spawn(0, body(eng.cpu(0)));
+  eng.run();
+  EXPECT_EQ(mem.accesses.size(), 10u);
+}
+
 TEST(Engine, CpuToNodeMapping) {
   Stats stats(4);
   FixedLatencyMemory mem(1);

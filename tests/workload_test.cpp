@@ -173,6 +173,16 @@ TEST(Validate, FullMapDirectoryHoldsAtMost64Nodes) {
   expect_refused(cfg, "--dir-scheme full");
 }
 
+TEST(Validate, NodeCountFitsThePageTable) {
+  SystemConfig cfg = machine(FabricKind::kNiConstant, 1024);
+  EXPECT_EQ(validate(cfg), "");
+  cfg.nodes = 1025;
+  expect_refused(cfg, "--nodes");
+  cfg.nodes = 2048;
+  cfg.fabric = FabricKind::kMesh2d;
+  expect_refused(cfg, "--nodes");
+}
+
 TEST(Validate, NodeDownMustNameANode) {
   SystemConfig cfg = machine(FabricKind::kNiConstant, 8);
   cfg.faults.node_downs.push_back({9, 100, 5100});
@@ -195,6 +205,20 @@ TEST(Validate, LinkDownEndpointsMustBeGridNeighbours) {
   SystemConfig torus = mesh;
   torus.fabric = FabricKind::kTorus2d;
   EXPECT_EQ(validate(torus), "");
+}
+
+// The router+direction outage form has no flag; a hand-built one off
+// the grid is refused instead of reaching the fault plan's assert.
+TEST(Validate, RouterLinkDownsStayOnTheGrid) {
+  SystemConfig cfg = machine(FabricKind::kMesh2d, 8);  // 4x2
+  cfg.faults.link_downs = {{7, 3, 100, 5000}};
+  EXPECT_EQ(validate(cfg), "");
+  cfg.faults.link_downs = {{99, 0, 100, 5000}};
+  expect_refused(cfg, "router 99");
+  cfg.faults.link_downs = {{8, 0, 100, 5000}};
+  expect_refused(cfg, "router 8");
+  cfg.faults.link_downs = {{0, 4, 100, 5000}};
+  expect_refused(cfg, "direction 4");
 }
 
 TEST(Validate, LinkOutagesNeedARoutedFabric) {
