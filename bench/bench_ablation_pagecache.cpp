@@ -61,5 +61,14 @@ int main(int argc, char** argv) {
                 (unsigned long long)(ev / r.stats.node.size()));
   }
   print_throughput_summary(results, timer.seconds(), opt.jobs);
+  if (!opt.json_path.empty()) {
+    std::vector<std::string> names;
+    for (const auto& [label, bytes] : sizes)
+      names.push_back(bytes == 0 ? "R-NUMA-Inf" : "R-NUMA " + label);
+    write_json(opt.json_path, "ablation_pagecache",
+               records_of(opt.apps,
+                          baseline_columns(names, results, opt.apps.size())),
+               opt.resolved_jobs());
+  }
   return 0;
 }

@@ -16,6 +16,9 @@ int main(int argc, char** argv) {
   Options opt = parse(argc, argv);
   std::vector<std::string> apps = {"barnes", "ocean", "radix"};
   if (opt.apps.size() < paper_apps().size()) apps = opt.apps;  // --apps given
+  // Each sweep's results (baselines first), kept for --json.
+  std::vector<RunResult> rnuma_runs, migrep_runs, counter_runs;
+  std::vector<std::string> rnuma_names, migrep_names, counter_names;
 
   std::printf("=== Ablation: R-NUMA switching threshold (refetches) ===\n\n");
   {
@@ -29,8 +32,10 @@ int main(int argc, char** argv) {
         s.system.timing.rnuma_threshold = th;
         specs.push_back(s);
       }
+      rnuma_names.push_back("R-NUMA rnuma_threshold=" + std::to_string(th));
     }
-    auto results = run_valid(specs, opt.jobs);
+    rnuma_runs = run_valid(specs, opt.jobs);
+    const std::vector<RunResult>& results = rnuma_runs;
     Table t({"threshold", apps[0], apps.size() > 1 ? apps[1] : "-",
              apps.size() > 2 ? apps[2] : "-", "relocations/node (" + apps[0] + ")"});
     for (std::size_t i = 0; i < thresholds.size(); ++i) {
@@ -63,8 +68,10 @@ int main(int argc, char** argv) {
         s.system.timing.migrep_reset_interval = std::uint64_t(th) * 40;
         specs.push_back(s);
       }
+      migrep_names.push_back("MigRep migrep_threshold=" + std::to_string(th));
     }
-    auto results = run_valid(specs, opt.jobs);
+    migrep_runs = run_valid(specs, opt.jobs);
+    const std::vector<RunResult>& results = migrep_runs;
     Table t({"threshold", apps[0], apps.size() > 1 ? apps[1] : "-",
              apps.size() > 2 ? apps[2] : "-",
              "mig+rep/node (" + apps[0] + ")"});
@@ -100,8 +107,11 @@ int main(int argc, char** argv) {
       RunSpec s = opt.spec(SystemKind::kCcNumaMigRep, app);
       s.system.migrep_counter_cache_pages = e;
       specs.push_back(s);
+      counter_names.push_back("MigRep migrep_counter_cache_pages=" +
+                              std::to_string(e));
     }
-    auto results = run_valid(specs, opt.jobs);
+    counter_runs = run_valid(specs, opt.jobs);
+    const std::vector<RunResult>& results = counter_runs;
     Table t({"counter entries/home", "normalized (" + app + ")",
              "mig+rep per node"});
     for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -114,6 +124,25 @@ int main(int argc, char** argv) {
                 1);
     }
     std::printf("%s\n", t.to_string().c_str());
+  }
+
+  if (!opt.json_path.empty()) {
+    // One record per cell of each sweep, tagged with the sweep's name.
+    std::vector<Record> records;
+    auto add = [&](const char* sweep, const std::vector<std::string>& names,
+                   const std::vector<RunResult>& runs,
+                   const std::vector<std::string>& sweep_apps) {
+      for (Record& r : records_of(
+               sweep_apps, baseline_columns(names, runs, sweep_apps.size()))) {
+        r.fields.push_back({"sweep", sweep});
+        records.push_back(std::move(r));
+      }
+    };
+    add("rnuma_threshold", rnuma_names, rnuma_runs, apps);
+    add("migrep_threshold", migrep_names, migrep_runs, apps);
+    add("migrep_counter_cache_pages", counter_names, counter_runs, {apps[0]});
+    write_json(opt.json_path, "ablation_thresholds", records,
+               opt.resolved_jobs());
   }
   return 0;
 }

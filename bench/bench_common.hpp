@@ -531,6 +531,22 @@ inline ResultColumn column_of(const std::string& name,
   return c;
 }
 
+// The columns of a system-major result matrix over `apps` apps: block 0
+// holds each app's perfect CC-NUMA baseline ("perfect"), block i + 1
+// the runs of system `names[i]`.
+inline std::vector<ResultColumn> baseline_columns(
+    const std::vector<std::string>& names,
+    const std::vector<RunResult>& results, std::size_t apps) {
+  std::vector<ResultColumn> columns;
+  for (std::size_t c = 0; c <= names.size(); ++c) {
+    ResultColumn col{c == 0 ? "perfect" : names[c - 1], {}};
+    for (std::size_t a = 0; a < apps; ++a)
+      col.rows.push_back(&results.at(apps * c + a));
+    columns.push_back(std::move(col));
+  }
+  return columns;
+}
+
 // Table-4-style per-node interconnect traffic cell:
 // data / coherence-control / page-op / recovery kilobytes (recovery =
 // retransmissions, NACKs, and directory-rebuild census traffic; always
@@ -621,6 +637,20 @@ inline std::vector<Record> records_of(
   return out;
 }
 
+// The records of a normalized grid, app-major: each app's perfect
+// CC-NUMA baseline, then its run on every system.
+inline std::vector<Record> records_of(const NormalizedGrid& grid) {
+  const std::size_t apps = grid.apps.size();
+  std::vector<ResultColumn> columns = {{"perfect", {}}};
+  for (const RunResult& r : grid.baselines) columns[0].rows.push_back(&r);
+  for (std::size_t sys = 0; sys < grid.series.size(); ++sys) {
+    columns.push_back({grid.series[sys].name, {}});
+    for (std::size_t a = 0; a < apps; ++a)
+      columns.back().rows.push_back(&grid.results.at(apps * sys + a));
+  }
+  return records_of(grid.apps, columns);
+}
+
 // Write `records` to `path` as a JSON array, one object per line. Each
 // holds the schema version, the bench, the record's own fields, the
 // run's configuration, every counter Stats::visit names, the digest,
@@ -643,7 +673,7 @@ inline void write_json(const std::string& path, const char* bench,
                  i == 0 ? "" : ",", kRecordSchema, bench);
     for (const auto& [key, value] : r.fields)
       std::fprintf(f, ", \"%s\": \"%s\"", key, value.c_str());
-    // The attached engines in order ("migrep+rnuma" for a composed list).
+    // The run's rules in order ("migrep+rnuma" on R-NUMA+MigRep).
     std::string policy;
     for (const PolicyCounters& p : r.stats->policy)
       policy += (policy.empty() ? "" : "+") + p.name;

@@ -95,7 +95,7 @@ std::vector<NodeId> readers_of(unsigned p, std::uint32_t nodes, NodeId home) {
 
 SystemConfig cell_config(const Options& opt, std::uint32_t nodes,
                          FabricKind fabric, Scenario sc) {
-  // CC-NUMA attaches no decision policy: policy page ops would race the
+  // CC-NUMA runs no decision rule: policy page ops would race the
   // crash schedule and blur the recovery traffic this sweep measures.
   SystemConfig cfg = SystemConfig::base(SystemKind::kCcNuma);
   opt.apply(cfg);

@@ -33,5 +33,8 @@ int main(int argc, char** argv) {
   std::printf("%s\n", render_series(grid.apps, grid.series).c_str());
   print_geomean_row(grid);
   print_throughput_summary(grid.results, timer.seconds(), opt.jobs);
+  if (!opt.json_path.empty())
+    write_json(opt.json_path, "fig5_base", records_of(grid),
+               opt.resolved_jobs());
   return 0;
 }

@@ -45,5 +45,8 @@ int main(int argc, char** argv) {
     std::printf("  %-10s MigRep %.3f   R-NUMA %.3f\n", grid.apps[a].c_str(),
                 mr, rn);
   }
+  if (!opt.json_path.empty())
+    write_json(opt.json_path, "fig6_pageop_overhead", records_of(grid),
+               opt.resolved_jobs());
   return 0;
 }

@@ -73,20 +73,12 @@ int main(int argc, char** argv) {
   }
 
   // Per-class byte traffic at the long latency, per node (the traffic
-  // that the latency sweep is actually pricing). The result matrix is
-  // system-major (baselines first); each column lists its rows.
+  // that the latency sweep is actually pricing).
   std::printf("\n");
-  auto rows_of_system = [&](std::size_t sys_index) {
-    std::vector<std::size_t> rows;
-    for (std::size_t a = 0; a < opt.apps.size(); ++a)
-      rows.push_back(opt.apps.size() * sys_index + a);
-    return rows;
-  };
-  std::vector<ResultColumn> columns = {
-      column_of("perfect", results, rows_of_system(0))};
-  for (std::size_t sys = 0; sys < systems.size(); ++sys)
-    columns.push_back(
-        column_of(systems[sys].first, results, rows_of_system(sys + 1)));
+  std::vector<std::string> names;
+  for (const auto& sys : systems) names.push_back(sys.first);
+  const std::vector<ResultColumn> columns =
+      baseline_columns(names, results, opt.apps.size());
   print_traffic_table(opt.apps, columns);
 
   // On a routed fabric the latency sweep also exercises the link-level

@@ -139,10 +139,12 @@ void BM_CounterCacheDisplace(benchmark::State& state) {
 BENCHMARK(BM_CounterCacheDisplace);
 
 // Policy-event dispatch through the engine's observation path (counted
-// misses with a finite counter cache, remote fetches, evictions), no
-// decision policies attached — the fixed per-event engine overhead.
+// misses with a finite counter cache, remote fetches, evictions) on
+// CC-NUMA+MigRep with thresholds that never fire — the fixed per-event
+// engine overhead. (A run with no rule only counts its events.)
 void BM_PolicyEventDispatch(benchmark::State& state) {
-  SystemConfig cfg = SystemConfig::base(SystemKind::kCcNuma);
+  SystemConfig cfg = SystemConfig::base(SystemKind::kCcNumaMigRep);
+  cfg.timing.migrep_threshold = 1u << 30;
   cfg.migrep_counter_cache_pages = 1024;
   Stats stats(cfg.nodes);
   auto sys = make_system(cfg, &stats);
@@ -164,7 +166,7 @@ void BM_PolicyEventDispatch(benchmark::State& state) {
     ev.is_write = (pick & 1) != 0;
     ev.bytes = 80;
     ev.now = now += 20;
-    benchmark::DoNotOptimize(eng.dispatch(ev, &pt.info(page)));
+    benchmark::DoNotOptimize(eng.dispatch(ev, pt.info(page)));
   }
   state.SetItemsProcessed(state.iterations());
 }

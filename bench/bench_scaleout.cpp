@@ -71,7 +71,7 @@ void print_hot_links(const Fabric& fab, const SystemConfig& cfg);
 
 SystemConfig cell_config(const Options& opt, std::uint32_t nodes,
                          FabricKind fabric, DirScheme scheme) {
-  // CC-NUMA attaches no decision policy: page migration/replication
+  // CC-NUMA runs no decision rule: page migration/replication
   // would perturb the fixed sharing pattern and hide the scheme-only
   // traffic delta.
   SystemConfig cfg = SystemConfig::base(SystemKind::kCcNuma);

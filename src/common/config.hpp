@@ -36,15 +36,15 @@ const char* to_string(SystemKind k);
 // True for systems that include the S-COMA page cache machinery.
 bool uses_page_cache(SystemKind k);
 
-// Which decision engines to attach to the policy-event layer
+// Which decision rules the policy engine runs
 // (protocols/policy_engine.hpp). kDefault derives the paper's pairing
 // from SystemKind (MigRep rules for the +Rep/+Mig/+MigRep systems,
-// reactive relocation for the R-NUMA systems); kAdaptive attaches the
-// adaptive engine instead, on any substrate (it relocates only where
-// the SystemKind has a page cache).
+// reactive relocation for the R-NUMA systems); kAdaptive runs the
+// adaptive rule instead, on any substrate (it relocates only where the
+// SystemKind has a page cache).
 enum class PolicyKind : std::uint8_t {
   kDefault = 0,  // derive from SystemKind (the paper's pairing)
-  kAdaptive,     // traffic-competitive adaptive engine (byte-threshold)
+  kAdaptive,     // traffic-competitive adaptive rule (byte-threshold)
 };
 
 const char* to_string(PolicyKind k);
@@ -135,27 +135,12 @@ struct TimingConfig {
   // misses to a page (Section 6.4's "initial preset interval").
   std::uint64_t rnuma_relocation_delay_misses = 0;
 
-  // --- policy-event layer (protocols/policy_engine.hpp) --------------------
-  // The engine emits one kEpochTick event to the policies every this
-  // many absorbed page events (0 disables ticks). Adaptive hysteresis
-  // decays one level per elapsed epoch.
-  std::uint64_t policy_epoch_events = 8192;
-  // Per-epoch aging of the per-page remote-byte ledger: every slot of
-  // PageObs::remote_bytes is halved this many times per elapsed epoch
-  // (applied lazily on the page's next event), so stale history cannot
-  // trigger late page ops. 0 disables decay (the pre-PR-6 behavior).
-  // Only the adaptive engine reads the ledger; the MigRep/R-NUMA golden
-  // decisions are unaffected by this knob.
-  std::uint32_t policy_ledger_decay_shift = 1;
-  // Traffic-competitive adaptive policy: a page op fires once a page's
-  // accumulated remote bytes exceed adaptive_k x the modeled page-move
-  // byte cost (the classic competitive threshold; k = 1 is break-even
-  // against a single move, larger k demands more evidence).
+  // Traffic-competitive adaptive rule (protocols/policy_engine.hpp): a
+  // page op fires once a page's accumulated remote bytes exceed
+  // adaptive_k x the modeled page-move byte cost (the classic
+  // competitive threshold; k = 1 is break-even against a single move,
+  // larger k demands more evidence).
   std::uint32_t adaptive_k = 4;
-  // Ping-pong hysteresis: each op on a page raises its next byte
-  // threshold by another power of two, up to this many doublings; the
-  // penalty decays one level per epoch without an op.
-  std::uint32_t adaptive_hysteresis_max_shift = 6;
 
   // --- fault recovery (net/fault.hpp) --------------------------------------
   // First retransmission backoff after a lost transaction; attempt n
@@ -279,8 +264,8 @@ struct FaultConfig {
 
 struct SystemConfig {
   SystemKind kind = SystemKind::kCcNuma;
-  // Decision-engine selection for the policy-event layer; kDefault
-  // derives the paper's pairing from `kind`.
+  // Decision-rule selection for the policy engine; kDefault derives the
+  // paper's pairing from `kind`.
   PolicyKind policy = PolicyKind::kDefault;
   TimingConfig timing{};
 
@@ -296,10 +281,6 @@ struct SystemConfig {
   // every paper-scale configuration behaves bit-identically to the
   // pre-NodeSet code; larger machines fall back to limited pointers.
   DirScheme dir_scheme = DirScheme::kAuto;
-
-  // Per-node miss-history table entries (power of two; the node-level
-  // miss classifier is a finite tagged SRAM table, not unbounded state).
-  std::uint32_t node_history_entries = 1u << 16;
 
   // Caches. The paper: 16-KByte direct-mapped L1s, a 64-KByte inclusive
   // node block cache (= sum of the node's L1s), and a 2.4-MByte S-COMA

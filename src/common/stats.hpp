@@ -157,14 +157,15 @@ inline constexpr std::size_t kNodeCounters = [] {
   return n;
 }();
 
-// Per-policy decision counters, one record per engine attached to the
-// run's PolicyEngine (protocols/policy_engine.hpp), in attachment
-// order. `events` counts events delivered to the policy; the remaining
-// fields count the decisions it took (or withheld).
+// Per-rule decision counters: one record for each decision rule the
+// run's PolicyEngine runs (protocols/policy_engine.hpp), MigRep before
+// R-NUMA. `events` counts every page event plus every epoch the engine
+// saw; the remaining fields count the decisions the rule took (or
+// withheld).
 struct PolicyCounters {
   std::string name;
-  std::uint64_t events = 0;        // events delivered
-  std::uint64_t migrations = 0;    // page migrations this policy ordered
+  std::uint64_t events = 0;        // page events plus epochs
+  std::uint64_t migrations = 0;    // page migrations this rule ordered
   std::uint64_t replications = 0;  // page replications it ordered
   std::uint64_t relocations = 0;   // S-COMA relocations it ordered
   std::uint64_t suppressed = 0;    // triggers withheld (gates, hysteresis)
@@ -234,7 +235,7 @@ struct Stats {
   std::uint64_t barriers = 0;
   std::uint64_t lock_acquires = 0;
 
-  // Per-policy decision counters (see PolicyCounters above).
+  // Per-rule decision counters (see PolicyCounters above).
   std::vector<PolicyCounters> policy;
 
   // Fault-injection and recovery counters (all zero with faults off).
@@ -248,7 +249,7 @@ struct Stats {
 
   explicit Stats(std::uint32_t nodes = 0) : node(nodes) {}
 
-  // Lookup by policy name; null if no such policy ran.
+  // Lookup by rule name; null if no such rule ran.
   const PolicyCounters* policy_counters(const std::string& name) const;
 
   // Aggregates used by the harness.
@@ -274,9 +275,9 @@ struct Stats {
   // The counter schema: calls v(name, value) exactly once for each
   // counter, in this order. The run-level counters; the NodeStats
   // counters summed over nodes; FaultStats, DirUsage and LinkUsage;
-  // then each attached policy's PolicyCounters. Every --json record
-  // key and digest() come from here, so a new counter is named here
-  // (or in NodeStats::visit) and nowhere else.
+  // then each rule's PolicyCounters. Every --json record key and
+  // digest() come from here, so a new counter is named here (or in
+  // NodeStats::visit) and nowhere else.
   template <class V>
   void visit(V&& v) const {
     v("execution_cycles", execution_cycles);

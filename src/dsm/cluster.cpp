@@ -11,8 +11,6 @@
 
 #include <algorithm>
 
-#include "protocols/policy_engine.hpp"
-
 namespace dsm {
 
 const char* to_string(PageMode m) {
@@ -42,7 +40,8 @@ DsmSystem::DsmSystem(const SystemConfig& cfg, Stats* stats)
       dir_(nsl_, &arena_),
       net_(cfg_, stats),
       bus_(cfg.nodes),
-      device_(cfg.nodes) {
+      device_(cfg.nodes),
+      engine_(*this, stats, &arena_) {
   DSM_ASSERT(stats_ != nullptr);
   DSM_ASSERT(stats_->node.size() >= cfg.nodes, "Stats sized for node count");
   const bool infinite_bc = cfg.kind == SystemKind::kPerfectCcNuma;
@@ -59,9 +58,8 @@ DsmSystem::DsmSystem(const SystemConfig& cfg, Stats* stats)
         cfg.block_cache_bytes, infinite_bc ? 0u : 1u));
     pc_.push_back(
         std::make_unique<PageCache>(has_pc ? pc_pages : 1, &arena_));
-    history_.emplace_back(cfg.node_history_entries);
+    history_.emplace_back();
   }
-  engine_ = std::make_unique<PolicyEngine>(cfg_, stats_, &arena_);
   // Reliable-transaction tables exist only when the fault layer is on.
   if (net_.fault_plan() != nullptr) {
     txn_seq_.assign(cfg.nodes, 0);
@@ -69,8 +67,6 @@ DsmSystem::DsmSystem(const SystemConfig& cfg, Stats* stats)
     crash_detected_until_.assign(cfg.nodes, 0);
   }
 }
-
-DsmSystem::~DsmSystem() = default;
 
 void DsmSystem::parallel_begin(Cycle now) { parallel_begin_at_ = now; }
 void DsmSystem::parallel_end(Cycle now) {

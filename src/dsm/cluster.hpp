@@ -6,14 +6,15 @@
 //   (R-NUMA), read-only replicas (MigRep), or home memory
 //   cluster-level: full-bit-vector home directory over the network.
 //
-// Decision engines (MigRep, R-NUMA relocation, adaptive) are attached
-// to the PolicyEngine (src/protocols/policy_engine.hpp), which absorbs
-// the typed PolicyEvent stream this substrate emits — counted misses,
-// upgrades, remote fetches, evictions, invalidations, replica
-// collapses, page-op completions, each carrying its interconnect byte
-// charge. DsmSystem provides the timed *mechanisms* policies invoke:
-// page gathering and flushing, page copying, replication, migration,
-// replica collapse, S-COMA relocation and page-cache eviction.
+// Decisions (MigRep, R-NUMA relocation, adaptive) are taken by the
+// PolicyEngine (src/protocols/policy_engine.hpp), which DsmSystem builds
+// from its SystemConfig and which absorbs the typed PolicyEvent stream
+// this substrate emits — counted misses, upgrades, remote fetches,
+// evictions, invalidations, replica collapses, page-op completions,
+// each carrying its interconnect byte charge. DsmSystem provides the
+// timed *mechanisms* the engine's rules invoke: page gathering and
+// flushing, page copying, replication, migration, replica collapse,
+// S-COMA relocation and page-cache eviction.
 //
 // The implementation is layered across translation units — the access
 // paths and snoop in dsm/node_agent.cpp, the cluster-level directory
@@ -46,14 +47,10 @@
 #include "mem/resource.hpp"
 #include "net/fabric.hpp"
 #include "net/message.hpp"
+#include "protocols/policy_engine.hpp"
 #include "sim/memory_if.hpp"
 
 namespace dsm {
-
-class DsmSystem;
-class PolicyEngine;
-struct PolicyEvent;
-enum class PageOpKind : std::uint8_t;
 
 // Per-node miss-class history at node (cluster-device) level.
 //
@@ -71,10 +68,11 @@ enum class PageOpKind : std::uint8_t;
 // writes.
 class NodeHistory {
  public:
-  explicit NodeHistory(std::uint32_t entries = 1u << 16) {
-    while (cap_ < entries && cap_ < (1u << 30)) cap_ <<= 1;
+  static constexpr std::size_t kEntries = std::size_t(1) << 16;
+
+  NodeHistory() {
     table_.reset(static_cast<std::uint64_t*>(
-        std::calloc(cap_, sizeof(std::uint64_t))));
+        std::calloc(kEntries, sizeof(std::uint64_t))));
     DSM_ASSERT(table_ != nullptr, "node history allocation failed");
   }
 
@@ -88,8 +86,6 @@ class NodeHistory {
   }
   void mark(Addr blk, MissClass c) { table_[index(blk)] = pack(blk, c); }
 
-  std::size_t capacity() const { return cap_; }
-
  private:
   struct Free {
     void operator()(std::uint64_t* p) const { std::free(p); }
@@ -98,19 +94,17 @@ class NodeHistory {
     DSM_DEBUG_ASSERT(blk < (Addr(1) << 62), "block number beyond the tag");
     return (blk << 2) | (std::uint64_t(c) + 1);
   }
-  std::size_t index(Addr blk) const {
+  static std::size_t index(Addr blk) {
     // Mix the upper bits so same-set blocks of distant pages spread out.
     const Addr h = blk ^ (blk >> 17) ^ (blk >> 31);
-    return std::size_t(h) & (cap_ - 1);
+    return std::size_t(h) & (kEntries - 1);
   }
-  std::size_t cap_ = 1;
   std::unique_ptr<std::uint64_t[], Free> table_;
 };
 
 class DsmSystem : public MemorySystem {
  public:
   DsmSystem(const SystemConfig& cfg, Stats* stats);
-  ~DsmSystem() override;
 
   // ---- MemorySystem ------------------------------------------------------
   Cycle access(const MemAccess& a) override;
@@ -122,12 +116,11 @@ class DsmSystem : public MemorySystem {
   void parallel_end(Cycle now) override;
 
   // ---- policy-event layer --------------------------------------------------
-  // The engine absorbing this substrate's event stream. The protocol
-  // factory attaches decision policies to it; it exists (and keeps the
-  // observation state) even when no policy is attached.
-  PolicyEngine& policy_engine() { return *engine_; }
+  // The engine absorbing this substrate's event stream and running the
+  // decision rules SystemConfig::kind and ::policy select.
+  PolicyEngine& policy_engine() { return engine_; }
 
-  // ---- timed page-op mechanisms (called by policies) -----------------------
+  // ---- timed page-op mechanisms (called by the engine's rules) -------------
   // Replicate `page` read-only at `node`; returns op completion time.
   Cycle replicate_page(Addr page, NodeId node, Cycle now);
   // Migrate `page`'s home to `node`; returns op completion time.
@@ -139,7 +132,7 @@ class DsmSystem : public MemorySystem {
   // Evicts a page-cache frame first if none is free. Returns completion.
   Cycle relocate_to_scoma(NodeId node, Addr page, Cycle now);
 
-  // ---- introspection (tests, checker, policies) ---------------------------
+  // ---- introspection (tests, checker, policy engine) -----------------------
   const SystemConfig& config() const { return cfg_; }
   const TimingConfig& timing() const { return cfg_.timing; }
   Stats* stats() { return stats_; }
@@ -367,7 +360,7 @@ class DsmSystem : public MemorySystem {
   std::vector<Resource> device_;                   // per node
   std::vector<NodeHistory> history_;               // per node
 
-  std::unique_ptr<PolicyEngine> engine_;
+  PolicyEngine engine_;
 
   // Reliable-transaction state, sized only when the fault layer is on:
   // per-node next transaction sequence, and the per-(responder,

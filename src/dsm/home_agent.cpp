@@ -14,7 +14,6 @@
 #include <algorithm>
 
 #include "dsm/cluster.hpp"
-#include "protocols/policy_engine.hpp"
 
 namespace dsm {
 
@@ -226,7 +225,7 @@ Cycle DsmSystem::recall_reply(const Message& inv, const Message& reply,
     ev.now = reply_reliable(reply, inv, ready);
     ev.bytes = inv.total_bytes() + reply.total_bytes();
   }
-  engine_->dispatch(ev, &pt_.info(ev.page));
+  engine_.dispatch(ev, pt_.info(ev.page));
   return ev.now;
 }
 
@@ -242,7 +241,7 @@ void DsmSystem::emit_counted(bool upgrade, Addr page, PageInfo& pi,
   ev.now = now;
   // Home-side decisions never delay the triggering access (page-op
   // stalls surface through PageInfo::op_pending_until instead).
-  engine_->dispatch(ev, &pi);
+  engine_.dispatch(ev, pi);
 }
 
 }  // namespace dsm

@@ -7,7 +7,6 @@
 // notification on a block-cache eviction, sent as a typed writeback or
 // replacement-hint message.
 #include "dsm/cluster.hpp"
-#include "protocols/policy_engine.hpp"
 
 namespace dsm {
 
@@ -240,10 +239,10 @@ Cycle DsmSystem::access_remote(const MemAccess& a, PageInfo& pi, Addr blk,
   }
 
   // Miss: fetch the block from home. Under CC-NUMA the event reaches the
-  // requester-side policies (R-NUMA relocation, adaptive) before the
-  // fetch leaves the node; a policy may relocate the page to S-COMA —
-  // the access then continues on the S-COMA path — and/or delay the
-  // fetch by returning a later cycle.
+  // requester-side rules (R-NUMA relocation, adaptive) before the fetch
+  // leaves the node; a rule may relocate the page to S-COMA — the
+  // access then continues on the S-COMA path — and/or delay the fetch
+  // by returning a later cycle.
   const MissClass node_class = history_[a.node].classify(blk);
   if (!scoma) {
     PolicyEvent ev;
@@ -252,7 +251,7 @@ Cycle DsmSystem::access_remote(const MemAccess& a, PageInfo& pi, Addr blk,
     ev.node = a.node;
     ev.miss_class = node_class;
     ev.now = t;
-    t = engine_->dispatch(ev, &pi);
+    t = engine_.dispatch(ev, pi);
     if (pi.mode[a.node] == PageMode::kScoma)
       return access_remote(a, pi, blk, t);
   }
@@ -401,7 +400,7 @@ void DsmSystem::bc_install(NodeId n, Addr blk, NodeState st, Cycle t) {
     net_.post(m, t);
     ev.bytes = m.total_bytes();
   }
-  engine_->dispatch(ev, vpi);
+  engine_.dispatch(ev, *vpi);
   DirEntry& e = dir_.entry(v.blk);
   DSM_DEBUG_ASSERT(!dirty ||
                    (e.state == DirState::kExclusive && e.owner == n));

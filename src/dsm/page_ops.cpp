@@ -1,17 +1,17 @@
 // Page-operation mechanisms: replicate, migrate, collapse, relocate.
 //
-// These are the timed mechanisms the policies (src/protocols) invoke.
-// Bulk page copies travel as kPageBulk messages, charged to the page-op
-// traffic class; the control choreography (collapse requests, replica
-// invalidations, acks) travels as typed control messages. Block flushes
-// during a gather are charged as page-op *device* occupancy
-// (page_op_per_block), not as interconnect messages — see ROADMAP.md
-// "Architecture" for the accounting model.
+// These are the timed mechanisms the policy engine's rules
+// (src/protocols) invoke. Bulk page copies travel as kPageBulk
+// messages, charged to the page-op traffic class; the control
+// choreography (collapse requests, replica invalidations, acks) travels
+// as typed control messages. Block flushes during a gather are charged
+// as page-op *device* occupancy (page_op_per_block), not as
+// interconnect messages — see ROADMAP.md "Architecture" for the
+// accounting model.
 #include <algorithm>
 
 #include "dsm/cluster.hpp"
 #include "net/fault.hpp"
-#include "protocols/policy_engine.hpp"
 
 namespace dsm {
 
@@ -72,7 +72,7 @@ void DsmSystem::emit_page_op(PageOpKind op, Addr page, PageInfo& pi,
   ev.failed = failed;
   ev.bytes = bytes;
   ev.now = now;
-  engine_->dispatch(ev, &pi);
+  engine_.dispatch(ev, pi);
 }
 
 // ---------------------------------------------------------------------------
@@ -229,7 +229,7 @@ Cycle DsmSystem::collapse_replicas(Addr page, NodeId writer_node, Cycle now) {
   ev.node = writer_node;
   ev.bytes = wire_bytes;
   ev.now = back;
-  engine_->dispatch(ev, &pi);
+  engine_.dispatch(ev, pi);
   return back;
 }
 

@@ -1,36 +1,37 @@
-// Unified policy-event layer: composable decision engines over the
-// byte-accounted event stream.
+// The policy-event layer: one engine that observes the byte-accounted
+// event stream and runs the run's decision rules over it.
 //
 // The substrate (DsmSystem) emits a PolicyEvent for every observable
 // protocol action — a counted miss at the home, an upgrade, a remote
 // fetch about to leave a node, a block-cache eviction, a coherence
-// invalidation, a replica collapse, a page-op completion, and periodic
-// epoch ticks — each carrying the interconnect bytes the fabric charged
-// for it (derived from the same typed-message geometry the fabric
-// accounts, so events speak the paper's currency).
+// invalidation, a replica collapse, a page-op completion — each
+// carrying the interconnect bytes the fabric charged for it (derived
+// from the same typed-message geometry the fabric accounts, so events
+// speak the paper's currency).
 //
 // The PolicyEngine owns all per-page observation state: the MigRep
 // read/write miss counters, the R-NUMA refetch counters, lifetime miss
-// counts, the finite CounterCache of Section 6.4, per-node accumulated
-// remote bytes, and the relocation-delay gate. The substrate keeps only
-// mechanism state (PageInfo: home, modes, replica set, op windows).
-// Events are first absorbed into the observation state, then dispatched
-// to an ordered list of composable Policy instances, each of which may
-// invoke the timed DsmSystem mechanisms (migrate / replicate / collapse
+// counts, the finite CounterCache of Section 6.4 and per-node
+// accumulated remote bytes. The substrate keeps only mechanism state
+// (PageInfo: home, modes, replica set, op windows). Each event is first
+// absorbed into the observation state, then passed to the run's rules,
+// which may invoke the timed DsmSystem mechanisms (migrate / replicate
 // / relocate) and may delay the triggering access by returning a later
 // cycle.
 //
-// Decision engines implemented over this interface:
-//   MigRepPolicy    the paper's Section 3.1 migration/replication rules
-//   RNumaPolicy     the paper's Section 3.2 reactive relocation
-//   AdaptivePolicy  traffic-competitive adaptive engine (new): fires a
-//                   page op when a page's accumulated remote bytes
-//                   exceed k x the modeled page-move byte cost
-// All three produce per-policy decision counters in Stats::policy.
+// DsmSystem's constructor builds the engine, which picks its rules once
+// from SystemConfig::kind and SystemConfig::policy:
+//   MigRep    the paper's Section 3.1 migration/replication rules
+//             (+Rep, +Mig or both)
+//   R-NUMA    the paper's Section 3.2 reactive relocation, gated on
+//             R-NUMA+MigRep by Section 6.4's initial interval
+//   adaptive  traffic-competitive rule (new): fires a page op when a
+//             page's accumulated remote bytes exceed k x the modeled
+//             page-move byte cost
+// Each rule keeps its decision counters in one Stats::policy record.
 #pragma once
 
 #include <array>
-#include <memory>
 #include <vector>
 
 #include "common/addr_map.hpp"
@@ -42,7 +43,6 @@
 namespace dsm {
 
 class DsmSystem;
-class PolicyEngine;
 
 // ---------------------------------------------------------------------------
 // Events
@@ -56,11 +56,7 @@ enum class PolicyEventKind : std::uint8_t {
   kInvalidation,     // a node's copy recalled/downgraded by the home
   kReplicaCollapse,  // replicated page switched back to read-write
   kPageOpComplete,   // a migrate/replicate/relocate mechanism finished
-  kEpochTick,        // engine-generated, every policy_epoch_events events
-  kCount,
 };
-
-const char* to_string(PolicyEventKind k);
 
 // Which mechanism a kPageOpComplete reports. kRehome is the emergency
 // re-homing of a crashed home (dsm/page_ops.cpp survivable-homes
@@ -80,15 +76,10 @@ struct PolicyEvent {
   MissClass miss_class = MissClass::kCold;  // kRemoteFetch
   PageOpKind op = PageOpKind::kMigrate;     // kPageOpComplete
   bool failed = false;           // kPageOpComplete: op aborted (fault layer)
-  // Engine-computed gate (kRemoteFetch): false while the page is still
-  // inside the R-NUMA+MigRep integration's initial observation interval
-  // (Section 6.4) — relocation decisions must hold off.
-  bool relocation_allowed = true;
   // Interconnect bytes the fabric charged for this event's messages
   // (0 for purely node-local events). Derived from net/message.hpp
   // geometry at the emission site.
   std::uint64_t bytes = 0;
-  std::uint64_t epoch = 0;       // kEpochTick
   Cycle now = 0;
 };
 
@@ -97,7 +88,7 @@ struct PolicyEvent {
 // ---------------------------------------------------------------------------
 
 // Per-page observation record. This is monitoring state, not mechanism
-// state: the substrate never reads it, policies never bypass it.
+// state: the substrate never reads it, the rules never bypass it.
 //
 // Counters live in a small fixed table of (node, counters) slots, not
 // machine-width arrays: at 1024 nodes a per-node array quadruples the
@@ -139,9 +130,10 @@ struct PageObs {
   // per-page "reset interval of 32000 misses").
   std::uint64_t counted_since_reset = 0;
   // Epoch at which remote_bytes was last brought current. The byte
-  // ledger ages by policy_ledger_decay_shift halvings per elapsed epoch
-  // (applied lazily on the page's next event), so stale history cannot
-  // trigger late page ops long after a page's traffic pattern moved on.
+  // ledger ages by PolicyEngine::kLedgerDecayShift halvings per elapsed
+  // epoch (applied lazily on the page's next event), so stale history
+  // cannot trigger late page ops long after a page's traffic pattern
+  // moved on.
   std::uint64_t ledger_epoch = 0;
 
   // Reads never insert: an absent node reads as zero.
@@ -330,82 +322,95 @@ class CounterCache {
 };
 
 // ---------------------------------------------------------------------------
-// Policies
-// ---------------------------------------------------------------------------
-
-// A composable decision engine. Policies receive every event after the
-// engine has absorbed it into the observation state; they may invoke
-// DsmSystem's timed page-op mechanisms and may delay the triggering
-// access by returning a cycle later than `now`. `pi`/`obs` are null for
-// page-less events (epoch ticks).
-class Policy {
- public:
-  virtual ~Policy() = default;
-  virtual const char* name() const = 0;
-  virtual Cycle on_event(const PolicyEvent& ev, PageInfo* pi, PageObs* obs,
-                         Cycle now) = 0;
-
- protected:
-  // Assigned by PolicyEngine::add_policy; valid for the engine's life.
-  PolicyCounters& counters() { return *counters_; }
-
- private:
-  friend class PolicyEngine;
-  PolicyCounters* counters_ = nullptr;
-};
-
-// ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
 
 class PolicyEngine {
  public:
-  // `mem` backs the observation tables (a per-run Arena in DsmSystem;
-  // the default heap in unit tests that build an engine standalone).
-  PolicyEngine(const SystemConfig& cfg, Stats* stats,
-               std::pmr::memory_resource* mem =
-                   std::pmr::get_default_resource());
+  // The engine's epoch advances once per this many page events.
+  static constexpr std::uint64_t kEpochEvents = 8192;
+  // The byte ledger halves this many times per elapsed epoch (see
+  // PageObs::ledger_epoch).
+  static constexpr std::uint32_t kLedgerDecayShift = 1;
+  // Adaptive hysteresis: each op on a page doubles its next byte
+  // threshold, up to this many doublings.
+  static constexpr std::uint32_t kHysteresisMaxShift = 6;
 
-  // Ordered attachment: events visit policies in attachment order.
-  void add_policy(std::unique_ptr<Policy> p);
+  // Picks the rules from `sys`'s SystemConfig and appends one
+  // Stats::policy record per rule, MigRep before R-NUMA. `mem` backs
+  // the observation tables (DsmSystem's per-run Arena).
+  PolicyEngine(DsmSystem& sys, Stats* stats, std::pmr::memory_resource* mem);
 
-  // Absorb `ev` into the observation state, then dispatch it through
-  // the policy list. Returns the (possibly delayed) time the triggering
-  // access may proceed; emission sites that run off the critical path
-  // ignore it. `pi` is the event page's mechanism record (null only for
-  // kEpochTick).
-  Cycle dispatch(PolicyEvent& ev, PageInfo* pi);
+  // Count `ev`; with any rule in the run, absorb it into the
+  // observation state and pass it to each rule. Returns the (possibly
+  // delayed) time the triggering access may proceed; emission sites
+  // that run off the critical path ignore it. `pi` is the event page's
+  // mechanism record.
+  Cycle dispatch(const PolicyEvent& ev, PageInfo& pi);
 
-  // --- observation-state introspection (policies, tests) ------------------
-  PageObs& obs(Addr page) { return obs_[page]; }
+  // --- observation-state introspection (tests) ------------------------------
   const PageObs* find_obs(Addr page) const { return obs_.find(page); }
   CounterCache& counter_cache(NodeId home) { return counter_cache_[home]; }
   std::uint64_t events_dispatched() const { return events_; }
   std::uint64_t epoch() const { return epoch_; }
-  const TimingConfig& timing() const { return cfg_->timing; }
+
+  // The modeled byte cost of one page move (the kPageBulk transfer): the
+  // adaptive rule's unit.
+  static std::uint64_t page_move_bytes();
 
  private:
-  // Mandatory bookkeeping applied before policies see the event.
-  void observe(PolicyEvent& ev, PageObs& obs, const PageInfo& pi);
-  // Bring the page's remote-byte ledger current: halve every slot
-  // policy_ledger_decay_shift times per epoch elapsed since the ledger
-  // was last touched. Runs before the event is absorbed or dispatched,
-  // so policies never see un-aged history. Touches only remote_bytes —
-  // the MigRep/R-NUMA counters are governed by the paper's own reset
-  // rules and stay byte-identical with decay on or off.
-  void decay_ledger(PageObs& obs);
-  void maybe_tick(Cycle now);
+  // The adaptive rule's per-page hysteresis state.
+  struct AdaptState {
+    std::uint32_t streak = 0;        // ops without an intervening decay
+    std::uint64_t last_op_epoch = 0;
+  };
 
+  // Mandatory bookkeeping applied before the rules see the event.
+  void observe(const PolicyEvent& ev, PageObs& obs, const PageInfo& pi);
+  // Bring the page's remote-byte ledger current: halve every slot
+  // kLedgerDecayShift times per epoch elapsed since the ledger was last
+  // touched. Runs before the event is absorbed, so the rules never see
+  // un-aged history. Touches only remote_bytes: the MigRep/R-NUMA
+  // counters follow the paper's own reset rules.
+  void decay_ledger(PageObs& obs);
+
+  // The rules. Each returns the time the triggering access may proceed.
+  Cycle migrep(const PolicyEvent& ev, PageInfo& pi, PageObs& obs, Cycle now);
+  Cycle rnuma(const PolicyEvent& ev, PageObs& obs, Cycle now);
+  Cycle adaptive(const PolicyEvent& ev, PageInfo& pi, PageObs& obs,
+                 Cycle now);
+
+  // Section 6.4's integration gate: relocation holds off until the page
+  // has seen rnuma_relocation_delay_misses lifetime misses.
+  bool relocation_allowed(const PageObs& obs) const {
+    return obs.lifetime_misses >= cfg_->timing.rnuma_relocation_delay_misses;
+  }
+  // Current hysteresis level: the op streak less one level per epoch
+  // elapsed since the last op (computed lazily; no page walks per epoch).
+  std::uint32_t level(const AdaptState& st) const;
+  // Requester holds a majority of the page's accumulated remote bytes
+  // and out-misses the home.
+  static bool dominates(const PageObs& obs, NodeId requester, NodeId home);
+  void note_op(AdaptState& st);
+
+  DsmSystem* sys_;
   const SystemConfig* cfg_;
   Stats* stats_;
-  std::vector<std::unique_ptr<Policy>> policies_;
+  // The run's rules, fixed at construction: the MigRep switches, and
+  // each rule's Stats::policy record (null when the rule is off).
+  bool migrate_ = false;
+  bool replicate_ = false;
+  PolicyCounters* migrep_ = nullptr;
+  PolicyCounters* rnuma_ = nullptr;
+  PolicyCounters* adaptive_ = nullptr;
+  bool relocation_ok_;  // the substrate has an S-COMA page cache
   AddrMap<PageObs> obs_;
   std::vector<CounterCache> counter_cache_;  // per home node
-  std::uint64_t events_ = 0;      // page events absorbed (ticks excluded)
+  AddrMap<AdaptState> adapt_;
+  std::uint64_t events_ = 0;      // page events counted
   std::uint64_t epoch_ = 0;
-  std::uint64_t next_tick_at_ = 0;
+  std::uint64_t next_epoch_at_ = kEpochEvents;
   int depth_ = 0;                 // dispatch nesting (page ops re-enter)
-  bool ticking_ = false;
 };
 
 }  // namespace dsm

@@ -1,15 +1,16 @@
-// Construction of the paper's systems: wires the DsmSystem substrate's
-// PolicyEngine with the decision engines selected by SystemKind (the
-// paper's pairing) or overridden by SystemConfig::policy.
+// Construction of the paper's systems. DsmSystem's constructor builds
+// its PolicyEngine, which picks the decision rules from SystemKind (the
+// paper's pairing) unless SystemConfig::policy selects the adaptive rule:
 //
 //   CC-NUMA            substrate only, finite block cache
 //   perfect CC-NUMA    infinite block cache
-//   CC-NUMA+Rep/Mig/MigRep   + MigRepPolicy (one or both rules)
-//   R-NUMA / R-NUMA-Inf      + RNumaPolicy (finite / infinite page cache)
-//   R-NUMA+MigRep            + both policies, delayed relocation
+//   CC-NUMA+Rep/Mig/MigRep   + the MigRep rules (one or both)
+//   R-NUMA / R-NUMA-Inf      + R-NUMA relocation (finite / infinite
+//                              page cache)
+//   R-NUMA+MigRep            + both, delayed relocation
 //
-// SystemConfig::policy == kAdaptive attaches the traffic-competitive
-// adaptive engine instead, on any substrate (it relocates only when the
+// SystemConfig::policy == kAdaptive runs the traffic-competitive
+// adaptive rule instead, on any substrate (it relocates only when the
 // substrate has a page cache).
 #pragma once
 
@@ -21,6 +22,9 @@
 
 namespace dsm {
 
-std::unique_ptr<DsmSystem> make_system(const SystemConfig& cfg, Stats* stats);
+inline std::unique_ptr<DsmSystem> make_system(const SystemConfig& cfg,
+                                              Stats* stats) {
+  return std::make_unique<DsmSystem>(cfg, stats);
+}
 
 }  // namespace dsm

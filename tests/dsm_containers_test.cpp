@@ -382,12 +382,12 @@ TEST(Directory, DifferentialVsBlockMap) {
 }
 
 // Node history: a direct-mapped table with full block tags. Blocks 1 and
-// 1 + 2^16 share an index in the default 2^16-entry table and evict each
-// other; blocks that differ only at bit 57 share an index too, and must
-// not alias (the packed tag keeps every bit of a 58-bit block number).
+// 1 + 2^16 share an index in the 2^16-entry table and evict each other;
+// blocks that differ only at bit 57 share an index too, and must not
+// alias (the packed tag keeps every bit of a 58-bit block number).
 TEST(NodeHistory, ConflictsEvictAndHighTagsDoNotAlias) {
+  static_assert(NodeHistory::kEntries == std::size_t(1) << 16);
   NodeHistory h;
-  ASSERT_EQ(h.capacity(), std::size_t(1) << 16);
   EXPECT_EQ(h.classify(0), MissClass::kCold);  // block 0 is not "empty"
   EXPECT_EQ(h.classify(0), MissClass::kCapacity);
 

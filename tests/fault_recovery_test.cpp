@@ -779,10 +779,13 @@ TEST(ChaosSoak, CrashSchedulesAreReproducible) {
 TEST(ChaosSoak, RunMatrixIsJobCountInvariant) {
   // Each run owns its simulator, so the sweep's worker count may change
   // only wall-clock. Under TSan this is also the race check on the
-  // thread pool and on four concurrent simulators.
+  // thread pool and on four concurrent simulators, one of them running
+  // the adaptive rule.
+  RunSpec adaptive = paper_spec(SystemKind::kRNuma, "radix", Scale::kTiny);
+  adaptive.system.policy = PolicyKind::kAdaptive;
   const std::vector<RunSpec> specs = {
       crash_spec(), coarse_mesh_spec(), link_outage_spec(),
-      paper_spec(SystemKind::kRNuma, "radix", Scale::kTiny)};
+      paper_spec(SystemKind::kRNuma, "radix", Scale::kTiny), adaptive};
   const std::vector<RunResult> serial = run_matrix(specs, 1);
   const std::vector<RunResult> pooled = run_matrix(specs, 4);
   ASSERT_EQ(serial.size(), specs.size());

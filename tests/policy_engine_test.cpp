@@ -1,12 +1,14 @@
 // Unit tests for the policy-event layer: engine bookkeeping over
-// scripted event sequences, counter-cache displacement, epoch ticks,
-// and the decisions each engine takes on synthetic event streams.
+// scripted event sequences, counter-cache displacement, epochs, the
+// rules each system runs, and the decisions each rule takes on
+// synthetic event streams.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "common/config.hpp"
 #include "dsm/cluster.hpp"
 #include "harness/runner.hpp"
-#include "protocols/adaptive_policy.hpp"
 #include "protocols/policy_engine.hpp"
 #include "protocols/system_factory.hpp"
 
@@ -27,6 +29,9 @@ class PolicyEngineTest : public ::testing::Test {
     cfg_.timing.adaptive_k = 1;
     rebuild();
   }
+  // MigRep rules whose thresholds never fire: the engine observes every
+  // event and decides nothing (a run with no rule observes nothing).
+  void build_observing() { build(SystemKind::kCcNumaMigRep, kNever); }
   void rebuild() {
     stats_ = Stats(cfg_.nodes);
     sys_ = make_system(cfg_, &stats_);
@@ -46,7 +51,7 @@ class PolicyEngineTest : public ::testing::Test {
     ev.is_write = write;
     ev.bytes = bytes;
     ev.now = now;
-    return sys_->policy_engine().dispatch(ev, &sys_->page_table().info(page));
+    return sys_->policy_engine().dispatch(ev, sys_->page_table().info(page));
   }
   // Scripted requester-side remote-fetch event.
   Cycle fetch(Addr page, NodeId n, MissClass cls = MissClass::kCapacity,
@@ -57,8 +62,19 @@ class PolicyEngineTest : public ::testing::Test {
     ev.node = n;
     ev.miss_class = cls;
     ev.now = now;
-    return sys_->policy_engine().dispatch(ev, &sys_->page_table().info(page));
+    return sys_->policy_engine().dispatch(ev, sys_->page_table().info(page));
   }
+  // The run's Stats::policy record names, joined as the --json "policy"
+  // key joins them.
+  std::string record_names() const {
+    std::string names;
+    for (const PolicyCounters& p : stats_.policy)
+      names += (names.empty() ? "" : "+") + p.name;
+    return names;
+  }
+
+  static constexpr std::uint32_t kNever = 1u << 30;
+  static constexpr std::uint64_t kEpoch = PolicyEngine::kEpochEvents;
 
   SystemConfig cfg_;
   Stats stats_{0};
@@ -103,7 +119,7 @@ TEST_F(PolicyEngineTest, PageObsSlotTableEvictsLeastActiveNode) {
 }
 
 TEST_F(PolicyEngineTest, MissEventsFeedCountersAndBytes) {
-  build(SystemKind::kCcNuma);  // no policies: bookkeeping only
+  build_observing();
   const Addr a = 0x100000;
   bind(a, 0);
   miss(page_of(a), 1, /*write=*/false, 96);
@@ -122,7 +138,7 @@ TEST_F(PolicyEngineTest, MissEventsFeedCountersAndBytes) {
 }
 
 TEST_F(PolicyEngineTest, PeriodicResetClearsMigRepCounters) {
-  build(SystemKind::kCcNuma);
+  build_observing();
   cfg_.timing.migrep_reset_interval = 4;
   rebuild();
   const Addr a = 0x200000;
@@ -160,28 +176,65 @@ TEST_F(PolicyEngineTest, CounterCacheDisplacementClearsCounters) {
   EXPECT_GE(sys_->policy_engine().counter_cache(0).evictions(), 1u);
 }
 
-TEST_F(PolicyEngineTest, EpochTicksEveryNEvents) {
-  build(SystemKind::kCcNuma);
-  cfg_.timing.policy_epoch_events = 4;
-  rebuild();
+// The epoch advances once per kEpochEvents page events, and each epoch
+// counts as one more event in every rule's record.
+TEST_F(PolicyEngineTest, EpochAdvancesEveryKEpochEvents) {
+  build_observing();
   const Addr a = 0x500000;
-  bind(a, 0);
-  for (int i = 0; i < 7; ++i) miss(page_of(a), 1, false);
-  EXPECT_EQ(sys_->policy_engine().events_dispatched(), 8u);
+  bind(a, 0);  // event 1
+  for (std::uint64_t i = 1; i < 2 * kEpoch - 1; ++i) miss(page_of(a), 1, false);
+  EXPECT_EQ(sys_->policy_engine().events_dispatched(), 2 * kEpoch - 1);
+  EXPECT_EQ(sys_->policy_engine().epoch(), 1u);
+  miss(page_of(a), 1, false);
+  EXPECT_EQ(sys_->policy_engine().events_dispatched(), 2 * kEpoch);
   EXPECT_EQ(sys_->policy_engine().epoch(), 2u);
+  EXPECT_EQ(stats_.policy_counters("migrep")->events, 2 * kEpoch + 2);
+}
+
+// A run with no rule counts its events and advances the epoch, but
+// keeps no observation state and no record.
+TEST_F(PolicyEngineTest, NoRuleCountsEventsButObservesNothing) {
+  build(SystemKind::kCcNuma);
+  const Addr a = 0x510000;
+  bind(a, 0);
+  for (std::uint64_t i = 1; i < kEpoch; ++i) miss(page_of(a), 1, false);
+  EXPECT_EQ(sys_->policy_engine().events_dispatched(), kEpoch);
+  EXPECT_EQ(sys_->policy_engine().epoch(), 1u);
+  EXPECT_EQ(sys_->policy_engine().find_obs(page_of(a)), nullptr);
+  EXPECT_TRUE(stats_.policy.empty());
+}
+
+// Each system runs the paper's rules, one Stats::policy record per rule
+// with MigRep before R-NUMA; --policy adaptive replaces them on every
+// system.
+TEST_F(PolicyEngineTest, RecordsFollowThePapersPairing) {
+  const std::pair<SystemKind, const char*> pairing[] = {
+      {SystemKind::kCcNuma, ""},
+      {SystemKind::kPerfectCcNuma, ""},
+      {SystemKind::kCcNumaRep, "migrep"},
+      {SystemKind::kCcNumaMig, "migrep"},
+      {SystemKind::kCcNumaMigRep, "migrep"},
+      {SystemKind::kRNuma, "rnuma"},
+      {SystemKind::kRNumaInf, "rnuma"},
+      {SystemKind::kRNumaMigRep, "migrep+rnuma"},
+  };
+  for (const auto& [kind, names] : pairing) {
+    build(kind);
+    EXPECT_EQ(record_names(), names) << to_string(kind);
+    build(kind, 4, PolicyKind::kAdaptive);
+    EXPECT_EQ(record_names(), "adaptive") << to_string(kind);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Per-page remote-byte ledger decay: one halving per elapsed epoch
-// (TimingConfig::policy_ledger_decay_shift), applied lazily at the
-// page's next event so idle pages cost nothing per tick.
+// Per-page remote-byte ledger decay: kLedgerDecayShift (one) halvings
+// per elapsed epoch, applied lazily at the page's next event so idle
+// pages cost nothing per epoch.
 // ---------------------------------------------------------------------------
 
 TEST_F(PolicyEngineTest, LedgerHalvesOncePerElapsedEpoch) {
-  build(SystemKind::kCcNuma);  // no policies: bookkeeping only
-  cfg_.timing.policy_epoch_events = 4;
-  cfg_.timing.policy_ledger_decay_shift = 1;
-  rebuild();
+  static_assert(PolicyEngine::kLedgerDecayShift == 1);
+  build_observing();
   const Addr a = 0x1100000;
   const Addr b = 0x1200000;
   bind(a, 0);                       // event 1
@@ -189,54 +242,40 @@ TEST_F(PolicyEngineTest, LedgerHalvesOncePerElapsedEpoch) {
   const PageObs* obs = sys_->policy_engine().find_obs(page_of(a));
   ASSERT_NE(obs, nullptr);
   EXPECT_EQ(obs->remote_bytes(1), 640u);
-  bind(b, 0);                      // event 3
-  miss(page_of(b), 1, false, 96);  // event 4: epoch tick fires
+  bind(b, 0);  // event 3
+  for (std::uint64_t e = 4; e <= kEpoch; ++e) miss(page_of(b), 1, false, 96);
   ASSERT_EQ(sys_->policy_engine().epoch(), 1u);
   // Decay is lazy: a's ledger is untouched until a's next event...
   EXPECT_EQ(obs->remote_bytes(1), 640u);
   // ...which first halves it once (one elapsed epoch), then adds the
   // event's own bytes.
-  miss(page_of(a), 1, false, 96);  // event 5
+  miss(page_of(a), 1, false, 96);
   EXPECT_EQ(obs->remote_bytes(1), 640u / 2 + 96u);
   // Two further elapsed epochs -> two further halvings before the add.
-  for (int i = 0; i < 8; ++i) miss(page_of(b), 1, false, 96);  // 6..13
+  for (std::uint64_t i = 0; i < 2 * kEpoch; ++i)
+    miss(page_of(b), 1, false, 96);
   ASSERT_EQ(sys_->policy_engine().epoch(), 3u);
-  miss(page_of(a), 1, false, 96);  // event 14
+  miss(page_of(a), 1, false, 96);
   EXPECT_EQ(obs->remote_bytes(1), (640u / 2 + 96u) / 4 + 96u);
 }
 
-TEST_F(PolicyEngineTest, LedgerDecayShiftZeroDisablesDecay) {
-  build(SystemKind::kCcNuma);
-  cfg_.timing.policy_epoch_events = 4;
-  cfg_.timing.policy_ledger_decay_shift = 0;  // pre-decay behavior
-  rebuild();
-  const Addr a = 0x1300000;
-  bind(a, 0);
-  miss(page_of(a), 1, false, 640);
-  for (int i = 0; i < 10; ++i) miss(page_of(a), 2, false, 96);
-  ASSERT_GE(sys_->policy_engine().epoch(), 2u);
-  const PageObs* obs = sys_->policy_engine().find_obs(page_of(a));
-  EXPECT_EQ(obs->remote_bytes(1), 640u);  // accumulates, never decays
-}
-
+// 64 idle epochs ask for a 64-bit shift; it clamps to 63, so the old
+// bytes are gone (an unclamped shift by 64 is undefined, and x86 would
+// leave them whole).
 TEST_F(PolicyEngineTest, LedgerDecayLongIdleClampsToZero) {
-  build(SystemKind::kCcNuma);
-  cfg_.timing.policy_epoch_events = 4;
-  cfg_.timing.policy_ledger_decay_shift = 32;  // 2 epochs -> shift 64
-  rebuild();
+  build_observing();
   const Addr a = 0x1400000;
   const Addr b = 0x1500000;
-  bind(a, 0);                       // event 1
-  miss(page_of(a), 1, false, 640);  // event 2
-  bind(b, 0);                       // event 3
-  for (int i = 0; i < 8; ++i) miss(page_of(b), 1, false, 96);  // 4..11
-  ASSERT_EQ(sys_->policy_engine().epoch(), 2u);
-  miss(page_of(a), 1, false, 96);  // shift clamps to 63: old bytes gone
+  bind(a, 0);
+  miss(page_of(a), 1, false, 640);
+  bind(b, 0);
+  while (sys_->policy_engine().epoch() < 64) miss(page_of(b), 1, false, 96);
+  miss(page_of(a), 1, false, 96);
   EXPECT_EQ(sys_->policy_engine().find_obs(page_of(a))->remote_bytes(1), 96u);
 }
 
 // ---------------------------------------------------------------------------
-// Scripted decisions: the paper's engines over synthetic event streams
+// Scripted decisions: the paper's rules over synthetic event streams
 // ---------------------------------------------------------------------------
 
 TEST_F(PolicyEngineTest, MigRepReplicatesOnScriptedReadStream) {
@@ -300,13 +339,13 @@ TEST_F(PolicyEngineTest, RelocationDelayGateSuppressesRNuma) {
 }
 
 // ---------------------------------------------------------------------------
-// The traffic-competitive adaptive engine
+// The traffic-competitive adaptive rule
 // ---------------------------------------------------------------------------
 
 // Events needed to push one node's byte ledger past k x page-move cost.
 int events_for_k(std::uint32_t k, std::uint64_t bytes_per_event,
                  std::uint32_t shift = 0) {
-  const std::uint64_t need = (k * AdaptivePolicy::page_move_bytes()) << shift;
+  const std::uint64_t need = (k * PolicyEngine::page_move_bytes()) << shift;
   return int(need / bytes_per_event) + 1;
 }
 
@@ -382,7 +421,7 @@ TEST_F(PolicyEngineTest, AdaptiveWithoutPageCacheNeverRelocates) {
   EXPECT_GT(stats_.policy_counters("adaptive")->suppressed, 0u);
 }
 
-// End-to-end smoke: the adaptive engine drives a real workload cleanly
+// End-to-end smoke: the adaptive rule drives a real workload cleanly
 // (nested event dispatch from inside transactions, op windows, verify).
 TEST_F(PolicyEngineTest, AdaptiveRunsWorkloadCleanly) {
   RunSpec spec = paper_spec(SystemKind::kRNuma, "migratory", Scale::kTiny);

@@ -14,6 +14,13 @@
 // hex; replace a digest only for an intended change, and say which
 // counters moved.
 //
+// The kAdaptive rows pin the adaptive rule the same way. They were
+// captured from the tree in which each rule was still a Policy subclass
+// (commit e15eaf1), before the rules were folded into one PolicyEngine.
+// They cover replication (R-NUMA raytrace), migration (R-NUMA radix),
+// relocation (R-NUMA lu) and the stuck-ledger halving on a substrate
+// without a page cache (CC-NUMA lu, 1675 suppressed triggers).
+//
 // If an intentional policy change ever breaks these numbers, regenerate
 // them with a before/after pair of runs and say so in the commit.
 #include <gtest/gtest.h>
@@ -37,6 +44,7 @@ struct Golden {
   std::uint64_t relocations;
   Cycle cycles;
   std::uint64_t digest;  // digest(Stats): every counter of every node
+  PolicyKind policy = PolicyKind::kDefault;
 };
 
 // Captured from the pre-refactor tree (see header comment), Release
@@ -78,13 +86,23 @@ const Golden kGolden[] = {
      0ull, 2868ull, 83910551ull, 0xdc7d7a3f69d7326full},
     {SystemKind::kRNumaMigRep, "radix", 64309680ull, 7811328ull, 168592ull,
      41ull, 0ull, 0ull, 125607277ull, 0x16b717205db219adull},
+    {SystemKind::kRNuma, "raytrace", 1486480ull, 383904ull, 53456ull, 0ull,
+     13ull, 0ull, 23432806ull, 0x8c1c62fd62f95786ull, PolicyKind::kAdaptive},
+    {SystemKind::kRNuma, "radix", 63981360ull, 7414432ull, 49344ull, 12ull,
+     0ull, 0ull, 121241318ull, 0x79a290dd5e7433f5ull, PolicyKind::kAdaptive},
+    {SystemKind::kRNuma, "lu", 18020000ull, 3654496ull, 49344ull, 0ull, 12ull,
+     224ull, 79623755ull, 0xf9681b903c1ae956ull, PolicyKind::kAdaptive},
+    {SystemKind::kCcNuma, "lu", 53705840ull, 10800960ull, 61680ull, 3ull,
+     12ull, 0ull, 144640829ull, 0xd3a68ac44ef44419ull, PolicyKind::kAdaptive},
 };
 
 class PolicyParity : public ::testing::TestWithParam<Golden> {};
 
 TEST_P(PolicyParity, MatchesPreRefactorDecisions) {
   const Golden& g = GetParam();
-  const RunResult r = run_one(paper_spec(g.kind, g.app, Scale::kDefault));
+  RunSpec spec = paper_spec(g.kind, g.app, Scale::kDefault);
+  spec.system.policy = g.policy;
+  const RunResult r = run_one(spec);
   const TrafficBreakdown t = r.stats.traffic_total();
   EXPECT_EQ(t.bytes_of(TrafficClass::kData), g.data_bytes);
   EXPECT_EQ(t.bytes_of(TrafficClass::kControl), g.control_bytes);
@@ -99,6 +117,8 @@ TEST_P(PolicyParity, MatchesPreRefactorDecisions) {
 std::string param_name(const ::testing::TestParamInfo<Golden>& info) {
   std::string s = std::string(to_string(info.param.kind)) + "_" +
                   info.param.app;
+  if (info.param.policy != PolicyKind::kDefault)
+    s += std::string("_") + to_string(info.param.policy);
   for (char& c : s)
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   return s;
