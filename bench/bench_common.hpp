@@ -436,8 +436,9 @@ inline std::vector<std::string_view> only_flags(
         list += std::string(list.empty() ? "" : " ") + std::string(a);
       std::fprintf(stderr,
                    "%s: '%s' does not change this experiment's cells; it "
-                   "takes only %s\n",
-                   argv[0], argv[i], list.c_str());
+                   "takes %s%s\n",
+                   argv[0], argv[i], list.empty() ? "no flags" : "only ",
+                   list.c_str());
       std::exit(2);
     }
     given.push_back(argv[i]);

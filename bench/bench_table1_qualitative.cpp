@@ -22,7 +22,8 @@ RunSpec tuned(SystemKind kind, const std::string& app) {
 const char* yn(bool b) { return b ? "yes" : "no"; }
 }  // namespace
 
-int main(int, char**) {
+int main(int argc, char** argv) {
+  only_flags(argc, argv, {});  // a fixed table: no flag changes it
   std::printf(
       "=== Table 1 (measured): miss-reduction opportunity by sharing "
       "pattern ===\n\n");

@@ -44,7 +44,9 @@ DsmSystem::DsmSystem(const SystemConfig& cfg, Stats* stats)
       engine_(*this, stats, &arena_) {
   DSM_ASSERT(stats_ != nullptr);
   DSM_ASSERT(stats_->node.size() >= cfg.nodes, "Stats sized for node count");
-  const bool infinite_bc = cfg.kind == SystemKind::kPerfectCcNuma;
+  const BlockCache::Shape bc_shape = cfg.kind == SystemKind::kPerfectCcNuma
+                                        ? BlockCache::Shape::kInfinite
+                                        : BlockCache::Shape::kDirectMapped;
   const bool has_pc = uses_page_cache(cfg.kind);
   const std::uint64_t pc_pages =
       cfg.kind == SystemKind::kRNumaInf ? 0 : cfg.page_cache_pages();
@@ -54,8 +56,8 @@ DsmSystem::DsmSystem(const SystemConfig& cfg, Stats* stats)
   // designs of the period the paper builds on (Moga & Dubois, HPCA'98).
   history_.reserve(cfg.nodes);
   for (NodeId n = 0; n < cfg.nodes; ++n) {
-    bc_.push_back(std::make_unique<BlockCache>(
-        cfg.block_cache_bytes, infinite_bc ? 0u : 1u));
+    bc_.push_back(
+        std::make_unique<BlockCache>(cfg.block_cache_bytes, bc_shape));
     pc_.push_back(
         std::make_unique<PageCache>(has_pc ? pc_pages : 1, &arena_));
     history_.emplace_back();

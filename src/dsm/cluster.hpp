@@ -31,8 +31,9 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdlib>
+#include <array>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -60,46 +61,78 @@ namespace dsm {
 // block's history; its next miss then classifies as cold — the same
 // information loss a finite hardware table exhibits.
 //
-// Layout: one 8-byte word per entry, the full block number shifted left
-// by two over the entry's MissClass plus one. Block numbers are below
-// 2^58 (64-bit addresses over 64-byte blocks), so the tag never loses a
-// bit, and a valid entry is never zero: all-zero means empty. The table
-// therefore comes from calloc, and the OS commits only the pages a run
-// writes.
+// Encoding: one 2-byte entry per index, a 14-bit tag shifted left by two
+// over the entry's MissClass plus one; all-zero means empty. The tag is
+// blk >> 16, and it loses nothing: index() is the low 16 bits of
+// blk ^ blk>>17 ^ blk>>31, and both shifted terms depend on blk >> 16
+// alone, so the index and blk >> 16 together give back every bit of the
+// block number. A 14-bit tag thus covers every block below 2^30 (64 GiB
+// of simulated memory). A wider block keeps the full 8-byte word
+// blk << 2 | class + 1 in a side map keyed by index, behind the marker
+// kWide in its 2-byte entry; the marker's class bits are zero, so no
+// narrow block matches it, and a narrow and a wide block at one index
+// evict each other like any two blocks.
+//
+// The entries live in kPages pages of kPageEntries (4 KB each), each
+// allocated zeroed by the first classify() or mark() that lands in it,
+// so a node's footprint follows the indices its run touches.
 class NodeHistory {
  public:
   static constexpr std::size_t kEntries = std::size_t(1) << 16;
 
-  NodeHistory() {
-    table_.reset(static_cast<std::uint64_t*>(
-        std::calloc(kEntries, sizeof(std::uint64_t))));
-    DSM_ASSERT(table_ != nullptr, "node history allocation failed");
-  }
-
   MissClass classify(Addr blk) {
-    std::uint64_t& e = table_[index(blk)];
-    if (e == 0 || (e >> 2) != blk) {
-      e = pack(blk, MissClass::kCapacity);
+    const std::size_t i = index(blk);
+    std::uint16_t& e = entry(i);
+    const unsigned held = lookup(i, e, blk);
+    if (held == 0) {
+      store(i, e, blk, MissClass::kCapacity);
       return MissClass::kCold;
     }
-    return MissClass((e & 3) - 1);
+    return MissClass(held - 1);
   }
-  void mark(Addr blk, MissClass c) { table_[index(blk)] = pack(blk, c); }
+  void mark(Addr blk, MissClass c) {
+    const std::size_t i = index(blk);
+    store(i, entry(i), blk, c);
+  }
 
  private:
-  struct Free {
-    void operator()(std::uint64_t* p) const { std::free(p); }
-  };
-  static std::uint64_t pack(Addr blk, MissClass c) {
-    DSM_DEBUG_ASSERT(blk < (Addr(1) << 62), "block number beyond the tag");
-    return (blk << 2) | (std::uint64_t(c) + 1);
-  }
+  static constexpr std::size_t kPageEntries = 2048;
+  static constexpr std::size_t kPages = kEntries / kPageEntries;
+  static constexpr Addr kNarrowBlocks = Addr(1) << 30;  // 14-bit tags
+  static constexpr std::uint16_t kWide = 0xFFFC;        // class bits 0
+
   static std::size_t index(Addr blk) {
     // Mix the upper bits so same-set blocks of distant pages spread out.
     const Addr h = blk ^ (blk >> 17) ^ (blk >> 31);
     return std::size_t(h) & (kEntries - 1);
   }
-  std::unique_ptr<std::uint64_t[], Free> table_;
+  std::uint16_t& entry(std::size_t i) {
+    std::unique_ptr<std::uint16_t[]>& page = pages_[i / kPageEntries];
+    if (!page) page = std::make_unique<std::uint16_t[]>(kPageEntries);
+    return page[i % kPageEntries];
+  }
+  // The MissClass plus one that entry `e` at index `i` holds for `blk`,
+  // or 0 when it holds another block or none.
+  unsigned lookup(std::size_t i, std::uint16_t e, Addr blk) const {
+    if (blk < kNarrowBlocks) return (e >> 2) == (blk >> 16) ? e & 3u : 0u;
+    if (e != kWide) return 0;
+    const std::uint64_t w = wide_.find(std::uint32_t(i))->second;
+    return (w >> 2) == blk ? unsigned(w & 3) : 0u;
+  }
+  void store(std::size_t i, std::uint16_t& e, Addr blk, MissClass c) {
+    const unsigned cls = unsigned(c) + 1;
+    if (blk < kNarrowBlocks) {
+      if (e == kWide) wide_.erase(std::uint32_t(i));
+      e = std::uint16_t((blk >> 16) << 2 | cls);
+      return;
+    }
+    DSM_DEBUG_ASSERT(blk < (Addr(1) << 62), "block number beyond the tag");
+    e = kWide;
+    wide_[std::uint32_t(i)] = blk << 2 | cls;
+  }
+
+  std::array<std::unique_ptr<std::uint16_t[]>, kPages> pages_;
+  std::unordered_map<std::uint32_t, std::uint64_t> wide_;  // kWide entries
 };
 
 class DsmSystem : public MemorySystem {

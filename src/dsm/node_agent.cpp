@@ -215,12 +215,10 @@ Cycle DsmSystem::access_remote(const MemAccess& a, PageInfo& pi, Addr blk,
       // Node-level hit. The paper keeps block-cache and page-cache
       // supply latencies/occupancies comparable (Section 2), so both
       // cost the same as a local memory fill.
-      if (scoma) {
+      if (scoma)
         stats_->node[a.node].pc_hits++;
-      } else {
-        bc_[a.node]->touch(blk);
+      else
         stats_->node[a.node].bc_hits++;
-      }
       l1_install(a, blk, l1_fill_state(a.write, *held));
       return bus_fill(a.node, t + cfg_.timing.mem_access,
                       cfg_.timing.bus_data);
@@ -233,7 +231,6 @@ Cycle DsmSystem::access_remote(const MemAccess& a, PageInfo& pi, Addr blk,
     if (held == nullptr) return restart(a, t);
     record_remote_miss(a.node, MissClass::kCoherence);
     *held = NodeState::kModified;
-    if (!scoma) bc_[a.node]->touch(blk);
     l1_install(a, blk, L1State::kM);
     return bus_fill(a.node, t, cfg_.timing.bus_data);
   }

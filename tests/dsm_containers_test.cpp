@@ -23,8 +23,11 @@ NodeSetLayout layout8() {
   return NodeSetLayout::make(8, DirScheme::kFullMap);
 }
 
+constexpr BlockCache::Shape kDirect = BlockCache::Shape::kDirectMapped;
+constexpr BlockCache::Shape kInfinite = BlockCache::Shape::kInfinite;
+
 TEST(BlockCache, InstallProbeInvalidate) {
-  BlockCache bc(64 * 1024, 1);
+  BlockCache bc(64 * 1024, kDirect);
   EXPECT_EQ(bc.probe(10), nullptr);
   bc.install(10, NodeState::kShared);
   ASSERT_NE(bc.probe(10), nullptr);
@@ -34,31 +37,30 @@ TEST(BlockCache, InstallProbeInvalidate) {
   EXPECT_EQ(bc.occupancy(), 0u);
 }
 
+// 64 KB is 1024 sets, indexed by mask; 48 KB is 768 sets, indexed by
+// modulo: there block 1 + 768 evicts block 1, and block 1 + 1024 (set
+// 257) does not.
 TEST(BlockCache, DirectMappedEviction) {
-  BlockCache bc(64 * 1024, 1);  // 1024 sets
-  bc.install(1, NodeState::kShared);
-  auto v = bc.install(1 + 1024, NodeState::kModified);
-  ASSERT_TRUE(v.valid);
-  EXPECT_EQ(v.blk, 1u);
-  EXPECT_EQ(v.state, NodeState::kShared);
-}
-
-TEST(BlockCache, SetAssociativeLru) {
-  BlockCache bc(64 * 1024, 4);  // 256 sets, 4 ways
-  // Four blocks in the same set.
-  bc.install(0, NodeState::kShared);
-  bc.install(256, NodeState::kShared);
-  bc.install(512, NodeState::kShared);
-  bc.install(768, NodeState::kShared);
-  bc.touch(0);  // 256 becomes LRU
-  auto v = bc.install(1024, NodeState::kShared);
-  ASSERT_TRUE(v.valid);
-  EXPECT_EQ(v.blk, 256u);
-  EXPECT_NE(bc.probe(0), nullptr);
+  for (const Addr sets : {Addr(1024), Addr(768)}) {
+    SCOPED_TRACE(sets);
+    BlockCache bc(sets * kBlockBytes, kDirect);
+    bc.install(1, NodeState::kShared);
+    if (sets != 1024) {
+      EXPECT_FALSE(bc.install(1 + 1024, NodeState::kShared).valid);
+      EXPECT_NE(bc.probe(1), nullptr);
+    }
+    auto v = bc.install(1 + sets, NodeState::kModified);
+    ASSERT_TRUE(v.valid);
+    EXPECT_EQ(v.blk, 1u);
+    EXPECT_EQ(v.state, NodeState::kShared);
+    EXPECT_EQ(bc.probe(1), nullptr);
+    ASSERT_NE(bc.probe(1 + sets), nullptr);
+    EXPECT_EQ(bc.probe(1 + sets)->state, NodeState::kModified);
+  }
 }
 
 TEST(BlockCache, InfiniteNeverEvicts) {
-  BlockCache bc(64, 0);
+  BlockCache bc(64, kInfinite);
   for (Addr b = 0; b < 100000; b += 7) {
     auto v = bc.install(b, NodeState::kShared);
     EXPECT_FALSE(v.valid);
@@ -67,7 +69,7 @@ TEST(BlockCache, InfiniteNeverEvicts) {
 }
 
 TEST(BlockCache, ReuseInvalidFrame) {
-  BlockCache bc(64 * 1024, 1);
+  BlockCache bc(64 * 1024, kDirect);
   bc.install(5, NodeState::kShared);
   bc.invalidate(5);
   auto v = bc.install(5 + 1024, NodeState::kShared);
@@ -78,7 +80,7 @@ TEST(BlockCache, InfiniteCongruentAddressesStayBounded) {
   // Blocks congruent in every power-of-two set count (distinct high
   // bits only) must spill within the table instead of forcing endless
   // set doubling — memory tracks resident blocks, not address span.
-  BlockCache bc(64, 0);
+  BlockCache bc(64, kInfinite);
   constexpr int kN = 64;  // far more than one home window holds
   for (int j = 0; j < kN; ++j) {
     auto v = bc.install(Addr(j) << 40, NodeState::kShared);
@@ -98,7 +100,7 @@ TEST(BlockCache, InfiniteCongruentAddressesStayBounded) {
 TEST(BlockCache, InfiniteGrowthPreservesContents) {
   // Push far past the initial set capacity: the growable infinite shape
   // must keep every block probeable across splits.
-  BlockCache bc(64, 0);
+  BlockCache bc(64, kInfinite);
   constexpr Addr kBlocks = 100000;
   for (Addr b = 0; b < kBlocks; ++b) {
     auto v = bc.install(b, b % 3 ? NodeState::kShared : NodeState::kModified);
@@ -407,6 +409,95 @@ TEST(NodeHistory, ConflictsEvictAndHighTagsDoNotAlias) {
   h.mark(top, MissClass::kCapacity);
   EXPECT_EQ(h.classify(top), MissClass::kCapacity);
   EXPECT_EQ(h.classify(top >> 1), MissClass::kCold);
+}
+
+// The node history's first encoding, kept as the reference for the
+// differential test below: one 8-byte word per index, the full block
+// number shifted left by two over the MissClass plus one.
+class FullTagHistory {
+ public:
+  MissClass classify(Addr blk) {
+    std::uint64_t& e = table_[index(blk)];
+    if (e == 0 || (e >> 2) != blk) {
+      e = pack(blk, MissClass::kCapacity);
+      return MissClass::kCold;
+    }
+    return MissClass((e & 3) - 1);
+  }
+  void mark(Addr blk, MissClass c) { table_[index(blk)] = pack(blk, c); }
+
+  static std::size_t index(Addr blk) {
+    const Addr h = blk ^ (blk >> 17) ^ (blk >> 31);
+    return std::size_t(h) & (NodeHistory::kEntries - 1);
+  }
+
+ private:
+  static std::uint64_t pack(Addr blk, MissClass c) {
+    return (blk << 2) | (std::uint64_t(c) + 1);
+  }
+  std::vector<std::uint64_t> table_ =
+      std::vector<std::uint64_t>(NodeHistory::kEntries);
+};
+
+// The block whose bits above 16 are `high` and whose index is `idx`:
+// index() xors the low 16 bits with high >> 1 and high >> 15, so the
+// low bits follow from the two.
+Addr block_at_index(Addr high, std::size_t idx) {
+  return (high << 16) | ((idx ^ (high >> 1) ^ (high >> 15)) & 0xFFFF);
+}
+
+// NodeHistory against the full-tag reference, over a seeded stream of
+// classify/mark calls. The pool crowds a few indices with blocks below
+// 2^16, at 2^30 - 1 and 2^30 (the last 14-bit tag and the first wide
+// block), up to 2^58 - 1, narrow and wide blocks sharing an index, and
+// wide blocks that differ only at bit 57, so entries are evicted,
+// refilled and swapped between the 2-byte and the wide form; every
+// classify must return the reference's class.
+TEST(NodeHistory, MatchesTheFullTagTableOnASeededStream) {
+  const Addr kNarrowTop = (Addr(1) << 30) - 1, kWideLow = Addr(1) << 30;
+  const Addr kTop = (Addr(1) << 58) - 1;
+  std::vector<Addr> pool = {0, 1, 2, 0xFFFF, kNarrowTop, kWideLow, kTop};
+  Rng rng(20260);
+  std::vector<std::size_t> crowded;
+  for (Addr b : {Addr(0), kNarrowTop, kWideLow, kTop})
+    crowded.push_back(FullTagHistory::index(b));
+  for (int k = 0; k < 12; ++k)
+    crowded.push_back(std::size_t(rng.next_below(NodeHistory::kEntries)));
+  for (const std::size_t idx : crowded) {
+    for (const Addr high :
+         {Addr(0), Addr(1), Addr(rng.next_below(Addr(1) << 14)),
+          (Addr(1) << 14) - 1, Addr(1) << 14,
+          (Addr(1) << 41) + (Addr(1) << 14),  // differs only at bit 57
+          (Addr(1) << 14) + rng.next_below(Addr(1) << 28),
+          rng.next_below(Addr(1) << 42), (Addr(1) << 42) - 1})
+      pool.push_back(block_at_index(high, idx));
+  }
+  for (int k = 0; k < 64; ++k) {  // spread over the table: many pages
+    pool.push_back(rng.next_below(Addr(1) << 16));
+    pool.push_back(rng.next_below(Addr(1) << 30));
+    pool.push_back(rng.next_below(Addr(1) << 58));
+  }
+  for (const Addr b : pool) ASSERT_LE(b, kTop);
+
+  NodeHistory h;
+  FullTagHistory ref;
+  std::size_t cold = 0, warm = 0;
+  for (int op = 0; op < 400'000; ++op) {
+    const Addr blk = pool[rng.next_below(pool.size())];
+    if (rng.next_below(3) == 0) {
+      const MissClass c = MissClass(rng.next_below(3));
+      h.mark(blk, c);
+      ref.mark(blk, c);
+      continue;
+    }
+    const MissClass want = ref.classify(blk);
+    ASSERT_EQ(h.classify(blk), want) << "op " << op << " block " << blk;
+    (want == MissClass::kCold ? cold : warm)++;
+  }
+  // Both outcomes occur often, so the stream exercises hits and
+  // evictions alike.
+  EXPECT_GT(cold, 10'000u);
+  EXPECT_GT(warm, 10'000u);
 }
 
 TEST(PageCache, ForEachFrameIsSortedByPage) {
