@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
     }
   }
   SweepTimer timer;
-  auto results = run_valid(specs, opt.jobs);
+  auto results = run_valid(specs, opt);
 
   std::vector<Series> series;
   for (std::size_t i = 0; i < sizes.size(); ++i) {

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
       }
       rnuma_names.push_back("R-NUMA rnuma_threshold=" + std::to_string(th));
     }
-    rnuma_runs = run_valid(specs, opt.jobs);
+    rnuma_runs = run_valid(specs, opt);
     const std::vector<RunResult>& results = rnuma_runs;
     Table t({"threshold", apps[0], apps.size() > 1 ? apps[1] : "-",
              apps.size() > 2 ? apps[2] : "-", "relocations/node (" + apps[0] + ")"});
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
       }
       migrep_names.push_back("MigRep migrep_threshold=" + std::to_string(th));
     }
-    migrep_runs = run_valid(specs, opt.jobs);
+    migrep_runs = run_valid(specs, opt);
     const std::vector<RunResult>& results = migrep_runs;
     Table t({"threshold", apps[0], apps.size() > 1 ? apps[1] : "-",
              apps.size() > 2 ? apps[2] : "-",
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
       counter_names.push_back("MigRep migrep_counter_cache_pages=" +
                               std::to_string(e));
     }
-    counter_runs = run_valid(specs, opt.jobs);
+    counter_runs = run_valid(specs, opt);
     const std::vector<RunResult>& results = counter_runs;
     Table t({"counter entries/home", "normalized (" + app + ")",
              "mig+rep per node"});

@@ -454,11 +454,28 @@ inline void require_valid(const SystemConfig& cfg) {
   std::exit(2);
 }
 
-// run_matrix over `specs`, after checking that every one can run.
+// Exit 2 when --link-bw was given but no cell of the run is routed:
+// ni-constant has no links, so the flag would change nothing.
+inline void require_link_bw_routed(const Options& opt, bool any_routed) {
+  if (opt.link_bw == Options::kLinkBwUnset || any_routed) return;
+  std::fprintf(stderr,
+               "--link-bw %u reaches no cell: every cell runs on ni-constant, "
+               "which has no links (add --fabric mesh|torus)\n",
+               opt.link_bw);
+  std::exit(2);
+}
+
+// run_matrix over `specs` on opt.jobs workers, after checking that every
+// one can run and that a given --link-bw reaches one of them.
 inline std::vector<RunResult> run_valid(const std::vector<RunSpec>& specs,
-                                        unsigned jobs) {
-  for (const RunSpec& s : specs) require_valid(s.system);
-  return run_matrix(specs, jobs);
+                                        const Options& opt) {
+  bool any_routed = false;
+  for (const RunSpec& s : specs) {
+    require_valid(s.system);
+    any_routed = any_routed || s.system.fabric != FabricKind::kNiConstant;
+  }
+  require_link_bw_routed(opt, any_routed);
+  return run_matrix(specs, opt.jobs);
 }
 
 inline const char* scale_name(Scale s) {
@@ -496,7 +513,7 @@ inline NormalizedGrid run_normalized(
       specs.push_back(s);
     }
   }
-  auto results = run_valid(specs, opt.jobs);
+  auto results = run_valid(specs, opt);
 
   NormalizedGrid grid;
   grid.apps = apps;

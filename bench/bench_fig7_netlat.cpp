@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     }
   }
   SweepTimer timer;
-  auto results = run_valid(specs, opt.jobs);
+  auto results = run_valid(specs, opt);
 
   std::vector<Series> series;
   for (std::size_t sys = 0; sys < systems.size(); ++sys) {

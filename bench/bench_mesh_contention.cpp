@@ -189,12 +189,22 @@ bool same_bytes(const Stats& a, const Stats& b) {
 int main(int argc, char** argv) {
   // The grid, home and schedule are fixed, so only the wire-model flags
   // apply.
-  only_flags(argc, argv, {"--fabric", "--link-bw"});
+  const std::vector<std::string_view> given =
+      only_flags(argc, argv, {"--fabric", "--link-bw"});
   Options opt = parse(argc, argv);
-  // This bench compares wire models on a routed fabric; default to the
-  // mesh when the generic default (ni-constant) is still selected.
-  const FabricKind fabric = opt.routed_fabric() ? opt.fabric
-                                                : FabricKind::kMesh2d;
+  // This bench compares the link model with the NI-only model on a
+  // routed grid, the mesh unless --fabric names one: ni-constant has no
+  // grid, and a zero bandwidth makes the link model the NI-only one.
+  const bool fabric_given =
+      std::count(given.begin(), given.end(), "--fabric") != 0;
+  if (fabric_given && !opt.routed_fabric())
+    bad_value("--fabric", to_string(opt.fabric),
+              "mesh|torus: the wire models are compared on a routed grid");
+  if (opt.link_bw == 0)
+    bad_value("--link-bw", "0",
+              "1 or more bytes/cycle: 0 is the NI-only model it is "
+              "compared with");
+  const FabricKind fabric = fabric_given ? opt.fabric : FabricKind::kMesh2d;
   const std::uint32_t link_bw = opt.link_bw != Options::kLinkBwUnset
                                     ? opt.link_bw
                                     : TimingConfig{}.mesh_link_bytes_per_cycle;

@@ -223,6 +223,45 @@ void BM_CoroutineStep(benchmark::State& state) {
 }
 BENCHMARK(BM_CoroutineStep);
 
+// The engine's cost per scheduling window, which perfbench's
+// sim.engine_s cannot separate from L1 hits completed on the CPU. Every
+// access takes 16,000 cycles and CPU c starts at c x 16,000 / CPUs, so
+// the CPUs' clocks stay evenly spread: at 32 and 64 CPUs every window
+// of either quantum resumes one CPU, and at 1024 CPUs a quantum-80
+// window resumes about five. items/s = accesses/s.
+void BM_EngineWindows(benchmark::State& state) {
+  constexpr Cycle kLatency = 16000;
+  struct SlowMem final : MemorySystem {
+    Cycle access(const MemAccess& a) override { return a.start + kLatency; }
+    void parallel_begin(Cycle) override {}
+    void parallel_end(Cycle) override {}
+  } mem;
+  SystemConfig cfg;
+  cfg.cpus_per_node = 4;
+  cfg.nodes = std::uint32_t(state.range(0)) / cfg.cpus_per_node;
+  cfg.quantum = Cycle(state.range(1));
+  const std::uint32_t cpus = cfg.total_cpus();
+  const std::int64_t per_cpu = (std::int64_t(1) << 17) / cpus;
+  auto body = [](Cpu& cpu, Cycle start, std::int64_t n) -> SimCall<> {
+    co_await cpu.compute(start);
+    for (std::int64_t i = 0; i < n; ++i) co_await cpu.read(0x1000);
+  };
+  std::int64_t accesses = 0;
+  for (auto _ : state) {
+    Stats stats(cfg.nodes);
+    Engine eng(cfg, &mem, &stats);
+    for (CpuId c = 0; c < cpus; ++c)
+      eng.spawn(c, body(eng.cpu(c), c * kLatency / cpus, per_cpu));
+    eng.run();
+    benchmark::DoNotOptimize(eng.finish_time());
+    accesses += per_cpu * cpus;
+  }
+  state.SetItemsProcessed(accesses);
+}
+BENCHMARK(BM_EngineWindows)
+    ->ArgsProduct({{32, 64, 1024}, {80, 1}})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_AccessEndToEnd(benchmark::State& state) {
   const auto kind = static_cast<SystemKind>(state.range(0));
   SystemConfig cfg = SystemConfig::base(kind);

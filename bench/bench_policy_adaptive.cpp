@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
     }
   }
   SweepTimer timer;
-  auto results = run_valid(specs, opt.jobs);
+  auto results = run_valid(specs, opt);
 
   // Decisions table: migrations/replications/relocations per column.
   {

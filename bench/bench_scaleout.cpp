@@ -197,6 +197,10 @@ int main(int argc, char** argv) {
       }
     }
   }
+  require_link_bw_routed(
+      opt, std::any_of(cells.begin(), cells.end(), [](const Cell& c) {
+        return c.cfg.fabric != FabricKind::kNiConstant;
+      }));
 
   std::printf(
       "=== Scale-out directory sweep: %u pages/home, readers "

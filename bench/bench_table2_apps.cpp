@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     }
   }
   SweepTimer timer;
-  auto results = run_valid(specs, opt.jobs);
+  auto results = run_valid(specs, opt);
   const double sweep_wall = timer.seconds();
 
   // Execution cycles per app x system.

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     }
   }
   SweepTimer timer;
-  auto results = run_valid(specs, opt.jobs);
+  auto results = run_valid(specs, opt);
 
   Table t({"app", "mig/node", "rep/node", "reloc/node", "CC-NUMA",
            "CC-NUMA+MigRep", "R-NUMA"});

@@ -280,33 +280,6 @@ Cycle Fabric::traverse(const Message& m, Cycle depart, bool gated) {
   return walk_straight(m, depart);
 }
 
-Cycle Fabric::cross(std::uint32_t router, LinkDir d, const Message& m,
-                    Cycle occ, Cycle t) {
-  MeshLink& l = links_[router * std::uint32_t(LinkDir::kCount) +
-                       std::uint32_t(d)];
-  std::uint32_t depth = 1;  // this message
-  if (t < l.res.busy_until()) {
-    // Queued: retire the older finish times already past, then the
-    // previous newest (busy_until) becomes the youngest older one.
-    while (l.head < l.older.size() && l.older[l.head] <= t) ++l.head;
-    if (l.head > 0 && 2 * l.head >= l.older.size()) {
-      l.older.erase(l.older.begin(), l.older.begin() + l.head);
-      l.head = 0;
-    }
-    l.older.push_back(l.res.busy_until());
-    depth += std::uint32_t(l.older.size() - l.head);
-  } else {
-    // Idle: everything in flight finished by t.
-    l.older.clear();
-    l.head = 0;
-  }
-  const Cycle start = l.res.reserve(t, occ);
-  l.max_queue_depth = std::max(l.max_queue_depth, depth);
-  l.msgs++;
-  l.bytes += m.total_bytes();
-  return start + timing_.mesh_hop_latency;
-}
-
 LinkDir Fabric::pick_step(const Grid::Pos& p, const Grid::Pos& dst,
                           LinkDir back, Cycle t) {
   const LinkDir preferred = grid_.step(p, dst);
@@ -348,28 +321,30 @@ LinkDir Fabric::pick_step(const Grid::Pos& p, const Grid::Pos& dst,
 }
 
 Cycle Fabric::walk_straight(const Message& m, Cycle t) {
-  const std::uint32_t bw = timing_.mesh_link_bytes_per_cycle;
-  const Cycle occ = std::max<Cycle>(1, (m.total_bytes() + bw - 1) / bw);
+  const std::uint32_t bytes = m.total_bytes();
+  const Cycle occ = link_occupancy(bytes);
+  const Cycle hop = timing_.mesh_hop_latency;
   Grid::Pos p = grid_.pos(m.src);
   const Grid::Pos dst = grid_.pos(m.dst);
   const LinkDir dx = grid_.step_dir(p.x, dst.x, grid_.width, /*x_dim=*/true);
   while (p.x != dst.x) {
-    t = cross(p.router, dx, m, occ, t);
+    t = links_[link_index(p.router, dx)].take(t, occ, bytes) + hop;
     grid_.advance(p, dx);
   }
   const LinkDir dy =
       grid_.step_dir(p.y, dst.y, grid_.height, /*x_dim=*/false);
   while (p.y != dst.y) {
-    t = cross(p.router, dy, m, occ, t);
+    t = links_[link_index(p.router, dy)].take(t, occ, bytes) + hop;
     grid_.advance(p, dy);
   }
   return t;
 }
 
 Cycle Fabric::walk_gated(const Message& m, Cycle t) {
-  const std::uint32_t bw = timing_.mesh_link_bytes_per_cycle;
-  const Cycle occ = bw > 0 ? std::max<Cycle>(1, (m.total_bytes() + bw - 1) / bw)
-                           : 0;
+  const bool contended = timing_.mesh_link_bytes_per_cycle > 0;
+  const std::uint32_t bytes = m.total_bytes();
+  const Cycle occ = contended ? link_occupancy(bytes) : 0;
+  const Cycle hop = timing_.mesh_hop_latency;
   Grid::Pos p = grid_.pos(m.src);
   const Grid::Pos dst = grid_.pos(m.dst);
   // Detours cannot exceed a perimeter walk of the grid; past this the
@@ -381,10 +356,10 @@ Cycle Fabric::walk_gated(const Message& m, Cycle t) {
     if (++taken > budget) return kNeverCycle;
     const LinkDir d = pick_step(p, dst, back, t);
     if (d == LinkDir::kCount) return kNeverCycle;
-    if (bw > 0)
-      t = cross(p.router, d, m, occ, t);
+    if (contended)
+      t = links_[link_index(p.router, d)].take(t, occ, bytes) + hop;
     else
-      t += timing_.mesh_hop_latency;
+      t += hop;
     back = reverse_dir(d);
     grid_.advance(p, d);
   }

@@ -45,7 +45,10 @@
 // only post() traffic to or from a crashed node is swallowed.
 //
 // A route walk resolves both endpoints' grid coordinates once and
-// steps them hop by hop, so no hop divides. It takes one of two forms:
+// steps them hop by hop, so no hop divides. It also computes the
+// message's bytes and link occupancy once; each hop is then one inline
+// MeshLink::take on the link it crosses plus mesh_hop_latency for the
+// head to reach the next router. It takes one of two forms:
 //
 //   straight  the reliable channel, no plan, or departure at or after
 //             the plan's horizon, the latest end of any outage. No
@@ -159,6 +162,34 @@ struct Grid {
 // One directed mesh/torus link: a FIFO busy-until channel plus the
 // occupancy statistics the contention study reports.
 struct MeshLink {
+  // Reserve the link for `occ` cycles no earlier than `t` for one
+  // message of `msg_bytes`; returns the time the reservation starts.
+  // Both route walks call it once per hop with the occupancy and bytes
+  // they computed once per message.
+  Cycle take(Cycle t, Cycle occ, std::uint32_t msg_bytes) {
+    std::uint32_t depth = 1;  // this message
+    if (t < res.busy_until()) {
+      // Queued: retire the older finish times already past, then the
+      // previous newest (busy_until) becomes the youngest older one.
+      while (head < older.size() && older[head] <= t) ++head;
+      if (head > 0 && 2 * head >= older.size()) {
+        older.erase(older.begin(), older.begin() + head);
+        head = 0;
+      }
+      older.push_back(res.busy_until());
+      depth += std::uint32_t(older.size() - head);
+    } else {
+      // Idle: everything in flight finished by t.
+      older.clear();
+      head = 0;
+    }
+    const Cycle start = res.reserve(t, occ);
+    max_queue_depth = std::max(max_queue_depth, depth);
+    msgs++;
+    bytes += msg_bytes;
+    return start;
+  }
+
   Resource res;
   // Finish times of the messages holding or awaiting the link, minus
   // the newest, which is always res.busy_until(); oldest first from
@@ -210,7 +241,7 @@ class Fabric {
   // The router grid (empty on ni-constant) and its directed links.
   const Grid& grid() const { return grid_; }
   const MeshLink& out_link(std::uint32_t router, LinkDir d) const {
-    return links_[router * std::uint32_t(LinkDir::kCount) + std::uint32_t(d)];
+    return links_[link_index(router, d)];
   }
   // Totals over every link; DsmSystem::parallel_end stores them in
   // Stats::links.
@@ -233,10 +264,15 @@ class Fabric {
   // source NI at `depart`; kNeverCycle when a gated walk dead-ends.
   Cycle traverse(const Message& m, Cycle depart, bool gated);
 
-  // Reserve the outgoing link of `router` toward `d` no earlier than
-  // `t`; returns the time the message head reaches the next router.
-  Cycle cross(std::uint32_t router, LinkDir d, const Message& m, Cycle occ,
-              Cycle t);
+  static std::uint32_t link_index(std::uint32_t router, LinkDir d) {
+    return router * std::uint32_t(LinkDir::kCount) + std::uint32_t(d);
+  }
+  // The cycles a message of `bytes` holds each link it crosses; needs
+  // link contention on (mesh_link_bytes_per_cycle > 0).
+  Cycle link_occupancy(std::uint32_t bytes) const {
+    const std::uint32_t bw = timing_.mesh_link_bytes_per_cycle;
+    return std::max<Cycle>(1, (bytes + bw - 1) / bw);
+  }
   // The X-Y route with link contention, when no outage can fire: the X
   // run, then the Y run.
   Cycle walk_straight(const Message& m, Cycle t);

@@ -9,6 +9,7 @@ Engine::Engine(const SystemConfig& cfg, MemorySystem* mem, Stats* stats)
   const std::uint32_t n = cfg.total_cpus();
   cpus_.resize(n);
   roots_.resize(n);
+  ready_at_.assign(n, kNeverCycle);
   for (std::uint32_t i = 0; i < n; ++i) {
     cpus_[i].id = i;
     cpus_[i].node = i / cfg.cpus_per_node;
@@ -25,6 +26,7 @@ void Engine::spawn(CpuId id, SimCall<> body) {
   c.current = roots_[id].handle();
   c.state = Cpu::State::kReady;
   c.clock = 0;
+  ready_at_[id] = 0;
 }
 
 void Engine::wake(CpuId id, Cycle at) {
@@ -32,36 +34,52 @@ void Engine::wake(CpuId id, Cycle at) {
   DSM_ASSERT(c.state == Cpu::State::kBlocked, "waking a non-blocked CPU");
   c.state = Cpu::State::kReady;
   c.clock = std::max(c.clock, at);
+  ready_at_[id] = c.clock;
+  if (id < pass_) woken_behind_ = std::min(woken_behind_, c.clock);
+}
+
+Cycle Engine::serve(CpuId id, Cycle wend) {
+  pass_ = id;
+  Cpu& c = cpus_[id];
+  Cycle t;
+  do {
+    c.run_until = wend;
+    c.current.resume();
+    if (roots_[id].done()) {
+      roots_[id].rethrow_if_failed();
+      c.state = Cpu::State::kDone;
+      finish_time_ = std::max(finish_time_, c.clock);
+    }
+    t = c.state == Cpu::State::kReady ? c.clock : kNeverCycle;
+    ready_at_[id] = t;
+  } while (t < wend);
+  return t;
 }
 
 void Engine::run() {
   const Cycle quantum = std::max<Cycle>(1, cfg_.quantum);
-  for (;;) {
-    // Find the earliest ready CPU; its window is [w, w + quantum).
-    Cycle w = kNeverCycle;
-    bool any_blocked = false;
-    for (const Cpu& c : cpus_) {
-      if (c.state == Cpu::State::kReady) w = std::min(w, c.clock);
-      if (c.state == Cpu::State::kBlocked) any_blocked = true;
+  const CpuId n = total_cpus();
+  Cycle* const ready_at = ready_at_.data();
+  Cycle start = kNeverCycle;
+  for (CpuId i = 0; i < n; ++i) start = std::min(start, ready_at[i]);
+  while (start != kNeverCycle) {
+    const Cycle wend = start + quantum;
+    woken_behind_ = kNeverCycle;
+    Cycle next = kNeverCycle;
+    for (CpuId i = 0; i < n; ++i) {
+      Cycle t = ready_at[i];
+      if (t < wend) t = serve(i, wend);
+      next = std::min(next, t);
     }
-    if (w == kNeverCycle) {
-      DSM_ASSERT(!any_blocked,
-                 "deadlock: blocked CPUs with no runnable CPU to wake them");
-      break;  // all done
-    }
-    const Cycle wend = w + quantum;
-    for (Cpu& c : cpus_) {
-      while (c.state == Cpu::State::kReady && c.clock < wend) {
-        c.run_until = wend;
-        c.current.resume();
-        if (roots_[c.id].done()) {
-          roots_[c.id].rethrow_if_failed();
-          c.state = Cpu::State::kDone;
-          finish_time_ = std::max(finish_time_, c.clock);
-        }
-      }
-    }
+    start = std::min(next, woken_behind_);
   }
+  // No CPU is ready: every body is done, or the run is deadlocked.
+  const bool any_blocked =
+      std::any_of(cpus_.begin(), cpus_.end(), [](const Cpu& c) {
+        return c.state == Cpu::State::kBlocked;
+      });
+  DSM_ASSERT(!any_blocked,
+             "deadlock: blocked CPUs with no runnable CPU to wake them");
   for (const Cpu& c : cpus_)
     finish_time_ = std::max(finish_time_, c.clock);
 }

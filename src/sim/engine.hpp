@@ -8,6 +8,23 @@
 // (MemorySystem::hit_path) does not even cost that call.
 // Synchronization objects (sim/sync.hpp) block CPUs and wake them with
 // explicit release timestamps.
+//
+// One pass per window. `ready_at_` packs each CPU's clock while it is
+// ready and kNeverCycle while it is blocked or done. The window is
+// [start, start + quantum); one pass over `ready_at_` resumes, in CPU-id
+// order, every CPU whose entry is inside it, and takes the next window's
+// start as the minimum of the entries it leaves behind. This serves the
+// same CPUs in the same order as a scan for the earliest ready clock
+// followed by a scan that runs the window, because only wake() changes
+// another CPU's clock or state (the sync objects write only the running
+// CPU's own fields) and clocks never decrease:
+//   - a CPU woken ahead of the pass gets its new entry read when the
+//     pass reaches it;
+//   - a CPU woken behind the pass does not run again in this window,
+//     but the pass has already taken its old entry into the minimum, so
+//     wake() lowers the next start to its new clock itself.
+// When the next start is kNeverCycle no CPU is ready, and any blocked
+// CPU is a deadlock.
 #pragma once
 
 #include <coroutine>
@@ -94,6 +111,8 @@ class Engine {
   Stats* stats() { return stats_; }
 
   // Wake a blocked CPU at absolute time `at` (used by sync objects).
+  // Writes its `ready_at_` entry, and lowers the next window's start
+  // when the pass has already gone past it.
   void wake(CpuId id, Cycle at);
 
   // Completion time of the whole run (max CPU clock seen).
@@ -102,11 +121,21 @@ class Engine {
   std::uint32_t total_cpus() const { return std::uint32_t(cpus_.size()); }
 
  private:
+  // Resume CPU `id` until it blocks, finishes or reaches `wend`;
+  // returns its new ready_at_ entry.
+  Cycle serve(CpuId id, Cycle wend);
+
   SystemConfig cfg_;
   MemorySystem* mem_;
   Stats* stats_;
   std::vector<Cpu> cpus_;
   std::vector<SimCall<>> roots_;
+  // Per CPU: its clock while ready, kNeverCycle while blocked or done.
+  std::vector<Cycle> ready_at_;
+  // The CPU the pass is resuming; every lower id is behind the pass.
+  CpuId pass_ = 0;
+  // The least clock wake() gave a CPU behind the pass in this window.
+  Cycle woken_behind_ = kNeverCycle;
   Cycle finish_time_ = 0;
 };
 

@@ -6,8 +6,11 @@
 // *data* pages, so sync traffic is charged as fixed costs identical
 // across all systems (documented in DESIGN.md §2).
 //
-// Wake order is deterministic: barriers wake in CPU-id order, locks in
-// FIFO arrival order.
+// Wake order is deterministic: a barrier wakes its waiters in arrival
+// order, a lock hands over in FIFO arrival order. The order of wakes
+// does not affect the schedule: a wake sets only the woken CPU's clock
+// and ready entry, and the engine serves a window's CPUs in id order
+// (sim/engine.hpp).
 #pragma once
 
 #include <deque>

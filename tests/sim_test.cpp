@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "common/rng.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
@@ -354,6 +355,120 @@ TEST(EngineDeath, DeadlockDetected) {
     eng.run();
   };
   EXPECT_DEATH(run_deadlock(), "deadlock");
+}
+
+// The schedule stress: 9 CPUs on 3 nodes whose bodies mix compute,
+// reads and writes, lock hand-offs, barriers and a flag, against a
+// memory that draws each latency (1..22,000 cycles) from one seeded
+// stream in the order the accesses arrive. Any change to which CPU runs
+// when moves the draws and so the whole run: the FNV-1a digest of the
+// access log (cpu, addr, write, start) and the finish time pin the
+// engine's schedule. The default SyncCosts (80..200 cycles) put every
+// wake past the end of a window of up to 80 cycles; at quantum 1000,
+// and at every quantum with all-zero costs, wakes land inside their
+// window both ahead of the pass (a lock handed to a higher id, a
+// barrier released by a lower one) and behind it.
+class ScheduleLogMemory final : public MemorySystem {
+ public:
+  Cycle access(const MemAccess& a) override {
+    for (const std::uint64_t v : {std::uint64_t(a.cpu), a.addr,
+                                  std::uint64_t(a.write), a.start}) {
+      for (int i = 0; i < 8; ++i) {
+        digest ^= (v >> (8 * i)) & 0xff;
+        digest *= 0x100000001b3ULL;
+      }
+    }
+    accesses++;
+    // Mostly short latencies, one in eight anywhere up to 22,000.
+    const Cycle latency = rng_.next_below(8) == 0
+                              ? 1 + rng_.next_below(22000)
+                              : 1 + rng_.next_below(120);
+    return a.start + latency;
+  }
+  void parallel_begin(Cycle) override {}
+  void parallel_end(Cycle) override {}
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::uint64_t accesses = 0;
+
+ private:
+  Rng rng_{2026};
+};
+
+struct ScheduleRig {
+  ScheduleRig(Engine& eng, SyncCosts costs)
+      : locks{Lock(eng, costs), Lock(eng, costs)},
+        barrier(eng, eng.total_cpus(), costs),
+        flag(eng, costs) {}
+  Lock locks[2];
+  Barrier barrier;
+  Flag flag;
+};
+
+constexpr unsigned kScheduleRounds = 24;
+constexpr unsigned kFlagRound = 9;
+
+SimCall<> schedule_body(Cpu& cpu, ScheduleRig& rig) {
+  const std::uint64_t id = cpu.id;
+  const Addr own = 0x100000 + id * 0x10000;
+  for (unsigned r = 0; r < kScheduleRounds; ++r) {
+    co_await cpu.read(own + r * 64);
+    co_await cpu.compute(1 + (id * 37 + r * 11) % 53);
+    co_await cpu.write(own + (r + 1) * 64);
+    if ((r + id) % 3 != 2) {
+      Lock& lk = rig.locks[(r + id) % 2];
+      co_await lk.acquire(cpu);
+      co_await cpu.read(0x4000 + (r % 4) * 64);
+      co_await cpu.compute(1 + id % 5);
+      co_await cpu.write(0x4000 + (r % 4) * 64);
+      lk.release(cpu);
+    }
+    if (r == kFlagRound) {
+      if (id == 8)
+        rig.flag.set(cpu);
+      else if (id % 2 == 0)
+        co_await rig.flag.wait(cpu);
+    }
+    if (r % 4 == 3) co_await rig.barrier.arrive(cpu);
+  }
+}
+
+struct ScheduleCell {
+  Cycle quantum;
+  bool zero_costs;
+  std::uint64_t digest;
+  Cycle finish;
+};
+
+TEST(EngineSchedule, StressPinsEveryWindow) {
+  const ScheduleCell cells[] = {
+      {1, false, 0xeb3ea80768335f94ULL, 295104},
+      {40, false, 0xc596a6cbca104707ULL, 377706},
+      {80, false, 0xe00d7cbfdf6e023cULL, 357249},
+      {1000, false, 0x842ae4f9bb04a8d5ULL, 335275},
+      {1, true, 0x1c406b5b829182bcULL, 298277},
+      {40, true, 0x7bb014a7a3ed026cULL, 287404},
+      {80, true, 0xf1f642f74a98114fULL, 335511},
+      {1000, true, 0x5f3669b2af7e7500ULL, 320672},
+  };
+  for (const ScheduleCell& cell : cells) {
+    SCOPED_TRACE(::testing::Message()
+                 << "quantum " << cell.quantum
+                 << (cell.zero_costs ? ", zero" : ", default") << " costs");
+    SystemConfig cfg = small_config(3, 3);
+    cfg.quantum = cell.quantum;
+    Stats stats(3);
+    ScheduleLogMemory mem;
+    Engine eng(cfg, &mem, &stats);
+    ScheduleRig rig(eng,
+                    cell.zero_costs ? SyncCosts{0, 0, 0, 0} : SyncCosts{});
+    for (CpuId c = 0; c < 9; ++c)
+      eng.spawn(c, schedule_body(eng.cpu(c), rig));
+    eng.run();
+    EXPECT_EQ(mem.accesses, 9u * kScheduleRounds * 2 + 2 * stats.lock_acquires);
+    EXPECT_EQ(stats.barriers, kScheduleRounds / 4);
+    EXPECT_EQ(mem.digest, cell.digest);
+    EXPECT_EQ(eng.finish_time(), cell.finish);
+  }
 }
 
 TEST(SimCall, ValueTaskReturnsValue) {
