@@ -125,7 +125,7 @@ struct Options {
   // measured under — per-run wall time includes contention from
   // sibling workers, so jobs context is part of the measurement).
   unsigned resolved_jobs() const {
-    return jobs == 0 ? ThreadPool::hardware_jobs() : jobs;
+    return jobs == 0 ? hardware_jobs() : jobs;
   }
 
   // Apply the fabric/policy selection to one run's system config.
@@ -755,7 +755,7 @@ inline void print_throughput_summary(const std::vector<RunResult>& results,
       "%.0f refs/s/run avg, wall %.2fs (jobs=%u, cpu %.2fs)\n",
       results.size(), double(refs) / 1e6,
       run_seconds > 0 ? double(refs) / run_seconds : 0.0, sweep_wall_seconds,
-      jobs == 0 ? ThreadPool::hardware_jobs() : jobs, run_seconds);
+      jobs == 0 ? hardware_jobs() : jobs, run_seconds);
 }
 
 inline void print_geomean_row(const NormalizedGrid& grid) {

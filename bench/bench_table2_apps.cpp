@@ -5,7 +5,8 @@
 // The sweep is the harness's stress benchmark: all eight systems on
 // every app, run through the parallel sweep harness (--jobs N), with
 // per-run simulator throughput and the end-to-end wall clock reported.
-// `--table-only` restores the old input-parameter listing alone.
+// `--table-only` prints the input-parameter listing alone and takes no
+// other flag.
 #include <cstdio>
 #include <cstring>
 
@@ -15,10 +16,19 @@ using namespace dsm;
 using namespace dsm::bench;
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv, {{"--table-only", false}});
   bool table_only = false;
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--table-only") == 0) table_only = true;
+  // The listing is fixed: any other flag would change nothing.
+  for (int i = 1; table_only && i < argc; ++i) {
+    if (std::strcmp(argv[i], "--table-only") == 0) continue;
+    std::fprintf(stderr,
+                 "%s: '%s' does not change the input listing; --table-only "
+                 "takes no other flag\n",
+                 argv[0], argv[i]);
+    return 2;
+  }
+  Options opt = parse(argc, argv, {{"--table-only", false}});
 
   std::printf("=== Table 2: applications and input data sets ===\n\n");
   Table t({"application", "paper input", "default (bench) input"});
@@ -48,7 +58,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\n=== Full sweep: %zu systems x %zu apps (scale: %s, jobs: %u) ===\n\n",
       kinds.size(), opt.apps.size(), scale_name(opt.scale),
-      opt.jobs == 0 ? ThreadPool::hardware_jobs() : opt.jobs);
+      opt.resolved_jobs());
 
   std::vector<RunSpec> specs;
   for (const auto& app : opt.apps) {

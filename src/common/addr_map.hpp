@@ -29,12 +29,6 @@
 //     sorted by address, so report rows and coherence-check walks are
 //     identical across standard libraries (unordered_map bucket order
 //     is not).
-//   * optional arena backing — the index arrays, the slot free list and
-//     the value chunks allocate from a std::pmr::memory_resource
-//     (common/arena.hpp: the per-run bump arena), so a run's tables
-//     make one upstream reservation and free it in bulk at teardown.
-//     Index arrays abandoned by growth rehashes stay resident until
-//     then; that is the arena's documented trade.
 //
 // The table never stores key ~0 (kNoPage / kNoAddr sentinels).
 #pragma once
@@ -42,7 +36,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <memory_resource>
 #include <utility>
 #include <vector>
 
@@ -56,42 +49,22 @@ class AddrMap {
  public:
   static constexpr Addr kEmptyKey = ~Addr(0);
 
-  explicit AddrMap(
-      std::pmr::memory_resource* mem = std::pmr::get_default_resource())
-      : mem_(mem), keys_(mem), slots_(mem), chunks_(mem), free_(mem) {}
+  AddrMap() = default;
 
-  ~AddrMap() { destroy_chunks(); }
-
-  // Movable (the engine keeps AddrMaps inside owning objects that move);
-  // copying a table of mechanism state is never intended, and nothing
-  // move-assigns a table (pmr allocators do not propagate on move
-  // assignment, so a defaulted one would silently deep-copy).
+  // Move-only (std::vector<CounterCache> needs its index movable). The
+  // value chunks move by pointer, so every value keeps its address and
+  // the memo stays valid; the source is left empty.
   AddrMap(AddrMap&& o) noexcept
-      : mem_(o.mem_),
-        keys_(std::move(o.keys_)),
+      : keys_(std::move(o.keys_)),
         slots_(std::move(o.slots_)),
         chunks_(std::move(o.chunks_)),
         free_(std::move(o.free_)),
-        size_(o.size_),
-        mask_(o.mask_),
-        shift_(o.shift_),
-        high_water_(o.high_water_),
-        memo_key_(o.memo_key_),
-        memo_val_(o.memo_val_) {
-    o.chunks_.clear();
-    o.keys_.clear();
-    o.slots_.clear();
-    o.free_.clear();
-    o.size_ = 0;
-    o.mask_ = 0;
-    o.shift_ = 64;
-    o.high_water_ = 0;
-    o.memo_key_ = kEmptyKey;
-    o.memo_val_ = nullptr;
-  }
-  AddrMap& operator=(AddrMap&&) = delete;
-  AddrMap(const AddrMap&) = delete;
-  AddrMap& operator=(const AddrMap&) = delete;
+        size_(std::exchange(o.size_, 0)),
+        mask_(std::exchange(o.mask_, 0)),
+        shift_(std::exchange(o.shift_, 64)),
+        high_water_(std::exchange(o.high_water_, 0)),
+        memo_key_(std::exchange(o.memo_key_, kEmptyKey)),
+        memo_val_(std::exchange(o.memo_val_, nullptr)) {}
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -230,9 +203,6 @@ class AddrMap {
     if (cap > keys_.size()) grow(cap);
   }
 
-  // The resource backing this table (tables hand it on to members).
-  std::pmr::memory_resource* memory_resource() const { return mem_; }
-
  private:
   static constexpr std::size_t kMinCapacity = 64;
   static constexpr unsigned kChunkBits = 8;  // 256 values per chunk
@@ -260,27 +230,15 @@ class AddrMap {
       return slot;
     }
     const std::uint32_t slot = high_water_;
-    if ((slot >> kChunkBits) == chunks_.size()) {
-      V* chunk =
-          static_cast<V*>(mem_->allocate(kChunkSize * sizeof(V), alignof(V)));
-      std::uninitialized_value_construct_n(chunk, kChunkSize);
-      chunks_.push_back(chunk);
-    }
+    if ((slot >> kChunkBits) == chunks_.size())
+      chunks_.push_back(std::make_unique<V[]>(kChunkSize));
     high_water_++;
     return slot;
   }
 
-  void destroy_chunks() {
-    for (V* chunk : chunks_) {
-      std::destroy_n(chunk, kChunkSize);
-      mem_->deallocate(chunk, kChunkSize * sizeof(V), alignof(V));
-    }
-    chunks_.clear();
-  }
-
   void grow(std::size_t new_capacity) {
-    std::pmr::vector<Addr> old_keys = std::move(keys_);
-    std::pmr::vector<std::uint32_t> old_slots = std::move(slots_);
+    std::vector<Addr> old_keys = std::move(keys_);
+    std::vector<std::uint32_t> old_slots = std::move(slots_);
     keys_.assign(new_capacity, kEmptyKey);
     slots_.assign(new_capacity, 0);
     mask_ = new_capacity - 1;
@@ -305,12 +263,12 @@ class AddrMap {
     return snap;
   }
 
-  std::pmr::memory_resource* mem_;
   // SoA index: parallel arrays, probes touch keys_ only until the hit.
-  std::pmr::vector<Addr> keys_;
-  std::pmr::vector<std::uint32_t> slots_;
-  std::pmr::vector<V*> chunks_;  // fixed-size value chunks, never moved
-  std::pmr::vector<std::uint32_t> free_;
+  std::vector<Addr> keys_;
+  std::vector<std::uint32_t> slots_;
+  // Fixed-size value chunks, never moved or reallocated.
+  std::vector<std::unique_ptr<V[]>> chunks_;
+  std::vector<std::uint32_t> free_;
   std::size_t size_ = 0;
   std::size_t mask_ = 0;
   unsigned shift_ = 64;

@@ -7,26 +7,23 @@
 // kModified (this node owns the only valid copy cluster-wide; some L1
 // on the node may hold it M/E/O).
 //
-// Storage is one flat slot array organized as n_sets x window; probe,
-// install and invalidate run the same code path for both shapes:
+// Two shapes, one interface:
 //
 //   direct-mapped  one slot per set, bytes / block sets; an install
-//                  evicts the set's resident block;
-//   infinite       the set is only the home *window*: installs spill
-//                  linearly past a full window (open addressing) and
-//                  the power-of-two set count doubles at 3/4 global
-//                  occupancy — perfect CC-NUMA's block cache and the
-//                  R-NUMA-Inf analogue never lose a block, and memory
-//                  stays proportional to resident blocks even for
-//                  pathologically congruent addresses.
-//
-// A set count that is a power of two is indexed by mask, any other by
-// modulo (the configured byte size need not be a power of two).
+//                  evicts the set's resident block, and a probe is one
+//                  slot compare. A set count that is a power of two is
+//                  indexed by mask, any other by modulo (the configured
+//                  byte size need not be a power of two).
+//   infinite       an AddrMap holding exactly the resident blocks
+//                  (invalidate erases): perfect CC-NUMA's block cache
+//                  never loses a block, and memory stays proportional
+//                  to the resident blocks whatever their addresses.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/addr_map.hpp"
 #include "common/log.hpp"
 #include "common/types.hpp"
 
@@ -38,11 +35,9 @@ const char* to_string(NodeState s);
 
 class BlockCache {
  public:
-  // blk == kUnused marks a slot no install has written yet; block
-  // numbers stay below 2^58, so no block takes the marker.
-  static constexpr Addr kUnused = ~Addr(0);
+  // A kInvalid entry holds no block, whatever its `blk`.
   struct Entry {
-    Addr blk = kUnused;
+    Addr blk = 0;
     NodeState state = NodeState::kInvalid;
   };
   struct Victim {
@@ -58,31 +53,28 @@ class BlockCache {
   BlockCache(std::uint64_t bytes, Shape shape);
 
   Entry* probe(Addr blk);
-  const Entry* probe(Addr blk) const;
 
   // Install a block; returns the evicted victim if the set was full.
   Victim install(Addr blk, NodeState st);
 
   void invalidate(Addr blk);
 
-  std::uint64_t occupancy() const { return size_; }
+  std::uint64_t occupancy() const {
+    return infinite_ ? resident_.size() : size_;
+  }
 
  private:
   std::uint32_t set_of(Addr blk) const {
     return pow2_sets_ ? std::uint32_t(blk & (n_sets_ - 1))
                       : std::uint32_t(blk % n_sets_);
   }
-  // Double the set count (infinite shape only) and redistribute
-  // resident entries; stale invalid slots are dropped.
-  void grow();
 
   bool infinite_;
-  bool pow2_sets_;
-  std::uint32_t window_;  // slots per set: 1, or the infinite home window
-  std::uint32_t n_sets_;
-  std::uint64_t size_ = 0;      // resident (valid) entries
-  std::size_t used_slots_ = 0;  // slots ever written (blk != kUnused)
-  std::vector<Entry> slots_;    // n_sets_ x window_, set-major
+  bool pow2_sets_ = false;
+  std::uint32_t n_sets_ = 0;
+  std::uint64_t size_ = 0;    // valid direct-mapped slots
+  std::vector<Entry> slots_;  // direct-mapped: one per set
+  AddrMap<Entry> resident_;   // infinite: every resident block
 };
 
 }  // namespace dsm

@@ -36,12 +36,12 @@ DsmSystem::DsmSystem(const SystemConfig& cfg, Stats* stats)
     : cfg_(cfg),
       stats_(stats),
       nsl_(NodeSetLayout::make(cfg.nodes, cfg.dir_scheme)),
-      pt_(cfg.nodes, nsl_, &arena_),
-      dir_(nsl_, &arena_),
+      pt_(cfg.nodes, nsl_),
+      dir_(nsl_),
       net_(cfg_, stats),
       bus_(cfg.nodes),
       device_(cfg.nodes),
-      engine_(*this, stats, &arena_) {
+      engine_(*this, stats) {
   DSM_ASSERT(stats_ != nullptr);
   DSM_ASSERT(stats_->node.size() >= cfg.nodes, "Stats sized for node count");
   const BlockCache::Shape bc_shape = cfg.kind == SystemKind::kPerfectCcNuma
@@ -58,16 +58,12 @@ DsmSystem::DsmSystem(const SystemConfig& cfg, Stats* stats)
   for (NodeId n = 0; n < cfg.nodes; ++n) {
     bc_.push_back(
         std::make_unique<BlockCache>(cfg.block_cache_bytes, bc_shape));
-    pc_.push_back(
-        std::make_unique<PageCache>(has_pc ? pc_pages : 1, &arena_));
+    pc_.push_back(std::make_unique<PageCache>(has_pc ? pc_pages : 1));
     history_.emplace_back();
   }
-  // Reliable-transaction tables exist only when the fault layer is on.
-  if (net_.fault_plan() != nullptr) {
-    txn_seq_.assign(cfg.nodes, 0);
-    served_seq_.assign(std::size_t(cfg.nodes) * cfg.nodes, 0);
+  // The failure detector exists only when the fault layer is on.
+  if (net_.fault_plan() != nullptr)
     crash_detected_until_.assign(cfg.nodes, 0);
-  }
 }
 
 void DsmSystem::parallel_begin(Cycle now) { parallel_begin_at_ = now; }

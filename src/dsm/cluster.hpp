@@ -36,7 +36,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/config.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -184,12 +183,6 @@ class DsmSystem : public MemorySystem {
   // shared by the directory, the page table and every protocol path.
   const NodeSetLayout& node_set_layout() const { return nsl_; }
 
-  // The run's bump arena: backs every address-keyed table (page table,
-  // directory, page-cache frames, observation records), so steady-state
-  // protocol activity allocates nothing from the global heap and the
-  // whole footprint is bulk-freed at teardown.
-  Arena& arena() { return arena_; }
-
   // Verify every directory entry against the actual cache contents.
   // Aborts (assert) on violation; used by tests and debug runs.
   void check_coherence() const;
@@ -252,16 +245,15 @@ class DsmSystem : public MemorySystem {
 
   // ---- reliable-transaction layer (dsm/recovery.cpp) ----------------------
   // With the fault layer off, every call below collapses to a plain
-  // net_.send — no sequence numbers, no extra state, bit-identical
-  // timing.
+  // net_.send — no retries, no extra state, bit-identical timing.
   struct SendOutcome {
     Cycle at;  // arrival on success, last depart time on failure
     bool ok;
   };
-  // Sequence-stamped send with timeout/exponential-backoff
-  // retransmission (TimingConfig::fault_retry_base/_max_attempts).
-  // `nack_dup` models the receiver's duplicate table: a wire-duplicated
-  // request is rejected with one directory lookup and a NACK.
+  // Send with timeout/exponential-backoff retransmission
+  // (TimingConfig::fault_retry_base/_max_attempts). `nack_dup` models
+  // the receiver's duplicate table: a wire-duplicated request is
+  // rejected with one directory lookup and a NACK.
   SendOutcome send_reliable(Message m, Cycle t, bool nack_dup);
   // Demand-path send: after retry exhaustion the transaction escalates
   // to the reliable channel and counts a hard error — a demand access
@@ -283,7 +275,6 @@ class DsmSystem : public MemorySystem {
   // a crash window is abandoned instead.
   Cycle reply_reliable(const Message& reply, const Message& request,
                        Cycle ready);
-  std::uint32_t next_seq(NodeId requester);
 
   // ---- node-crash failure detector -----------------------------------------
   // The first retry exhaustion against a node inside a crash window
@@ -380,9 +371,6 @@ class DsmSystem : public MemorySystem {
   Stats* stats_;
   // Resolved NodeSet geometry; declared before the tables that copy it.
   NodeSetLayout nsl_;
-  // Declared before every table it backs: members destruct in reverse
-  // declaration order, so the arena outlives its users.
-  Arena arena_;
   PageTable pt_;
   Directory dir_;
   Fabric net_;
@@ -395,11 +383,6 @@ class DsmSystem : public MemorySystem {
 
   PolicyEngine engine_;
 
-  // Reliable-transaction state, sized only when the fault layer is on:
-  // per-node next transaction sequence, and the per-(responder,
-  // requester) duplicate table recording the last sequence served.
-  std::vector<std::uint32_t> txn_seq_;
-  std::vector<std::uint32_t> served_seq_;
   // Failure detector: end of the detected crash window per node (0 =
   // no crash detected). Sized only when the fault layer is on.
   std::vector<Cycle> crash_detected_until_;

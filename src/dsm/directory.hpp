@@ -80,10 +80,7 @@ struct DirEntry {
 
 class Directory {
  public:
-  explicit Directory(
-      const NodeSetLayout& layout,
-      std::pmr::memory_resource* mem = std::pmr::get_default_resource())
-      : layout_(layout), pages_(mem) {}
+  explicit Directory(const NodeSetLayout& layout) : layout_(layout) {}
 
   const NodeSetLayout& layout() const { return layout_; }
 

@@ -32,10 +32,8 @@ class PageCache {
     }
   };
 
-  explicit PageCache(
-      std::uint64_t capacity_pages,
-      std::pmr::memory_resource* mem = std::pmr::get_default_resource())
-      : capacity_(capacity_pages), frames_(mem) {}
+  explicit PageCache(std::uint64_t capacity_pages)
+      : capacity_(capacity_pages) {}
 
   bool infinite() const { return capacity_ == 0; }
 

@@ -243,7 +243,7 @@ Cycle DsmSystem::collapse_replicas(Addr page, NodeId writer_node, Cycle now) {
 //      successor without coordination.
 //   2. Directory reconstruction — the successor queries every live node
 //      for its copies of the page (kRebuild census, recovery-class
-//      traffic riding the sequence-numbered transaction machinery);
+//      traffic on the reliable-transaction layer, dsm/recovery.cpp);
 //      dirty survivor copies ship recovery-flagged writebacks so the
 //      successor's memory is current before the teardown discards them.
 //   3. Re-home — migration's teardown: the gather flushes every cached

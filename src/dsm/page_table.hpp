@@ -110,9 +110,8 @@ struct PageInfo {
 
 class PageTable {
  public:
-  PageTable(std::uint32_t nodes, const NodeSetLayout& layout,
-            std::pmr::memory_resource* mem = std::pmr::get_default_resource())
-      : nodes_(nodes), layout_(layout), ext_pool_(mem), pages_(mem) {
+  PageTable(std::uint32_t nodes, const NodeSetLayout& layout)
+      : nodes_(nodes), layout_(layout) {
     DSM_ASSERT(nodes_ <= kMaxNodes);
     DSM_ASSERT(nodes_ <= layout_.nodes);
     ext_words_ = nodes_ > ModeVec::kInlineNodes
@@ -163,7 +162,7 @@ class PageTable {
   NodeSetLayout layout_;
   std::uint32_t ext_words_ = 0;
   // Mode-vector extension blocks; monotonic (pages are never erased),
-  // released to the upstream resource at teardown.
+  // bump-allocated from heap chunks that are released at teardown.
   std::pmr::monotonic_buffer_resource ext_pool_;
   AddrMap<PageInfo> pages_;
 };

@@ -5,11 +5,12 @@
 // is modeled at transaction granularity: an injectable send returns a
 // Delivery outcome, and a lost message costs the requester a timeout
 // (exponential backoff from TimingConfig::fault_retry_base) before the
-// retransmission departs. Duplicate suppression is idempotent by
-// sequence number — the home's duplicate table rejects a wire-
-// duplicated request with a NACK, and re-issues the reply for a
-// retransmitted request whose original reply was lost. Retransmissions
-// and NACKs carry the `recovery` traffic marker, so fault storms are
+// retransmission departs. The receiver's duplicate table is modeled by
+// its cost and its counters, not by per-transaction state: a wire-
+// duplicated request costs one directory lookup and a NACK, and a
+// retransmitted request whose original reply was lost costs one
+// directory lookup before the reply is re-issued. Retransmissions and
+// NACKs carry the `recovery` traffic marker, so fault storms are
 // visible as a class of their own in the per-class byte accounting.
 //
 // Degradation after fault_retry_max_attempts is policy-specific:
@@ -27,19 +28,14 @@
 // toward a dead requester is abandoned.
 //
 // With the fault layer off (no Fabric::fault_plan) every entry point
-// collapses to a plain net_.send: no sequence stamping, no table
-// lookups, bit-identical byte and cycle accounting.
+// collapses to a plain net_.send: no retries, no duplicate handling,
+// bit-identical byte and cycle accounting.
 #include <algorithm>
 
 #include "dsm/cluster.hpp"
 #include "net/fault.hpp"
 
 namespace dsm {
-
-std::uint32_t DsmSystem::next_seq(NodeId requester) {
-  DSM_DEBUG_ASSERT(requester < txn_seq_.size());
-  return ++txn_seq_[requester];
-}
 
 void DsmSystem::note_crash(NodeId n, Cycle t) {
   crash_detected_until_[n] = std::max(
@@ -50,12 +46,10 @@ DsmSystem::SendOutcome DsmSystem::send_reliable(Message m, Cycle t,
                                                 bool nack_dup) {
   if (net_.fault_plan() == nullptr) return {net_.send(m, t), true};
   const TimingConfig& tc = cfg_.timing;
-  m.seq = next_seq(m.src);
   Cycle at = t;
   for (std::uint32_t attempt = 0;; ++attempt) {
     const Delivery d = net_.send_ex(m, at);
     if (d.delivered) {
-      served_seq_[std::size_t(m.dst) * cfg_.nodes + m.src] = m.seq;
       if (d.duplicated && nack_dup) {
         // The wire-duplicated copy trails the original into the
         // receiver: the duplicate table rejects it after one directory
@@ -64,8 +58,8 @@ DsmSystem::SendOutcome DsmSystem::send_reliable(Message m, Cycle t,
         // until the sender has seen the rejection.
         stats_->faults.nacks++;
         device_[m.dst].occupy(d.at, tc.dir_lookup);
-        const Cycle nack_at = net_.send(
-            Message::nack(m.dst, m.src, m.addr, m.seq), d.at + tc.dir_lookup);
+        const Cycle nack_at = net_.send(Message::nack(m.dst, m.src, m.addr),
+                                        d.at + tc.dir_lookup);
         return {std::max(d.at, nack_at), true};
       }
       return {d.at, true};
@@ -126,10 +120,10 @@ Cycle DsmSystem::reply_reliable(const Message& reply, const Message& request,
       stats_->faults.hard_errors++;
       return net_.send(rep, at);
     }
-    // Lost reply: the requester's timeout retransmits the request (same
-    // sequence); the responder's duplicate table recognizes it and
-    // re-issues the reply after one directory lookup. The retransmitted
-    // request can itself be lost, costing another backoff round.
+    // Lost reply: the requester's timeout retransmits the request; the
+    // responder's duplicate table recognizes it and re-issues the reply
+    // after one directory lookup. The retransmitted request can itself
+    // be lost, costing another backoff round.
     stats_->faults.retries++;
     rep.recovery = true;
     req.recovery = true;

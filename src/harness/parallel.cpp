@@ -1,78 +1,33 @@
 #include "harness/parallel.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 namespace dsm {
 
-unsigned ThreadPool::hardware_jobs() {
+unsigned hardware_jobs() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1u : hw;
 }
 
-ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) threads = hardware_jobs();
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
-
-ThreadPool::~ThreadPool() {
-  wait_idle();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ThreadPool::submit(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    queue_.push_back(std::move(job));
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lk(mu_);
-  idle_cv_.wait(lk, [this] { return next_ == queue_.size() && in_flight_ == 0; });
-  // Fully drained: recycle the consumed queue storage.
-  queue_.clear();
-  next_ = 0;
-}
-
-void ThreadPool::worker_loop() {
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    work_cv_.wait(lk, [this] { return stop_ || next_ < queue_.size(); });
-    if (next_ >= queue_.size()) {
-      if (stop_) return;
-      continue;
-    }
-    std::function<void()> job = std::move(queue_[next_]);
-    next_++;
-    in_flight_++;
-    lk.unlock();
-    job();
-    lk.lock();
-    in_flight_--;
-    if (next_ == queue_.size() && in_flight_ == 0) idle_cv_.notify_all();
-  }
-}
-
 void parallel_for_index(std::size_t n, unsigned jobs,
                         const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (jobs == 0) jobs = ThreadPool::hardware_jobs();
+  if (jobs == 0) jobs = hardware_jobs();
   jobs = unsigned(std::min<std::size_t>(jobs, n));
   if (jobs <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  ThreadPool pool(jobs);
-  for (std::size_t i = 0; i < n; ++i) pool.submit([&fn, i] { fn(i); });
-  pool.wait_idle();
+  std::atomic<std::size_t> next{0};
+  std::vector<std::jthread> workers;
+  workers.reserve(jobs);
+  for (unsigned w = 0; w < jobs; ++w)
+    workers.emplace_back([&] {
+      for (std::size_t i = next++; i < n; i = next++) fn(i);
+    });
+  // The jthreads join as `workers` goes out of scope.
 }
 
 }  // namespace dsm

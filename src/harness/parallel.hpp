@@ -1,5 +1,5 @@
-// Parallel sweep harness: a small thread pool for running independent
-// simulation configs concurrently.
+// Parallel sweep harness: runs independent simulation configs
+// concurrently.
 //
 // Each simulated run is single-threaded and fully self-contained (its
 // own DsmSystem, Engine, Stats and workload state), so a SystemKind x
@@ -9,51 +9,17 @@
 // `--jobs N` (0 = one worker per hardware thread).
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace dsm {
 
-class ThreadPool {
- public:
-  // threads == 0 -> one worker per hardware thread. Serial execution is
-  // the caller's concern (parallel_for_index runs jobs <= 1 inline and
-  // never constructs a pool).
-  explicit ThreadPool(unsigned threads = 0);
-  ~ThreadPool();
+// One worker per hardware thread (at least one).
+unsigned hardware_jobs();
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  unsigned size() const { return unsigned(workers_.size()); }
-
-  // Enqueue a job. Jobs must not submit further jobs to the same pool.
-  void submit(std::function<void()> job);
-
-  // Block until every submitted job has finished.
-  void wait_idle();
-
-  static unsigned hardware_jobs();
-
- private:
-  void worker_loop();
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;   // workers wait for jobs
-  std::condition_variable idle_cv_;   // wait_idle waits for drain
-  std::vector<std::function<void()>> queue_;
-  std::size_t next_ = 0;              // queue_ consumed from the front
-  std::size_t in_flight_ = 0;         // popped but not yet finished
-  bool stop_ = false;
-  std::vector<std::thread> workers_;
-};
-
-// Run fn(0..n-1) across `jobs` workers (0 = hardware concurrency,
-// 1 = inline serial execution). Blocks until all indices completed.
+// Run fn(0..n-1) across `jobs` workers (0 = hardware_jobs(), 1 = inline
+// serial execution). Each worker claims the next unclaimed index until
+// none is left. Blocks until all indices completed.
 void parallel_for_index(std::size_t n, unsigned jobs,
                         const std::function<void(std::size_t)>& fn);
 

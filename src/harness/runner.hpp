@@ -58,8 +58,8 @@ std::string validate(const SystemConfig& cfg);
 // Run a single experiment. Deterministic for a given spec.
 RunResult run_one(const RunSpec& spec);
 
-// Run many experiments concurrently on the sweep harness's thread pool
-// (harness/parallel.hpp): `jobs` workers, 0 = hardware concurrency,
+// Run many experiments concurrently on the sweep harness's workers
+// (harness/parallel.hpp): `jobs` threads, 0 = hardware concurrency,
 // 1 = serial. Each run owns an isolated simulator, so results are
 // bit-identical at every job count.
 std::vector<RunResult> run_matrix(const std::vector<RunSpec>& specs,

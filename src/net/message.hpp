@@ -74,10 +74,6 @@ struct Message {
   NodeId dst = kNoNode;
   Addr addr = 0;                    // block number or page number
   std::uint32_t payload_blocks = 0; // data payload in coherence blocks
-  // Transaction sequence number for duplicate suppression at the home.
-  // 0 with the fault layer off; reliable transactions stamp a per-
-  // requester sequence so retransmissions are idempotent.
-  std::uint32_t seq = 0;
   // Fault-recovery traffic marker: set on retransmissions and on
   // directory-rebuild replies so their bytes land in the `recovery`
   // class regardless of kind. Never set with the fault layer off.
@@ -112,10 +108,10 @@ struct Message {
                            std::uint32_t blocks) {
     return Message{MsgKind::kPageBulk, src, dst, page, blocks};
   }
-  // Duplicate-transaction rejection: the home has already served `seq`
-  // from this requester; the in-flight (or re-issued) reply stands.
-  static Message nack(NodeId src, NodeId dst, Addr blk, std::uint32_t seq) {
-    return Message{MsgKind::kNack, src, dst, blk, 0, seq};
+  // Duplicate-transaction rejection: the home has already served this
+  // request; the in-flight (or re-issued) reply stands.
+  static Message nack(NodeId src, NodeId dst, Addr blk) {
+    return Message{MsgKind::kNack, src, dst, blk, 0};
   }
   // Directory-rebuild census query for `page` during emergency re-homing.
   static Message rebuild(NodeId src, NodeId dst, Addr page) {

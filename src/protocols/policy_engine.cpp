@@ -7,19 +7,16 @@
 
 namespace dsm {
 
-PolicyEngine::PolicyEngine(DsmSystem& sys, Stats* stats,
-                           std::pmr::memory_resource* mem)
+PolicyEngine::PolicyEngine(DsmSystem& sys, Stats* stats)
     : sys_(&sys),
       cfg_(&sys.config()),
       stats_(stats),
-      relocation_ok_(uses_page_cache(sys.config().kind)),
-      obs_(mem),
-      adapt_(mem) {
+      relocation_ok_(uses_page_cache(sys.config().kind)) {
   DSM_ASSERT(stats_ != nullptr);
   DSM_ASSERT(stats_->policy.empty(), "one engine per Stats");
   counter_cache_.reserve(cfg_->nodes);
   for (NodeId n = 0; n < cfg_->nodes; ++n)
-    counter_cache_.emplace_back(cfg_->migrep_counter_cache_pages, mem);
+    counter_cache_.emplace_back(cfg_->migrep_counter_cache_pages);
 
   // The paper's pairing (SystemKind), or the adaptive rule alone. At
   // most two records exist, so the reserve keeps each pointer valid.

@@ -241,10 +241,7 @@ struct PageObs {
 // by the Section 6.4 regression test).
 class CounterCache {
  public:
-  explicit CounterCache(
-      std::uint32_t capacity,
-      std::pmr::memory_resource* mem = std::pmr::get_default_resource())
-      : capacity_(capacity), index_(mem) {
+  explicit CounterCache(std::uint32_t capacity) : capacity_(capacity) {
     if (unlimited()) return;
     nodes_.resize(capacity_);
     index_.reserve(capacity_);
@@ -337,9 +334,8 @@ class PolicyEngine {
   static constexpr std::uint32_t kHysteresisMaxShift = 6;
 
   // Picks the rules from `sys`'s SystemConfig and appends one
-  // Stats::policy record per rule, MigRep before R-NUMA. `mem` backs
-  // the observation tables (DsmSystem's per-run Arena).
-  PolicyEngine(DsmSystem& sys, Stats* stats, std::pmr::memory_resource* mem);
+  // Stats::policy record per rule, MigRep before R-NUMA.
+  PolicyEngine(DsmSystem& sys, Stats* stats);
 
   // Count `ev`; with any rule in the run, absorb it into the
   // observation state and pass it to each rule. Returns the (possibly

@@ -152,5 +152,44 @@ TEST(AddrMap, DifferentialVsUnorderedMap) {
   EXPECT_EQ(m.size(), ref.size());
 }
 
+// A std::vector<CounterCache> moves its tables when it grows: the
+// moved-to map must find every key at its old value address, and the
+// moved-from map must read empty (its memo included).
+TEST(AddrMap, MoveKeepsEntriesAndValueAddresses) {
+  AddrMap<std::uint64_t> m;
+  std::vector<std::pair<Addr, std::uint64_t*>> addrs;
+  for (Addr k = 0; k < 1000; ++k) {
+    const Addr key = k * 7919;
+    m[key] = key + 1;
+    addrs.emplace_back(key, m.find(key));
+  }
+  m.erase(addrs[10].first);  // a recycled slot and a memo survive too
+  addrs.erase(addrs.begin() + 10);
+  m[~Addr(0) - 1] = 5;
+  addrs.emplace_back(~Addr(0) - 1, m.find(~Addr(0) - 1));
+
+  AddrMap<std::uint64_t> moved(std::move(m));
+  EXPECT_EQ(moved.size(), addrs.size());
+  for (const auto& [key, val] : addrs) {
+    EXPECT_EQ(moved.find(key), val) << key;
+    EXPECT_EQ(&moved[key], val) << key;
+  }
+  EXPECT_EQ(*moved.find(~Addr(0) - 1), 5u);
+  EXPECT_EQ(*moved.find(7919), 7920u);
+
+  EXPECT_EQ(m.size(), 0u);
+  EXPECT_TRUE(m.empty());
+  for (const auto& [key, val] : addrs) EXPECT_EQ(m.find(key), nullptr) << key;
+  std::size_t visited = 0;
+  m.for_each([&](Addr, std::uint64_t&) { visited++; });
+  EXPECT_EQ(visited, 0u);
+  EXPECT_FALSE(m.erase(7919));
+  // The moved-from map is usable again.
+  m[3] = 4;
+  EXPECT_EQ(m.size(), 1u);
+  EXPECT_EQ(*m.find(3), 4u);
+  EXPECT_EQ(moved.find(3), nullptr);
+}
+
 }  // namespace
 }  // namespace dsm

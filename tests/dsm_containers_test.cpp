@@ -120,6 +120,56 @@ TEST(BlockCache, InfiniteGrowthPreservesContents) {
   EXPECT_EQ(bc.occupancy(), kBlocks);
 }
 
+// The infinite shape against a std::map reference on one seeded stream
+// of installs, invalidates and probes. Half the blocks are congruent in
+// every power of two (j << 40), the other half dense; at every step the
+// probe result, the state, the victim (there is none) and occupancy()
+// must agree with the map.
+TEST(BlockCache, InfiniteMatchesAMapOnASeededStream) {
+  BlockCache bc(64, kInfinite);
+  std::map<Addr, NodeState> ref;
+  Rng rng(0xB10Cu);
+  auto pick_block = [&]() -> Addr {
+    if (rng.next_below(2) == 0) return Addr(rng.next_below(512)) << 40;
+    return rng.next_below(4096);
+  };
+  constexpr int kOps = 200'000;
+  for (int i = 0; i < kOps; ++i) {
+    const Addr blk = pick_block();
+    switch (rng.next_below(4)) {
+      case 0: {
+        const NodeState st = rng.next_below(2) ? NodeState::kShared
+                                               : NodeState::kModified;
+        const BlockCache::Victim v = bc.install(blk, st);
+        EXPECT_FALSE(v.valid) << "op " << i;
+        ref[blk] = st;
+        break;
+      }
+      case 1:
+        bc.invalidate(blk);
+        ref.erase(blk);
+        break;
+      default: {
+        const BlockCache::Entry* e = bc.probe(blk);
+        const auto it = ref.find(blk);
+        if (it == ref.end()) {
+          EXPECT_EQ(e, nullptr) << "op " << i;
+        } else {
+          ASSERT_NE(e, nullptr) << "op " << i;
+          EXPECT_EQ(e->state, it->second) << "op " << i;
+        }
+        break;
+      }
+    }
+    ASSERT_EQ(bc.occupancy(), ref.size()) << "op " << i;
+  }
+  for (const auto& [blk, st] : ref) {
+    const BlockCache::Entry* e = bc.probe(blk);
+    ASSERT_NE(e, nullptr) << blk;
+    EXPECT_EQ(e->state, st) << blk;
+  }
+}
+
 TEST(PageCache, AllocateFindRelease) {
   PageCache pc(2);
   EXPECT_TRUE(pc.has_free_frame());

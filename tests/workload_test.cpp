@@ -4,6 +4,10 @@
 // configuration that cannot run.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+
+#include "harness/parallel.hpp"
 #include "harness/runner.hpp"
 
 namespace dsm {
@@ -113,6 +117,22 @@ TEST(Harness, MatrixMatchesSequentialRuns) {
     auto seq = run_one(specs[i]);
     EXPECT_EQ(par[i].cycles, seq.cycles) << "spec " << i;
     EXPECT_EQ(digest(par[i].stats), digest(seq.stats)) << "spec " << i;
+  }
+}
+
+// Every index runs exactly once, whatever the worker count: inline
+// (jobs 1), more workers than indices, and 0 (one per hardware thread).
+TEST(Harness, ParallelForIndexCallsEachIndexOnce) {
+  for (const std::size_t n : {0, 1, 7}) {
+    for (const unsigned jobs : {0u, 1u, 3u, 16u}) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " jobs " << jobs);
+      const auto calls = std::make_unique<std::atomic<int>[]>(n + 1);
+      parallel_for_index(n, jobs, [&](std::size_t i) {
+        ASSERT_LT(i, n);
+        calls[i]++;
+      });
+      for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(calls[i].load(), 1) << i;
+    }
   }
 }
 
