@@ -14,7 +14,7 @@ using namespace dsm;
 using namespace dsm::bench;
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
+  const Options opt = parse(argc, argv, kSweepFlags);
   std::printf(
       "=== Ablation: page-cache size sweep (normalized to perfect CC-NUMA) "
       "===\nscale: %s\n\n",
@@ -25,50 +25,36 @@ int main(int argc, char** argv) {
       {"1.2MB", 1200 * 1024},  {"2.4MB", 2400 * 1024},
       {"4.8MB", 4800 * 1024},  {"inf", 0},
   };
-
-  std::vector<RunSpec> specs;
-  for (const auto& app : opt.apps)
-    specs.push_back(opt.spec(SystemKind::kPerfectCcNuma, app));
+  std::vector<Sweep::Column> columns = {
+      {"perfect", paper_spec(SystemKind::kPerfectCcNuma, "")}};
   for (const auto& [label, bytes] : sizes) {
-    for (const auto& app : opt.apps) {
-      RunSpec s = opt.spec(
-          bytes == 0 ? SystemKind::kRNumaInf : SystemKind::kRNuma, app);
-      if (bytes != 0) s.system.page_cache_bytes = bytes;
-      specs.push_back(s);
+    if (bytes == 0) {
+      columns.push_back({"R-NUMA-Inf", paper_spec(SystemKind::kRNumaInf, "")});
+      continue;
     }
+    RunSpec s = paper_spec(SystemKind::kRNuma, "");
+    s.system.page_cache_bytes = bytes;
+    columns.push_back({"R-NUMA " + label, s});
   }
-  SweepTimer timer;
-  auto results = run_valid(specs, opt);
+  const Sweep sweep(opt, columns);
 
-  std::vector<Series> series;
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    Series s;
-    s.name = sizes[i].first;
-    for (std::size_t a = 0; a < opt.apps.size(); ++a)
-      s.values.push_back(results[opt.apps.size() * (i + 1) + a]
-                             .normalized_to(results[a]));
-    series.push_back(std::move(s));
-  }
-  std::printf("%s\n", render_series(opt.apps, series).c_str());
+  std::vector<Series> series = normalized_series(sweep);
+  for (std::size_t i = 0; i < sizes.size(); ++i)
+    series[i].name = sizes[i].first;
+  std::printf("%s\n", render_series(sweep.apps, series).c_str());
 
   std::printf("page-cache evictions per node at each size (%s):\n",
-              opt.apps[0].c_str());
+              sweep.apps[0].c_str());
   for (std::size_t i = 0; i < sizes.size(); ++i) {
-    const RunResult& r = results[opt.apps.size() * (i + 1)];
+    const RunResult& r = sweep.at(i + 1, 0);
     std::uint64_t ev = 0;
     for (const auto& n : r.stats.node) ev += n.page_cache_evictions;
     std::printf("  %-6s %llu\n", sizes[i].first.c_str(),
                 (unsigned long long)(ev / r.stats.node.size()));
   }
-  print_throughput_summary(results, timer.seconds(), opt.jobs);
-  if (!opt.json_path.empty()) {
-    std::vector<std::string> names;
-    for (const auto& [label, bytes] : sizes)
-      names.push_back(bytes == 0 ? "R-NUMA-Inf" : "R-NUMA " + label);
-    write_json(opt.json_path, "ablation_pagecache",
-               records_of(opt.apps,
-                          baseline_columns(names, results, opt.apps.size())),
+  print_throughput_summary(sweep, opt);
+  if (!opt.json_path.empty())
+    write_json(opt.json_path, "ablation_pagecache", records_of(sweep),
                opt.resolved_jobs());
-  }
   return 0;
 }

@@ -39,7 +39,6 @@ using namespace dsm::bench;
 
 namespace {
 
-constexpr Addr kHeapBase = 0x100000;
 constexpr unsigned kPagesPerHome = 2;
 constexpr unsigned kSharerPattern[] = {1, 2, 4, 7};
 
@@ -79,20 +78,6 @@ struct Cell {
   double wall_seconds = 0;
 };
 
-Addr page_addr(unsigned p) { return kHeapBase + Addr(p) * kPageBytes; }
-
-std::vector<NodeId> readers_of(unsigned p, std::uint32_t nodes, NodeId home) {
-  const unsigned want = std::min<unsigned>(kSharerPattern[p % 4], nodes - 1);
-  const std::uint32_t stride = std::max<std::uint32_t>(1, nodes / 16);
-  std::vector<NodeId> out;
-  for (std::uint32_t k = 0; out.size() < want; ++k) {
-    const NodeId n = NodeId((home + 1 + k * stride) % nodes);
-    if (n != home && std::find(out.begin(), out.end(), n) == out.end())
-      out.push_back(n);
-  }
-  return out;
-}
-
 SystemConfig cell_config(const Options& opt, std::uint32_t nodes,
                          FabricKind fabric, Scenario sc) {
   // CC-NUMA runs no decision rule: policy page ops would race the
@@ -106,7 +91,7 @@ SystemConfig cell_config(const Options& opt, std::uint32_t nodes,
   // --fault-kinds reach only the seeded outage draws.
   cfg.faults = FaultConfig{};
   if (has_outages(sc)) {
-    cfg.faults.seed = opt.fault_seed_set ? opt.fault_seed : 42;
+    cfg.faults.seed = opt.given("--fault-seed") ? opt.fault_seed : 42;
     cfg.faults.fault_kinds = opt.fault_kinds;
     cfg.faults.drop_pct = 2.0;
     cfg.faults.dup_pct = 1.0;
@@ -140,7 +125,7 @@ void run_cell(Cell& c) {
   for (unsigned p = 0; p < pages; ++p) {
     const NodeId h = NodeId(p % nodes);
     t = sys->access({h, h, page_addr(p), true, t}) + 8;
-    for (NodeId r : readers_of(p, nodes, h))
+    for (NodeId r : readers_of(p, nodes, h, kSharerPattern))
       t = sys->access({r, r, page_addr(p), false, t}) + 8;
     if (p % 8 == 3 && h != ca)
       t = sys->access({ca, ca, page_addr(p), true, t}) + 8;
@@ -181,29 +166,26 @@ void run_cell(Cell& c) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::vector<std::string_view> given = only_flags(
+  const Options opt = parse(
       argc, argv,
       {"--nodes", "--fabric", "--dir-scheme", "--link-bw", "--json",
        "--fault-seed", "--fault-kinds", "--fault-retry-base",
        "--fault-retry-max"});
-  const Options opt = parse(argc, argv);
 
   std::vector<std::uint32_t> node_counts = {8, 64, 256};
-  if (opt.nodes != 0) node_counts = {opt.nodes};
+  if (opt.given("--nodes")) node_counts = {opt.nodes};
   std::vector<FabricKind> fabrics = {FabricKind::kMesh2d,
                                      FabricKind::kTorus2d};
-  if (std::count(given.begin(), given.end(), "--fabric"))
-    fabrics = {opt.fabric};
+  if (opt.given("--fabric")) fabrics = {opt.fabric};
 
   // Every cell's config, checked before any cell runs.
   std::vector<Cell> cells;
   for (std::uint32_t nodes : node_counts)
     for (FabricKind fabric : fabrics)
-      for (unsigned s = 0; s < unsigned(Scenario::kCount); ++s) {
+      for (unsigned s = 0; s < unsigned(Scenario::kCount); ++s)
         cells.push_back(
             {Scenario(s), cell_config(opt, nodes, fabric, Scenario(s))});
-        require_valid(cells.back().cfg);
-      }
+  require_runnable(opt, cells, &Cell::cfg);
 
   std::printf(
       "=== Chaos-at-scale sweep: %u pages/home, crash windows "

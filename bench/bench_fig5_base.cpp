@@ -5,7 +5,6 @@
 // R-NUMA, and R-NUMA with an infinite page cache, across the seven
 // applications. The paper's reading: CC-NUMA averages ~1.6x perfect,
 // MigRep improves ~20% over CC-NUMA, R-NUMA ~40% and is best overall.
-#include <cmath>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -14,27 +13,24 @@ using namespace dsm;
 using namespace dsm::bench;
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
+  const Options opt = parse(argc, argv, kSweepFlags);
   std::printf(
       "=== Figure 5: normalized execution time (vs perfect CC-NUMA) ===\n"
       "scale: %s\n\n",
       scale_name(opt.scale));
 
-  const std::vector<std::pair<std::string, RunSpec>> systems = {
-      {"CC-NUMA", paper_spec(SystemKind::kCcNuma, "")},
-      {"Rep", paper_spec(SystemKind::kCcNumaRep, "")},
-      {"Mig", paper_spec(SystemKind::kCcNumaMig, "")},
-      {"MigRep", paper_spec(SystemKind::kCcNumaMigRep, "")},
-      {"R-NUMA", paper_spec(SystemKind::kRNuma, "")},
-      {"R-NUMA-Inf", paper_spec(SystemKind::kRNumaInf, "")},
-  };
-  SweepTimer timer;
-  NormalizedGrid grid = run_normalized(systems, opt);
-  std::printf("%s\n", render_series(grid.apps, grid.series).c_str());
-  print_geomean_row(grid);
-  print_throughput_summary(grid.results, timer.seconds(), opt.jobs);
+  const Sweep sweep(
+      opt, {{"perfect", paper_spec(SystemKind::kPerfectCcNuma, "")},
+            {"CC-NUMA", paper_spec(SystemKind::kCcNuma, "")},
+            {"Rep", paper_spec(SystemKind::kCcNumaRep, "")},
+            {"Mig", paper_spec(SystemKind::kCcNumaMig, "")},
+            {"MigRep", paper_spec(SystemKind::kCcNumaMigRep, "")},
+            {"R-NUMA", paper_spec(SystemKind::kRNuma, "")},
+            {"R-NUMA-Inf", paper_spec(SystemKind::kRNumaInf, "")}});
+  print_normalized(sweep);
+  print_throughput_summary(sweep, opt);
   if (!opt.json_path.empty())
-    write_json(opt.json_path, "fig5_base", records_of(grid),
+    write_json(opt.json_path, "fig5_base", records_of(sweep),
                opt.resolved_jobs());
   return 0;
 }

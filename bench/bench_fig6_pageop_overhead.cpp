@@ -12,41 +12,34 @@ using namespace dsm;
 using namespace dsm::bench;
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
+  const Options opt = parse(argc, argv, kSweepFlags);
   std::printf(
       "=== Figure 6: fast vs slow page operations (normalized to perfect "
       "CC-NUMA) ===\nscale: %s\n\n",
       scale_name(opt.scale));
 
-  RunSpec migrep_fast = paper_spec(SystemKind::kCcNumaMigRep, "");
-  RunSpec migrep_slow = migrep_fast;
-  migrep_slow.system.timing = TimingConfig::slow_page_ops();
-  RunSpec rnuma_fast = paper_spec(SystemKind::kRNuma, "");
-  RunSpec rnuma_slow = rnuma_fast;
-  rnuma_slow.system.timing = TimingConfig::slow_page_ops();
-
-  const std::vector<std::pair<std::string, RunSpec>> systems = {
-      {"MigRep-Fast", migrep_fast},
-      {"MigRep-Slow", migrep_slow},
-      {"R-NUMA-Fast", rnuma_fast},
-      {"R-NUMA-Slow", rnuma_slow},
+  auto slow = [](SystemKind kind) {
+    RunSpec s = paper_spec(kind, "");
+    s.system.timing = TimingConfig::slow_page_ops();
+    return s;
   };
-  SweepTimer timer;
-  NormalizedGrid grid = run_normalized(systems, opt);
-  std::printf("%s\n", render_series(grid.apps, grid.series).c_str());
-  print_geomean_row(grid);
-  print_throughput_summary(grid.results, timer.seconds(), opt.jobs);
+  const Sweep sweep(
+      opt, {{"perfect", paper_spec(SystemKind::kPerfectCcNuma, "")},
+            {"MigRep-Fast", paper_spec(SystemKind::kCcNumaMigRep, "")},
+            {"MigRep-Slow", slow(SystemKind::kCcNumaMigRep)},
+            {"R-NUMA-Fast", paper_spec(SystemKind::kRNuma, "")},
+            {"R-NUMA-Slow", slow(SystemKind::kRNuma)}});
+  print_normalized(sweep);
+  print_throughput_summary(sweep, opt);
 
   // Degradation factors (slow / fast), the figure's key comparison.
   std::printf("\nslow/fast degradation:\n");
-  for (std::size_t a = 0; a < grid.apps.size(); ++a) {
-    const double mr = grid.series[1].values[a] / grid.series[0].values[a];
-    const double rn = grid.series[3].values[a] / grid.series[2].values[a];
-    std::printf("  %-10s MigRep %.3f   R-NUMA %.3f\n", grid.apps[a].c_str(),
-                mr, rn);
-  }
+  for (std::size_t a = 0; a < sweep.apps.size(); ++a)
+    std::printf("  %-10s MigRep %.3f   R-NUMA %.3f\n", sweep.apps[a].c_str(),
+                sweep.normalized(2, a) / sweep.normalized(1, a),
+                sweep.normalized(4, a) / sweep.normalized(3, a));
   if (!opt.json_path.empty())
-    write_json(opt.json_path, "fig6_pageop_overhead", records_of(grid),
+    write_json(opt.json_path, "fig6_pageop_overhead", records_of(sweep),
                opt.resolved_jobs());
   return 0;
 }

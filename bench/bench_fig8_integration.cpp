@@ -13,31 +13,28 @@ using namespace dsm;
 using namespace dsm::bench;
 
 int main(int argc, char** argv) {
-  Options opt = parse(argc, argv);
+  const Options opt = parse(argc, argv, kSweepFlags);
   std::printf(
       "=== Figure 8: R-NUMA + MigRep integration (normalized to perfect "
       "CC-NUMA) ===\nscale: %s\n\n",
       scale_name(opt.scale));
 
-  RunSpec half = paper_spec(SystemKind::kRNuma, "");
-  half.system.page_cache_bytes = 1200 * 1024;  // 1.2 MB
-  RunSpec half_migrep = paper_spec(SystemKind::kRNumaMigRep, "");
-  half_migrep.system.page_cache_bytes = 1200 * 1024;
-
-  const std::vector<std::pair<std::string, RunSpec>> systems = {
-      {"CC-NUMA", paper_spec(SystemKind::kCcNuma, "")},
-      {"MigRep", paper_spec(SystemKind::kCcNumaMigRep, "")},
-      {"R-NUMA-1/2", half},
-      {"R-NUMA-1/2+MigRep", half_migrep},
-      {"R-NUMA", paper_spec(SystemKind::kRNuma, "")},
+  auto half = [](SystemKind kind) {
+    RunSpec s = paper_spec(kind, "");
+    s.system.page_cache_bytes = 1200 * 1024;  // 1.2 MB
+    return s;
   };
-  SweepTimer timer;
-  NormalizedGrid grid = run_normalized(systems, opt);
-  std::printf("%s\n", render_series(grid.apps, grid.series).c_str());
-  print_geomean_row(grid);
-  print_throughput_summary(grid.results, timer.seconds(), opt.jobs);
+  const Sweep sweep(
+      opt, {{"perfect", paper_spec(SystemKind::kPerfectCcNuma, "")},
+            {"CC-NUMA", paper_spec(SystemKind::kCcNuma, "")},
+            {"MigRep", paper_spec(SystemKind::kCcNumaMigRep, "")},
+            {"R-NUMA-1/2", half(SystemKind::kRNuma)},
+            {"R-NUMA-1/2+MigRep", half(SystemKind::kRNumaMigRep)},
+            {"R-NUMA", paper_spec(SystemKind::kRNuma, "")}});
+  print_normalized(sweep);
+  print_throughput_summary(sweep, opt);
   if (!opt.json_path.empty())
-    write_json(opt.json_path, "fig8_integration", records_of(grid),
+    write_json(opt.json_path, "fig8_integration", records_of(sweep),
                opt.resolved_jobs());
   return 0;
 }

@@ -33,7 +33,6 @@ constexpr unsigned kRounds = 48;  // blocks fetched per requester
 // engine (72 cycles/request) drains each round's burst, so the queueing
 // that remains is genuinely in the network, not a device backlog.
 constexpr Cycle kSpacing = 2000;
-constexpr Addr kHeapBase = 0x100000;
 
 struct SweepPoint {
   Stats stats{kNodes};
@@ -43,8 +42,6 @@ struct SweepPoint {
   std::uint32_t maxq_any = 0;
   Cycle recv_ni_busy_home = 0;
 };
-
-Addr requester_page_addr(unsigned i) { return kHeapBase + Addr(i) * kPageBytes; }
 
 // Run one (model, fan-in) cell; optionally dump the busiest links.
 SweepPoint run_cell(FabricKind fabric, std::uint32_t link_bw, unsigned fanin,
@@ -68,7 +65,7 @@ SweepPoint run_cell(FabricKind fabric, std::uint32_t link_bw, unsigned fanin,
   // binding homes them all at the hot node.
   Cycle t = 0;
   for (unsigned i = 0; i < fanin; ++i)
-    t = sys->access({kHome, kHome, requester_page_addr(i), false, t}) + 100;
+    t = sys->access({kHome, kHome, page_addr(i), false, t}) + 100;
 
   // Measured phase, open-loop: every requester fetches one fresh block
   // of its own page per round, all issued at the same instant, so the
@@ -81,7 +78,7 @@ SweepPoint run_cell(FabricKind fabric, std::uint32_t link_bw, unsigned fanin,
     const Cycle issue = start + Cycle(r) * kSpacing;
     for (unsigned i = 0; i < fanin; ++i) {
       const NodeId n = requesters[i];
-      const Addr addr = requester_page_addr(i) + Addr(1 + r) * kBlockBytes;
+      const Addr addr = page_addr(i) + Addr(1 + r) * kBlockBytes;
       const Cycle done = sys->access({n, n, addr, false, issue});
       latency_sum += double(done - issue);
     }
@@ -104,36 +101,21 @@ SweepPoint run_cell(FabricKind fabric, std::uint32_t link_bw, unsigned fanin,
   out.maxq_any = fab.link_usage().max_queue_depth;
 
   if (dump_links) {
-    struct Row {
-      std::uint32_t router;
-      LinkDir dir;
-      const MeshLink* l;
-    };
-    std::vector<Row> rows;
-    for (std::uint32_t rt = 0; rt < grid.routers(); ++rt)
-      for (std::uint32_t d = 0; d < std::uint32_t(LinkDir::kCount); ++d)
-        if (fab.out_link(rt, LinkDir(d)).msgs > 0)
-          rows.push_back({rt, LinkDir(d), &fab.out_link(rt, LinkDir(d))});
-    std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-      return a.l->bytes > b.l->bytes;
-    });
+    const std::vector<LinkRef> links = busiest_links(fab);
     // Utilization over the measured injection window only — folding
     // the warmup and the 100k-cycle settling gap into the
     // denominator would halve the congestion signal. (The warmup's
     // own few link crossings are negligible against 48 rounds.)
     const Cycle window = Cycle(kRounds) * kSpacing;
     Table lt({"link", "msgs", "KB", "maxQ", "utilization"});
-    for (std::size_t i = 0; i < rows.size() && i < 8; ++i) {
-      char name[32];
-      std::snprintf(name, sizeof name, "%u->%s", rows[i].router,
-                    to_string(rows[i].dir));
+    for (std::size_t i = 0; i < links.size() && i < 8; ++i) {
+      const MeshLink& l = *links[i].link;
       lt.add_row()
-          .cell(std::string(name))
-          .cell(rows[i].l->msgs)
-          .cell(double(rows[i].l->bytes) / 1024.0, 1)
-          .cell(std::uint64_t(rows[i].l->max_queue_depth))
-          .cell(render_meter(double(rows[i].l->res.total_busy()) /
-                             double(window)));
+          .cell(links[i].name())
+          .cell(l.msgs)
+          .cell(double(l.bytes) / 1024.0, 1)
+          .cell(std::uint64_t(l.max_queue_depth))
+          .cell(render_meter(double(l.res.total_busy()) / double(window)));
     }
     std::printf("busiest links, fan-in %u (%s):\n%s\n", fanin,
                 fab.name(), lt.to_string().c_str());
@@ -159,7 +141,7 @@ Cycle run_bulk_probe(FabricKind fabric, std::uint32_t link_bw) {
   Stats stats(kNodes);
   auto sys = make_system(cfg, &stats);
 
-  const Addr probe_page = kHeapBase + 100 * kPageBytes;
+  const Addr probe_page = page_addr(100);
   const Addr bulk_page = probe_page + kPageBytes;
   Cycle t = sys->access({kHome, kHome, probe_page, false, 0});
   t = sys->access({kHome, kHome, bulk_page, false, t + 100});
@@ -189,14 +171,11 @@ bool same_bytes(const Stats& a, const Stats& b) {
 int main(int argc, char** argv) {
   // The grid, home and schedule are fixed, so only the wire-model flags
   // apply.
-  const std::vector<std::string_view> given =
-      only_flags(argc, argv, {"--fabric", "--link-bw"});
-  Options opt = parse(argc, argv);
+  const Options opt = parse(argc, argv, {"--fabric", "--link-bw"});
   // This bench compares the link model with the NI-only model on a
   // routed grid, the mesh unless --fabric names one: ni-constant has no
   // grid, and a zero bandwidth makes the link model the NI-only one.
-  const bool fabric_given =
-      std::count(given.begin(), given.end(), "--fabric") != 0;
+  const bool fabric_given = opt.given("--fabric");
   if (fabric_given && !opt.routed_fabric())
     bad_value("--fabric", to_string(opt.fabric),
               "mesh|torus: the wire models are compared on a routed grid");
@@ -205,14 +184,11 @@ int main(int argc, char** argv) {
               "1 or more bytes/cycle: 0 is the NI-only model it is "
               "compared with");
   const FabricKind fabric = fabric_given ? opt.fabric : FabricKind::kMesh2d;
-  const std::uint32_t link_bw = opt.link_bw != Options::kLinkBwUnset
-                                    ? opt.link_bw
-                                    : TimingConfig{}.mesh_link_bytes_per_cycle;
   std::printf(
       "=== Mesh link contention: hot-home fan-in sweep ===\n"
       "fabric: %s   grid: 4x4   home: node %u   rounds: %u   "
       "link bandwidth: %u B/cycle\n\n",
-      to_string(fabric), kHome, kRounds, link_bw);
+      to_string(fabric), kHome, kRounds, opt.link_bw);
 
   const std::vector<unsigned> fanins = {1, 2, 4, 8, 15};
   Table t({"fan-in", "model", "data KB", "ctl KB", "mean lat", "recvNI busy",
@@ -220,7 +196,7 @@ int main(int argc, char** argv) {
   bool bytes_ok = true;
   for (unsigned k : fanins) {
     SweepPoint ni = run_cell(fabric, /*link_bw=*/0, k, /*dump_links=*/false);
-    SweepPoint ln = run_cell(fabric, link_bw, k,
+    SweepPoint ln = run_cell(fabric, opt.link_bw, k,
                              /*dump_links=*/k == fanins.back());
     bytes_ok = bytes_ok && same_bytes(ni.stats, ln.stats);
     for (const SweepPoint* p : {&ni, &ln}) {
@@ -247,7 +223,7 @@ int main(int argc, char** argv) {
   probe.add_row().cell("ni-only").cell(
       std::uint64_t(run_bulk_probe(fabric, 0)));
   probe.add_row().cell("link").cell(
-      std::uint64_t(run_bulk_probe(fabric, link_bw)));
+      std::uint64_t(run_bulk_probe(fabric, opt.link_bw)));
   std::printf(
       "block fetch racing a page-bulk copy over the same home link:\n%s\n",
       probe.to_string().c_str());

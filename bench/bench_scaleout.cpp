@@ -23,7 +23,6 @@
 // sweeping it; --link-bw and the --fault-* flags apply to every cell;
 // --json FILE emits one record per cell for CI archival. Any other
 // flag exits 2.
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -36,7 +35,6 @@ using namespace dsm::bench;
 
 namespace {
 
-constexpr Addr kHeapBase = 0x100000;
 constexpr unsigned kPagesPerHome = 2;
 
 // Readers per page: the common small-sharer cases plus one group wide
@@ -50,25 +48,6 @@ struct Cell {
   double wall_seconds = 0;
 };
 
-Addr page_addr(unsigned p) { return kHeapBase + Addr(p) * kPageBytes; }
-
-// Readers of page p: spread across the machine so distinct coarse
-// regions are touched (worst case for the conservative multicast).
-std::vector<NodeId> readers_of(unsigned p, std::uint32_t nodes, NodeId home) {
-  const unsigned want =
-      std::min<unsigned>(kSharerPattern[p % 4], nodes - 1);
-  const std::uint32_t stride = std::max<std::uint32_t>(1, nodes / 16);
-  std::vector<NodeId> out;
-  for (std::uint32_t k = 0; out.size() < want; ++k) {
-    const NodeId n = NodeId((home + 1 + k * stride) % nodes);
-    if (n != home && std::find(out.begin(), out.end(), n) == out.end())
-      out.push_back(n);
-  }
-  return out;
-}
-
-void print_hot_links(const Fabric& fab, const SystemConfig& cfg);
-
 SystemConfig cell_config(const Options& opt, std::uint32_t nodes,
                          FabricKind fabric, DirScheme scheme) {
   // CC-NUMA runs no decision rule: page migration/replication
@@ -81,6 +60,24 @@ SystemConfig cell_config(const Options& opt, std::uint32_t nodes,
   cfg.fabric = fabric;
   cfg.dir_scheme = scheme;
   return cfg;
+}
+
+// Top directed links by bytes carried — the per-link heat summary for
+// routed cells (the aggregate maxQ/KB columns live in the main table).
+void print_hot_links(const Fabric& fab, const SystemConfig& cfg) {
+  const std::vector<LinkRef> links = busiest_links(fab);
+  Table lt({"link", "msgs", "KB", "maxQ"});
+  for (std::size_t i = 0; i < links.size() && i < 6; ++i) {
+    const MeshLink& l = *links[i].link;
+    lt.add_row()
+        .cell(links[i].name())
+        .cell(l.msgs)
+        .cell(double(l.bytes) / 1024.0, 1)
+        .cell(std::uint64_t(l.max_queue_depth));
+  }
+  std::printf("hottest links, %u nodes / %s / %s:\n%s\n", cfg.nodes,
+              to_string(cfg.fabric), to_string(cfg.dir_scheme),
+              lt.to_string().c_str());
 }
 
 void run_cell(Cell& c) {
@@ -104,7 +101,7 @@ void run_cell(Cell& c) {
   // this round is where coarse overshoot shows up as control bytes.
   for (unsigned p = 0; p < pages; ++p) {
     const NodeId h = NodeId(p % nodes);
-    for (NodeId r : readers_of(p, nodes, h))
+    for (NodeId r : readers_of(p, nodes, h, kSharerPattern))
       t = sys->access({r, r, page_addr(p), false, t}) + 8;
     t = sys->access({h, h, page_addr(p), true, t}) + 8;
   }
@@ -113,7 +110,7 @@ void run_cell(Cell& c) {
   // (the write round left every entry exclusive at the home).
   for (unsigned p = 0; p < pages; ++p) {
     const NodeId h = NodeId(p % nodes);
-    for (NodeId r : readers_of(p, nodes, h))
+    for (NodeId r : readers_of(p, nodes, h, kSharerPattern))
       t = sys->access({r, r, page_addr(p), false, t}) + 8;
   }
 
@@ -123,57 +120,23 @@ void run_cell(Cell& c) {
   if (c.dump_links) print_hot_links(sys->fabric(), c.cfg);
 }
 
-// Top directed links by bytes carried — the per-link heat summary for
-// routed cells (the aggregate maxQ/KB columns live in the main table).
-void print_hot_links(const Fabric& fab, const SystemConfig& cfg) {
-  struct Row {
-    std::uint32_t router;
-    LinkDir dir;
-    const MeshLink* l;
-  };
-  std::vector<Row> rows;
-  for (std::uint32_t rt = 0; rt < fab.grid().routers(); ++rt)
-    for (std::uint32_t d = 0; d < std::uint32_t(LinkDir::kCount); ++d)
-      if (fab.out_link(rt, LinkDir(d)).msgs > 0)
-        rows.push_back({rt, LinkDir(d), &fab.out_link(rt, LinkDir(d))});
-  std::sort(rows.begin(), rows.end(),
-            [](const Row& a, const Row& b) { return a.l->bytes > b.l->bytes; });
-  Table lt({"link", "msgs", "KB", "maxQ"});
-  for (std::size_t i = 0; i < rows.size() && i < 6; ++i) {
-    char name[32];
-    std::snprintf(name, sizeof name, "%u->%s", rows[i].router,
-                  to_string(rows[i].dir));
-    lt.add_row()
-        .cell(std::string(name))
-        .cell(rows[i].l->msgs)
-        .cell(double(rows[i].l->bytes) / 1024.0, 1)
-        .cell(std::uint64_t(rows[i].l->max_queue_depth));
-  }
-  std::printf("hottest links, %u nodes / %s / %s:\n%s\n", cfg.nodes,
-              to_string(cfg.fabric), to_string(cfg.dir_scheme),
-              lt.to_string().c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::vector<std::string_view> given = only_flags(
+  const Options opt = parse(
       argc, argv,
       {"--nodes", "--fabric", "--dir-scheme", "--link-bw", "--json",
        "--fault-seed", "--fault-drop-pct", "--fault-dup-pct",
        "--fault-delay-pct", "--fault-delay-cycles", "--fault-link-down",
        "--fault-link-downs", "--fault-node-down", "--fault-node-downs",
        "--fault-kinds", "--fault-retry-base", "--fault-retry-max"});
-  const Options opt = parse(argc, argv);
 
   std::vector<std::uint32_t> node_counts = {8, 64, 256, 1024};
-  if (opt.nodes != 0) node_counts = {opt.nodes};
+  if (opt.given("--nodes")) node_counts = {opt.nodes};
   std::vector<FabricKind> fabrics = {FabricKind::kNiConstant,
                                      FabricKind::kMesh2d,
                                      FabricKind::kTorus2d};
-  if (std::count(given.begin(), given.end(), "--fabric"))
-    fabrics = {opt.fabric};
-  const bool scheme_pinned = opt.dir_scheme != DirScheme::kAuto;
+  if (opt.given("--fabric")) fabrics = {opt.fabric};
 
   // Every cell's config, checked before any cell runs; the link dump
   // goes with the last scheme of each routed fabric at the widest size.
@@ -181,26 +144,21 @@ int main(int argc, char** argv) {
   for (std::uint32_t nodes : node_counts) {
     for (FabricKind fabric : fabrics) {
       std::vector<DirScheme> schemes;
-      if (scheme_pinned) {
+      if (opt.given("--dir-scheme")) {
         schemes = {opt.dir_scheme};
       } else {
         if (nodes <= 64) schemes.push_back(DirScheme::kFullMap);
         schemes.push_back(DirScheme::kLimitedPtr);
         schemes.push_back(DirScheme::kCoarse);
       }
-      for (DirScheme scheme : schemes) {
+      for (DirScheme scheme : schemes)
         cells.push_back({cell_config(opt, nodes, fabric, scheme),
                          fabric != FabricKind::kNiConstant &&
                              nodes == node_counts.back() &&
                              scheme == schemes.back()});
-        require_valid(cells.back().cfg);
-      }
     }
   }
-  require_link_bw_routed(
-      opt, std::any_of(cells.begin(), cells.end(), [](const Cell& c) {
-        return c.cfg.fabric != FabricKind::kNiConstant;
-      }));
+  require_runnable(opt, cells, &Cell::cfg);
 
   std::printf(
       "=== Scale-out directory sweep: %u pages/home, readers "

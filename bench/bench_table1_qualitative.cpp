@@ -23,7 +23,7 @@ const char* yn(bool b) { return b ? "yes" : "no"; }
 }  // namespace
 
 int main(int argc, char** argv) {
-  only_flags(argc, argv, {});  // a fixed table: no flag changes it
+  parse(argc, argv, {});  // a fixed table: no flag changes it
   std::printf(
       "=== Table 1 (measured): miss-reduction opportunity by sharing "
       "pattern ===\n\n");

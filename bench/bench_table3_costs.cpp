@@ -38,7 +38,7 @@ void print_timing(const char* title, const TimingConfig& t) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::only_flags(argc, argv, {});  // a fixed table: no flag changes it
+  bench::parse(argc, argv, {});  // a fixed table: no flag changes it
   std::printf("=== Table 3: baseline system assumptions (600 MHz CPU cycles) ===\n\n");
   print_timing("base (fast hardware page-op support)", TimingConfig::fast_page_ops());
   print_timing("slow page operations (Section 6.2)", TimingConfig::slow_page_ops());
